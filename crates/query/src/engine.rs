@@ -29,24 +29,39 @@
 //! All four implement [`Engine`]; the repo-level differential suite
 //! (`tests/engine_differential.rs`) holds them to identical answers on
 //! every workload family.
+//!
+//! The two cached engines join up through `gyo-relation`'s flat executor
+//! ([`join_up_with`]: unsorted duplicate-free intermediates, bucket-chain
+//! builds, one normalization at the root), with its scratch held beside
+//! the semijoin [`ExecScratch`]. [`IncrementalEngine`] keeps the per-call
+//! operator-at-a-time join-up of [`solve_tree_query`], so the differential
+//! suite compares two independent join-up routes.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gyo_reduce::Reduction;
-use gyo_relation::{semijoin_program_with, DbState, ExecScratch, Relation, SemijoinStep};
+use gyo_relation::{
+    join_up_with, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
+    SemijoinStep,
+};
 use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, RootedTree};
 
 use crate::program::Program;
 use crate::yannakakis::{
-    derive_rooted_tree, full_reduce, full_reducer_program_on_tree, join_up_tree, solve_tree_query,
+    derive_rooted_tree, full_reduce, full_reducer_program_on_tree, solve_tree_query,
 };
 
 /// Why an engine (or any tree-only entry point of this crate) could not
-/// serve a schema.
+/// serve a schema or a query.
 ///
-/// The only failure mode the paper's machinery admits is **cyclicity**: the
+/// A query whose target `X` names attributes outside `U(D)` is malformed
+/// (the paper always takes `X ⊆ U(D)`); every engine returns
+/// [`EngineError::TargetOutsideSchema`] for it, naming the stray
+/// attributes.
+///
+/// The only schema failure the paper's machinery admits is **cyclicity**: the
 /// GYO reduction got stuck before collapsing the schema, so no join tree —
 /// and hence no full reducer — exists (Corollary 3.1). Rather than a bare
 /// decline, the error carries the evidence: the non-reducible residue
@@ -68,8 +83,8 @@ use crate::yannakakis::{
 ///     gyo_relation::Relation::empty(r.clone())
 /// }).collect());
 /// let err = FullReducerEngine::new().reduce(&d, &state).unwrap_err();
-/// assert_eq!(err.residue().to_notation(&cat), "(ab, bc, ac)");
-/// assert_eq!(err.survivors(), &[0, 1, 2], "the pendant ax was reduced away");
+/// assert_eq!(err.residue().unwrap().to_notation(&cat), "(ab, bc, ac)");
+/// assert_eq!(err.survivors(), Some(&[0, 1, 2][..]), "the pendant ax was reduced away");
 /// assert!(err.to_string().contains("cyclic"));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,6 +102,11 @@ pub enum EngineError {
         /// to `residue.rels()`).
         survivors: Vec<usize>,
     },
+    /// The query target is not a subset of `U(D)`.
+    TargetOutsideSchema {
+        /// `X − U(D)`: the target attributes no relation of `D` carries.
+        stray: AttrSet,
+    },
 }
 
 impl EngineError {
@@ -103,17 +123,31 @@ impl EngineError {
         }
     }
 
-    /// The stuck GYO residue `GR(D)` — the offending cycle.
-    pub fn residue(&self) -> &DbSchema {
-        match self {
-            EngineError::Cyclic { residue, .. } => residue,
+    /// [`EngineError::TargetOutsideSchema`] when `x ⊄ U(D)`.
+    pub(crate) fn check_target(d: &DbSchema, x: &AttrSet) -> Result<(), EngineError> {
+        let stray = x.difference(&d.attributes());
+        if stray.is_empty() {
+            Ok(())
+        } else {
+            Err(EngineError::TargetOutsideSchema { stray })
         }
     }
 
-    /// Original relation indices of the residue's members.
-    pub fn survivors(&self) -> &[usize] {
+    /// The stuck GYO residue `GR(D)` — the offending cycle; `None` for an
+    /// error that is not about cyclicity.
+    pub fn residue(&self) -> Option<&DbSchema> {
         match self {
-            EngineError::Cyclic { survivors, .. } => survivors,
+            EngineError::Cyclic { residue, .. } => Some(residue),
+            EngineError::TargetOutsideSchema { .. } => None,
+        }
+    }
+
+    /// Original relation indices of the residue's members; `None` for an
+    /// error that is not about cyclicity.
+    pub fn survivors(&self) -> Option<&[usize]> {
+        match self {
+            EngineError::Cyclic { survivors, .. } => Some(survivors),
+            EngineError::TargetOutsideSchema { .. } => None,
         }
     }
 
@@ -130,6 +164,10 @@ impl EngineError {
                     residue.to_notation(cat)
                 )
             }
+            EngineError::TargetOutsideSchema { stray } => format!(
+                "query target is not a subset of U(D): {} not in the schema",
+                stray.to_notation(cat)
+            ),
         }
     }
 }
@@ -146,6 +184,11 @@ impl fmt::Display for EngineError {
                     survivors
                 )
             }
+            EngineError::TargetOutsideSchema { stray } => write!(
+                f,
+                "query target is not a subset of U(D): attribute id(s) {:?} not in the schema",
+                stray.iter().map(|a| a.0).collect::<Vec<_>>()
+            ),
         }
     }
 }
@@ -155,12 +198,13 @@ impl std::error::Error for EngineError {}
 /// A query/reduction engine: one strategy for making states globally
 /// consistent and answering natural-join queries `(D, X)`.
 ///
-/// An `Err` means the engine does not support the schema, and says why:
-/// the semijoin engines are tree-only (full reducers do not exist for
-/// cyclic schemas), so their error is always [`EngineError::Cyclic`] with
-/// the stuck residue attached. [`NaiveEngine`] and
-/// [`TreeifyEngine`](crate::TreeifyEngine) are **total** — they never
-/// return `Err`.
+/// An `Err` means the engine does not support the schema, or the query is
+/// malformed, and says why: the semijoin engines are tree-only (full
+/// reducers do not exist for cyclic schemas), so they return
+/// [`EngineError::Cyclic`] with the stuck residue attached. [`NaiveEngine`]
+/// and [`TreeifyEngine`](crate::TreeifyEngine) are **total** over schemas —
+/// they never decline one. Every engine's `answer` returns
+/// [`EngineError::TargetOutsideSchema`] for a target `X ⊄ U(D)`.
 pub trait Engine {
     /// A stable identifier for reports and benchmarks.
     fn name(&self) -> &'static str;
@@ -171,11 +215,8 @@ pub trait Engine {
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError>;
 
     /// Answers the query `(D, X)`: `π_X(⋈ state)`, or the reason the
-    /// engine cannot solve on `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x ⊄ U(D)`.
+    /// engine cannot solve on `d` — [`EngineError::TargetOutsideSchema`]
+    /// when `x ⊄ U(D)`, checked before anything else.
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError>;
 }
 
@@ -205,7 +246,8 @@ impl Engine for NaiveEngine {
         ))
     }
 
-    fn answer(&self, _d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
+    fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
+        EngineError::check_target(d, x)?;
         Ok(state.eval_join_query(x))
     }
 }
@@ -309,6 +351,9 @@ pub struct FullReducerEngine {
     /// `crates/relation/tests/alloc.rs` counter pins this down). Contended
     /// callers fall back to a per-call scratch rather than serialize.
     scratch: Mutex<ExecScratch>,
+    /// Reusable join-up state (bucket chains, pair buffer, dedup sets,
+    /// intermediate row buffers), with the same contention fallback.
+    joinup: Mutex<JoinUpScratch>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -371,6 +416,18 @@ impl FullReducerEngine {
         }
     }
 
+    /// Joins fully reduced relations up `rooted` and projects onto `x`
+    /// through the flat executor ([`join_up_with`]) and the engine's
+    /// reusable join-up scratch (a per-call scratch under contention).
+    /// Shared by the tree answer path and the treeify engine's `X ⊄ W`
+    /// path.
+    pub(crate) fn join_up(&self, rels: &[Relation], rooted: &RootedTree, x: &AttrSet) -> Relation {
+        match self.joinup.try_lock() {
+            Ok(mut scratch) => join_up_with(rels, rooted, x, &mut scratch),
+            Err(_) => join_up_with(rels, rooted, x, &mut JoinUpScratch::new()),
+        }
+    }
+
     pub(crate) fn reduce_with_plan(
         &self,
         d: &DbSchema,
@@ -383,8 +440,9 @@ impl FullReducerEngine {
     }
 
     /// The full answer pipeline over an already-compiled plan: reduce, then
-    /// join up the tree with early projection. Shared by
-    /// [`Engine::answer`] and the treeify engine's delegation path.
+    /// join up the tree with early projection through the flat executor.
+    /// Shared by [`Engine::answer`] and the treeify engine's delegation
+    /// path.
     pub(crate) fn answer_with_plan(
         &self,
         d: &DbSchema,
@@ -399,8 +457,9 @@ impl FullReducerEngine {
                 Relation::empty(x.clone())
             };
         }
-        let reduced = self.reduce_with_plan(d, state, plan);
-        join_up_tree(d, &reduced, x, plan.rooted())
+        let mut rels = state.rels().to_vec();
+        self.run_steps(&mut rels, plan.steps());
+        self.join_up(&rels, plan.rooted(), x)
     }
 }
 
@@ -415,10 +474,7 @@ impl Engine for FullReducerEngine {
     }
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
-        assert!(
-            x.is_subset(&d.attributes()),
-            "target X must be a subset of U(D)"
-        );
+        EngineError::check_target(d, x)?;
         let plan = self.plan(d)?;
         Ok(self.answer_with_plan(d, state, x, &plan))
     }
@@ -482,8 +538,8 @@ mod tests {
         let x = AttrSet::parse("ab", &mut cat).unwrap();
         let err = IncrementalEngine.reduce(&d, &state).unwrap_err();
         // The triangle is its own residue: nothing reduces.
-        assert_eq!(err.residue(), &d);
-        assert_eq!(err.survivors(), &[0, 1, 2]);
+        assert_eq!(err.residue(), Some(&d));
+        assert_eq!(err.survivors(), Some(&[0, 1, 2][..]));
         let cached = FullReducerEngine::new();
         assert_eq!(cached.reduce(&d, &state).unwrap_err(), err);
         assert_eq!(cached.answer(&d, &state, &x).unwrap_err(), err);
@@ -502,8 +558,12 @@ mod tests {
         let d = db("ab, bc, cd, da, ax, cy", &mut cat);
         let state = random_state(&d, 8, 5, 3);
         let err = FullReducerEngine::new().reduce(&d, &state).unwrap_err();
-        assert_eq!(err.survivors(), &[0, 1, 2, 3], "only the ring survives");
-        assert_eq!(err.residue().to_notation(&cat), "(ab, bc, cd, ad)");
+        assert_eq!(
+            err.survivors(),
+            Some(&[0, 1, 2, 3][..]),
+            "only the ring survives"
+        );
+        assert_eq!(err.residue().unwrap().to_notation(&cat), "(ab, bc, cd, ad)");
         assert!(err.to_string().contains("4 residue relation(s)"));
     }
 
@@ -529,7 +589,7 @@ mod tests {
         let first = e.plan(&d).unwrap_err();
         let second = e.plan(&d).unwrap_err();
         assert_eq!(first, second, "cached verdicts keep the diagnostic");
-        assert_eq!(first.residue(), &d, "the triangle is its own residue");
+        assert_eq!(first.residue(), Some(&d), "the triangle is its own residue");
         assert_eq!(e.cache_stats(), (1, 1));
         assert_eq!(e.cached_plan_count(), 1);
     }
@@ -609,6 +669,50 @@ mod tests {
             Relation::identity()
         );
         assert!(e.reduce(&d0, &empty_state).unwrap().is_empty());
+    }
+
+    /// `(D, X)` over `ab, bc` with `X = {a, z}`: `z` is in no relation.
+    fn stray_target_case() -> (DbSchema, DbState, AttrSet, EngineError) {
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc", &mut cat);
+        let state = random_state(&d, 0x57, 10, 3);
+        let x = AttrSet::parse("az", &mut cat).unwrap();
+        let stray = AttrSet::parse("z", &mut cat).unwrap();
+        (d, state, x, EngineError::TargetOutsideSchema { stray })
+    }
+
+    #[test]
+    fn naive_engine_rejects_a_target_outside_the_schema() {
+        let (d, state, x, want) = stray_target_case();
+        assert_eq!(NaiveEngine.answer(&d, &state, &x).unwrap_err(), want);
+    }
+
+    #[test]
+    fn incremental_engine_rejects_a_target_outside_the_schema() {
+        let (d, state, x, want) = stray_target_case();
+        assert_eq!(IncrementalEngine.answer(&d, &state, &x).unwrap_err(), want);
+    }
+
+    #[test]
+    fn cached_engine_rejects_a_target_outside_the_schema() {
+        let (d, state, x, want) = stray_target_case();
+        let e = FullReducerEngine::new();
+        let err = e.answer(&d, &state, &x).unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(err.residue(), None, "not a cyclicity verdict");
+        assert!(err.to_string().contains("not a subset of U(D)"));
+        assert_eq!(e.cached_plan_count(), 0, "checked before any plan work");
+        // A cyclic schema with a stray target reports the target first.
+        let mut cat = Catalog::alphabetic();
+        let ring = db("ab, bc, ca", &mut cat);
+        let ring_state = random_state(&ring, 9, 10, 3);
+        let bad = AttrSet::parse("az", &mut cat).unwrap();
+        let err = e.answer(&ring, &ring_state, &bad).unwrap_err();
+        assert!(matches!(err, EngineError::TargetOutsideSchema { .. }));
+        assert_eq!(
+            err.display_with(&cat),
+            "query target is not a subset of U(D): z not in the schema"
+        );
     }
 
     #[test]

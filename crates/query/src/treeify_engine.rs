@@ -26,7 +26,8 @@
 //!   Per call, the engine materializes `state(W)`, runs the extended
 //!   plan's semijoin program through the reusable
 //!   [`SelVec`](gyo_relation::SelVec) scratch, and either projects the
-//!   reduced `W` (when `X ⊆ W`) or joins up the extended tree.
+//!   reduced `W` (when `X ⊆ W`) or joins up the extended tree through the
+//!   flat join-up executor ([`gyo_relation::join_up_with`]).
 //!
 //! The cyclic verdict that routes a schema onto the treeify path is the
 //! [`EngineError::Cyclic`] diagnostic the inner engine caches — the stuck
@@ -76,7 +77,6 @@ use gyo_relation::{DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema, FxHashMap};
 
 use crate::engine::{Engine, EngineError, FullReducerEngine, FullReducerPlan};
-use crate::yannakakis::join_up_tree;
 
 /// A compiled treeification plan for one **cyclic** schema: everything
 /// about `D ∪ (U(GR(D)))` that does not depend on data.
@@ -108,8 +108,11 @@ impl TreeifyPlan {
     /// re-run; the extended schema's full-reducer plan is compiled through
     /// (and cached in) `engine`'s plan cache.
     fn compile(d: &DbSchema, err: &EngineError, engine: &FullReducerEngine) -> Self {
-        let w = err.residue().attributes();
-        let join_order = connected_order(d, err.survivors())
+        let (Some(residue), Some(survivors)) = (err.residue(), err.survivors()) else {
+            panic!("treeification needs a cyclic verdict, got: {err}");
+        };
+        let w = residue.attributes();
+        let join_order = connected_order(d, survivors)
             .into_iter()
             .map(|i| {
                 let core = d.rel(i).intersect(&w);
@@ -249,8 +252,7 @@ impl TreeifyEngine {
             let w_reduced = rels.last().expect("extended state is nonempty");
             return w_reduced.project(x);
         }
-        let reduced = DbState::new(&plan.extended, rels);
-        join_up_tree(&plan.extended, &reduced, x, plan.inner.rooted())
+        self.inner.join_up(&rels, plan.inner.rooted(), x)
     }
 
     /// Number of cyclic schemas with a cached treeified plan.
@@ -335,10 +337,7 @@ impl Engine for TreeifyEngine {
     }
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
-        assert!(
-            x.is_subset(&d.attributes()),
-            "target X must be a subset of U(D)"
-        );
+        EngineError::check_target(d, x)?;
         if let Some(plan) = self.lookup_treeified(d) {
             return Ok(self.answer_cyclic(state, x, &plan));
         }
@@ -531,6 +530,27 @@ mod tests {
         }
         let x = AttrSet::parse("ab", &mut cat).unwrap();
         assert!(engine.answer(&d, &state, &x).unwrap().is_empty());
+    }
+
+    #[test]
+    fn rejects_a_target_outside_the_schema() {
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        let stray = AttrSet::parse("z", &mut cat).unwrap();
+        // Cyclic and tree schemas alike: the target is checked first.
+        for s in ["ab, bc, ca", "ab, bc"] {
+            let d = db(s, &mut cat);
+            let state = random_state(&d, 0x5A, 10, 3);
+            let x = AttrSet::parse("az", &mut cat).unwrap();
+            assert_eq!(
+                engine.answer(&d, &state, &x).unwrap_err(),
+                EngineError::TargetOutsideSchema {
+                    stray: stray.clone()
+                },
+                "{s}"
+            );
+        }
+        assert_eq!(engine.cached_treeified_count(), 0);
     }
 
     #[test]

@@ -10,10 +10,22 @@
 //!
 //! Execution here is deliberately **per-call and operator-at-a-time**
 //! (each semijoin/join/projection runs through `gyo_relation`'s columnar
-//! kernels, but every step materializes its result): this module is the
-//! reference path the cached engine's batched selection-vector executor
-//! ([`gyo_relation::semijoin_program`]) is differentially tested against —
-//! two independent routes to the same reduced states and answers.
+//! kernels, but every step materializes its result as a normalized
+//! [`Relation`]): this module is the reference path the cached engines are
+//! differentially tested against — two independent routes to the same
+//! reduced states and answers. Which join-up runs where:
+//!
+//! * [`solve_tree_query`] (and through it
+//!   [`IncrementalEngine`](crate::IncrementalEngine) and
+//!   [`solve_via_treeification`](crate::solve_via_treeification)) joins up
+//!   here, one `Relation::project` and one `Relation::natural_join` per
+//!   tree edge, each output sorted and deduplicated.
+//! * The cached engines ([`FullReducerEngine`](crate::FullReducerEngine),
+//!   and [`TreeifyEngine`](crate::TreeifyEngine) for tree schemas and for
+//!   targets outside `W`) reduce with the selection-vector executor
+//!   ([`gyo_relation::semijoin_program`]) and join up with the flat
+//!   executor ([`gyo_relation::join_up_with`]): unsorted duplicate-free
+//!   intermediates, bucket-chain builds, one normalization at the root.
 
 use gyo_reduce::{gyo_reduce, join_tree_from_trace};
 use gyo_relation::{DbState, Relation};
@@ -123,20 +135,14 @@ fn full_reduce_on_rooted(d: &DbSchema, state: &DbState, rooted: &RootedTree) -> 
 /// Solves `(D, X)` on a tree schema: full reduction, then joins up the tree
 /// with early projection onto `X ∪ (attributes shared with the not-yet-
 /// joined part)`. Output-sensitive in the Yannakakis sense. Returns
+/// [`EngineError::TargetOutsideSchema`] when `X ⊄ U(D)` and
 /// [`EngineError::Cyclic`] when `d` is cyclic.
-///
-/// # Panics
-///
-/// Panics if `X ⊄ U(D)`.
 pub fn solve_tree_query(
     d: &DbSchema,
     state: &DbState,
     x: &AttrSet,
 ) -> Result<Relation, EngineError> {
-    assert!(
-        x.is_subset(&d.attributes()),
-        "target X must be a subset of U(D)"
-    );
+    EngineError::check_target(d, x)?;
     let rooted = derive_rooted_tree(d)?;
     if d.is_empty() {
         return Ok(if x.is_empty() {
@@ -151,7 +157,8 @@ pub fn solve_tree_query(
 
 /// The join phase of the Yannakakis solver: joins a **fully reduced** state
 /// up the rooted join tree with early projection onto `X ∪ (attributes
-/// still needed by unjoined subtrees)`, then projects onto `X`.
+/// still needed by unjoined subtrees)`, then projects onto `X`. The
+/// operator-at-a-time reference for [`gyo_relation::join_up_with`].
 pub(crate) fn join_up_tree(
     d: &DbSchema,
     reduced: &DbState,

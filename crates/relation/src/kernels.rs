@@ -44,6 +44,10 @@
 /// Number of lanes per probe chunk: one `u64` survivor mask's worth.
 pub const CHUNK: usize = 64;
 
+/// Matched row pairs a join buffers before one [`gather_pairs`] pass:
+/// bounds the pair list on huge join outputs.
+pub(crate) const PAIR_FLUSH: usize = CHUNK * 16;
+
 /// Value budget per block in column-at-a-time gather loops: each per-column
 /// pass re-sweeps the block, so the block must stay cache-resident. The
 /// row count per block is derived from this budget and the row width

@@ -17,6 +17,8 @@
 //! * [`exec`] — precompiled semijoin steps ([`SemijoinStep`]) and the
 //!   selection-vector [`semijoin_program`] executor used by the cached
 //!   full-reducer engine;
+//! * [`joinup`] — the flat join-up executor ([`join_up_with`]) the cached
+//!   engines answer through after full reduction;
 //! * [`kernels`] — the columnar kernel layer: gather projection, chunked
 //!   branchless key-probe kernels over [`SelVec`] selection vectors, the
 //!   generation-stamped [`kernels::StampTable`], and packed row sorting.
@@ -57,11 +59,24 @@
 //!
 //! Row-at-a-time execution remains in exactly the places where a column
 //! decomposition has nothing to offer: hash-*building* (`KeyIndex`
-//! construction walks rows once), the probe half of `natural_join`
-//! (match fan-out is data-dependent), normalization of rows whose values
-//! are too wide to pack into `u64`/`u128` scalars
+//! construction and the join-up bucket chains walk rows once), the probe
+//! halves of `natural_join` and of the join-up joins (match fan-out is
+//! data-dependent), the join-up's projection dedup, normalization of rows
+//! whose values are too wide to pack into `u64`/`u128` scalars
 //! ([`kernels::sort_dedup_packed`] falls back to an index-permutation
 //! sort), and the `Vec<Vec<u64>>` boundary shims.
+//!
+//! Two join-ups run over these operators, deliberately:
+//!
+//! * the **flat executor** ([`join_up_with`]) in the cached engines
+//!   (`FullReducerEngine`, and `TreeifyEngine` for tree schemas and for
+//!   targets outside `W`): unsorted duplicate-free intermediates in reused
+//!   buffers, bucket-chain builds, one normalization at the root;
+//! * the **operator-at-a-time reference** in the per-call routes
+//!   (`solve_tree_query`, `IncrementalEngine`, `solve_via_treeification`):
+//!   one [`Relation::project`] and one [`Relation::natural_join`] per
+//!   tree edge, every intermediate a normalized `Relation`. The
+//!   differential suite compares the two routes.
 //!
 //! The hot paths are cache-assisted: every [`Relation`] lazily memoizes, per
 //! key attribute set, its column positions and its hash-join build table, so
@@ -75,12 +90,14 @@
 
 pub mod database;
 pub mod exec;
+pub mod joinup;
 pub mod kernels;
 pub mod relation;
 pub mod universal;
 
 pub use database::DbState;
 pub use exec::{semijoin_program, semijoin_program_with, ExecScratch, SemijoinStep};
+pub use joinup::{join_up_with, JoinUpScratch};
 pub use kernels::{ColumnarView, SelVec};
 pub use relation::Relation;
 pub use universal::{join_of_projections, satisfies_jd};

@@ -39,7 +39,7 @@ use crate::kernels::{self, ColumnarView, SelVec};
 /// half, so `u128` ordering equals lexicographic row ordering — every
 /// width-2 build, probe, and sort site must agree on this encoding.
 #[inline]
-fn pack2(a: u64, b: u64) -> u128 {
+pub(crate) fn pack2(a: u64, b: u64) -> u128 {
     (a as u128) << 64 | b as u128
 }
 
@@ -734,14 +734,15 @@ impl Relation {
         // full pair list before assembly.
         let mut data: Vec<u64> = Vec::new();
         let mut rows = 0usize;
-        debug_assert!(
+        assert!(
             probe.len <= u32::MAX as usize && build.len <= u32::MAX as usize,
-            "pair indices are u32; row counts must fit (cf. SelVec::reset)"
+            "natural_join: pair indices are u32, but the inputs hold {} and {} rows",
+            probe.len,
+            build.len
         );
-        const FLUSH: usize = kernels::CHUNK * 16;
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(FLUSH);
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(kernels::PAIR_FLUSH);
         let mut emit = |pairs: &mut Vec<(u32, u32)>, data: &mut Vec<u64>, force: bool| {
-            if force || pairs.len() >= FLUSH {
+            if force || pairs.len() >= kernels::PAIR_FLUSH {
                 rows += pairs.len();
                 kernels::gather_pairs(
                     &probe.data,

@@ -4,15 +4,17 @@
 //! against naive per-row reference implementations) and the columnar
 //! kernel laws (gather projection, chunked key-compare semijoins for key
 //! widths 1/2/wide, selection-vector program execution — each against a
-//! per-row reference, on small and on pack-defeating huge values).
+//! per-row reference, on small and on pack-defeating huge values), and the
+//! flat join-up executor against the operator-at-a-time
+//! `natural_join` + `project` loop on random rooted trees.
 
 use std::collections::BTreeSet;
 
 use gyo_relation::{
-    join_of_projections, satisfies_jd, semijoin_program, semijoin_program_with, DbState,
-    ExecScratch, Relation, SemijoinStep,
+    join_of_projections, join_up_with, satisfies_jd, semijoin_program, semijoin_program_with,
+    DbState, ExecScratch, JoinUpScratch, Relation, SemijoinStep,
 };
-use gyo_schema::{AttrSet, DbSchema};
+use gyo_schema::{AttrSet, DbSchema, RootedTree};
 use proptest::prelude::*;
 
 const W: usize = 4; // attribute universe 0..W
@@ -335,6 +337,92 @@ proptest! {
         }
         for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
             prop_assert_eq!(g, e, "slot {}", k);
+        }
+    }
+}
+
+/// Operator-at-a-time join-up: per tree edge one `Relation::project` onto
+/// `X ∩ U(subtree) ∪ (Rᵥ ∩ R_parent)` and one `Relation::natural_join`
+/// into the parent, then `project` onto `X` — the loop the flat executor
+/// replaces, every intermediate normalized.
+fn reference_join_up(rels: &[Relation], rooted: &RootedTree, x: &AttrSet) -> Relation {
+    let mut subtree_x: Vec<AttrSet> = rels.iter().map(|r| r.attrs().intersect(x)).collect();
+    for &v in &rooted.post_order {
+        if v != rooted.root {
+            let p = rooted.parent[v];
+            subtree_x[p] = subtree_x[p].union(&subtree_x[v]);
+        }
+    }
+    let mut acc: Vec<Relation> = rels.to_vec();
+    for &v in &rooted.post_order {
+        if v != rooted.root {
+            let p = rooted.parent[v];
+            let keep = subtree_x[v].union(&rels[v].attrs().intersect(rels[p].attrs()));
+            let pruned = acc[v].project(&keep);
+            acc[p] = acc[p].natural_join(&pruned);
+        }
+    }
+    let root = &acc[rooted.root];
+    if root.is_empty() {
+        Relation::empty(x.clone())
+    } else {
+        root.project(x)
+    }
+}
+
+/// A random rooted tree over nodes `0..n`: `order` is `0..n` rotated by
+/// `shift` (so any node can be the root), and node `order[i]` hangs below
+/// `order[raw[i] % i]`; the reverse of `order` is a post-order.
+fn rooted_tree(n: usize, shift: usize, raw: &[usize]) -> RootedTree {
+    let order: Vec<usize> = (0..n).map(|i| (i + shift) % n).collect();
+    let mut parent = vec![order[0]; n];
+    for i in 1..n {
+        parent[order[i]] = order[raw[i] % i];
+    }
+    RootedTree {
+        root: order[0],
+        parent,
+        post_order: order.into_iter().rev().collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flat join-up executor (unsorted duplicate-free intermediates,
+    /// bucket-chain builds, one normalization at the root) returns exactly
+    /// the normalized relation the operator-at-a-time loop does, on random
+    /// rooted trees over the width-mixed schema pool — join keys and kept
+    /// projections of width 0, 1, 2 and ≥ 3, `{}`/`{()}` nodes, and values
+    /// near `u64::MAX` that defeat packed normalization — with a fresh
+    /// scratch and with a scratch reused across calls.
+    #[test]
+    fn flat_join_up_matches_operator_at_a_time_reference(
+        rels in proptest::collection::vec(
+            proptest::sample::select(kernel_schemas()).prop_flat_map(relation_over), 1..6),
+        shift in 0usize..6,
+        raw in proptest::collection::vec(0usize..6, 6),
+        xs in proptest::collection::vec(0u32..10, 0..6),
+        ys in proptest::collection::vec(0u32..10, 0..6),
+    ) {
+        let n = rels.len();
+        let rooted = rooted_tree(n, shift % n, &raw);
+        let u = rels.iter().fold(AttrSet::empty(), |acc, r| acc.union(r.attrs()));
+        let mut scratch = JoinUpScratch::new();
+        for x in [AttrSet::from_raw(&xs).intersect(&u), AttrSet::from_raw(&ys).intersect(&u), u.clone()] {
+            let want = reference_join_up(&rels, &rooted, &x);
+            prop_assert_eq!(
+                &join_up_with(&rels, &rooted, &x, &mut JoinUpScratch::new()),
+                &want,
+                "fresh scratch, X = {:?}",
+                x
+            );
+            prop_assert_eq!(
+                &join_up_with(&rels, &rooted, &x, &mut scratch),
+                &want,
+                "reused scratch, X = {:?}",
+                x
+            );
         }
     }
 }

@@ -14,6 +14,13 @@
 //! same states, so the cached plan and the per-call path are held together
 //! too.
 //!
+//! Every case asks five answer targets: `∅`, one attribute, a two-attribute
+//! span (first and last attribute), all of `U(D)`, and a seeded random
+//! subset. The cached engines join up through the flat executor
+//! (`gyo_relation::join_up_with`) while the incremental engine keeps the
+//! operator-at-a-time `solve_tree_query` join-up, so every target compares
+//! two independent join-up routes against the definitional answer.
+//!
 //! The cached engines are shared across all cases (and test threads)
 //! through static instances, so both plan caches (tree plans and treeified
 //! plans) are exercised under heavy reuse — a disagreement caused by a
@@ -24,14 +31,15 @@ use std::sync::OnceLock;
 
 use gyo::{
     is_tree_schema, reduce_via_treeification, AttrSet, DbSchema, DbState, Engine,
-    FullReducerEngine, IncrementalEngine, NaiveEngine, TreeifyEngine,
+    FullReducerEngine, IncrementalEngine, NaiveEngine, Relation, TreeifyEngine,
 };
 use gyo_workloads::{
-    aring_n, chain, engine_families, family_state, grid, random_tree_schema, star, tpch_like_cyclic,
+    aring_n, chain, engine_families, family_state, grid, random_tree_schema, star,
+    tpch_like_cyclic, wide_chain,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// One engine instance for the whole suite: reusing it across cases is the
 /// point (plan-cache hits must not change any answer).
@@ -59,6 +67,25 @@ fn span_target(d: &DbSchema) -> AttrSet {
     AttrSet::from_iter(ends)
 }
 
+/// The answer targets every case is checked on: `∅`, one attribute (drawn
+/// from `seed`), [`span_target`], all of `U(D)`, and a subset of `U(D)`
+/// drawn from `seed` (each attribute with probability ½).
+fn answer_targets(d: &DbSchema, seed: u64) -> Vec<AttrSet> {
+    let u = d.attributes();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7A46_E75E);
+    let mut targets = vec![AttrSet::empty()];
+    if !u.is_empty() {
+        let one = u.as_slice()[rng.random_range(0..u.len())];
+        targets.push(AttrSet::from_iter([one]));
+    }
+    targets.push(span_target(d));
+    targets.push(u.clone());
+    targets.push(AttrSet::from_iter(
+        u.iter().filter(|_| rng.random_bool(0.5)),
+    ));
+    targets
+}
+
 /// Safety valve for randomized schemas: the naive ground truth materializes
 /// the cross product across disconnected components (random tree schemas
 /// can grow several private-attribute singletons), so cases with many
@@ -68,9 +95,9 @@ fn naive_is_tractable(d: &DbSchema) -> bool {
     d.connected_components().len() <= 3
 }
 
-/// The core differential check: reduced states and answers of all four
-/// engines on `(d, state, x)`.
-fn check_engines(label: &str, d: &DbSchema, state: &DbState, x: &AttrSet) {
+/// The core differential check: reduced states of all four engines on
+/// `(d, state)`, and their answers for every target in `targets`.
+fn check_engines(label: &str, d: &DbSchema, state: &DbState, targets: &[AttrSet]) {
     let naive = NaiveEngine;
     let incremental = IncrementalEngine;
     let cached = cached_engine();
@@ -118,17 +145,19 @@ fn check_engines(label: &str, d: &DbSchema, state: &DbState, x: &AttrSet) {
         let i_err = i_red.unwrap_err();
         let c_err = c_red.unwrap_err();
         assert_eq!(i_err, c_err, "{label}: engines agree on the diagnostic");
+        let residue = i_err.residue().expect("a cyclic verdict");
+        let survivors = i_err.survivors().expect("a cyclic verdict");
         assert!(
-            i_err.residue().len() >= 3,
+            residue.len() >= 3,
             "{label}: a cyclic residue has at least 3 relations"
         );
         assert_eq!(
-            i_err.survivors().len(),
-            i_err.residue().len(),
+            survivors.len(),
+            residue.len(),
             "{label}: survivors parallel the residue"
         );
         assert!(
-            i_err.survivors().iter().all(|&i| i < d.len()),
+            survivors.iter().all(|&i| i < d.len()),
             "{label}: survivor indices point into D"
         );
         // The per-call treeified reduction agrees with the cached one.
@@ -145,9 +174,30 @@ fn check_engines(label: &str, d: &DbSchema, state: &DbState, x: &AttrSet) {
     let joined = state
         .rels()
         .iter()
-        .fold(gyo::Relation::identity(), |acc, r| acc.natural_join(r));
+        .fold(Relation::identity(), |acc, r| acc.natural_join(r));
+    for x in targets {
+        let label = format!("{label}, X = {:?}", x.as_slice());
+        check_answers(&label, d, tree, state, &joined, x);
+    }
+}
+
+/// The answers of all four engines for one target against `π_X(joined)`.
+fn check_answers(
+    label: &str,
+    d: &DbSchema,
+    tree: bool,
+    state: &DbState,
+    joined: &Relation,
+    x: &AttrSet,
+) {
+    let (naive, incremental, cached, treeify) = (
+        NaiveEngine,
+        IncrementalEngine,
+        cached_engine(),
+        treeify_engine(),
+    );
     let expected = if joined.is_empty() {
-        gyo::Relation::empty(x.clone())
+        Relation::empty(x.clone())
     } else {
         joined.project(x)
     };
@@ -176,8 +226,7 @@ fn check_engines(label: &str, d: &DbSchema, state: &DbState, x: &AttrSet) {
 fn run_family(label: &str, d: &DbSchema, seed: u64, rows: usize, domain: u64, noise: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let state = family_state(&mut rng, d, rows, domain, noise);
-    let x = span_target(d);
-    check_engines(label, d, &state, &x);
+    check_engines(label, d, &state, &answer_targets(d, seed));
 }
 
 proptest! {
@@ -290,14 +339,14 @@ proptest! {
             let r = reduced.rel(k);
             // normalized invariant: rows() is strictly increasing, stride-aligned
             prop_assert_eq!(r.data().len(), r.len() * r.arity());
-            let round_tripped = gyo::Relation::new(r.attrs().clone(), r.to_vecs());
+            let round_tripped = Relation::new(r.attrs().clone(), r.to_vecs());
             prop_assert_eq!(&round_tripped, r, "node {} round-trips through the shim", k);
         }
 
         // Rebuild the whole state through the shim: answers must not move.
         let rebuilt = DbState::new(
             &d,
-            state.rels().iter().map(|r| gyo::Relation::new(r.attrs().clone(), r.to_vecs())).collect(),
+            state.rels().iter().map(|r| Relation::new(r.attrs().clone(), r.to_vecs())).collect(),
         );
         prop_assert_eq!(&rebuilt, &state);
         prop_assert_eq!(
@@ -322,5 +371,41 @@ fn answers_are_stable_across_repeated_cached_calls() {
             cached.reduce(&d, &state).unwrap(),
             NaiveEngine.reduce(&d, &state).unwrap()
         );
+    }
+}
+
+#[test]
+fn disconnected_tree_schema_joins_up_across_an_empty_key() {
+    // Two components, `ab–bc` and `de–ef`: the join tree links them by an
+    // edge with an empty key, so the join-up crosses it as a cross product.
+    let d = DbSchema::new(vec![
+        AttrSet::from_raw(&[0, 1]),
+        AttrSet::from_raw(&[1, 2]),
+        AttrSet::from_raw(&[3, 4]),
+        AttrSet::from_raw(&[4, 5]),
+    ]);
+    assert!(is_tree_schema(&d));
+    assert_eq!(d.connected_components().len(), 2);
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0xD15C ^ seed);
+        let state = family_state(&mut rng, &d, 8, 4, 3);
+        let mut targets = answer_targets(&d, seed);
+        // One attribute from each component: only the cross product
+        // connects them.
+        targets.push(AttrSet::from_raw(&[0, 5]));
+        check_engines("disconnected", &d, &state, &targets);
+    }
+}
+
+#[test]
+fn wide_key_chain_joins_up_on_width_3_keys() {
+    // Arity-6 links overlapping in 3 attributes: every join-up key has
+    // width 3, the hash-then-compare build and dedup paths.
+    let d = wide_chain(5, 6, 3);
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0x3E1D ^ seed);
+        // A small domain so the width-3 keys collide and fan out.
+        let state = family_state(&mut rng, &d, 12, 2 + seed % 3, 4);
+        check_engines("wide_chain", &d, &state, &answer_targets(&d, seed));
     }
 }
