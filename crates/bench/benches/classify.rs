@@ -96,8 +96,8 @@ fn bench_reduction_engines(c: &mut Criterion) {
         });
     }
     // Wide-key ids: arity-6 chains overlapping in 3 attributes, so every
-    // semijoin key is width 3 — the packed side-buffer / chunked-memcmp
-    // path of the kernels, where chains above only drive width-1 keys.
+    // semijoin key is width 3 — packed into one u128 per row by the
+    // kernels, where chains above only drive width-1 keys.
     for n in [8usize, 32] {
         let d = wide_chain(n, 6, 3);
         let mut rng = bench_rng();

@@ -182,8 +182,8 @@ fn bench_columnar(c: &mut Criterion) {
     }
 
     // Wide-arity full reduction: arity-6 chains with width-3 semijoin keys
-    // (the packed side-buffer key columns + chunked-memcmp membership), and
-    // the TPC-H-like snowflake.
+    // (packed into one u128 per row, 42 bits per value), and the TPC-H-like
+    // snowflake.
     let cached = FullReducerEngine::new();
     for n in [8usize, 32] {
         let d = wide_chain(n, 6, 3);

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 
 use gyo_reduce::Reduction;
 use gyo_relation::{
-    join_up_with, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
+    join_up_with, lock_cache, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
     SemijoinStep,
 };
 use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, RootedTree};
@@ -59,7 +59,8 @@ use crate::yannakakis::{
 /// A query whose target `X` names attributes outside `U(D)` is malformed
 /// (the paper always takes `X ⊆ U(D)`); every engine returns
 /// [`EngineError::TargetOutsideSchema`] for it, naming the stray
-/// attributes.
+/// attributes. A state whose relations are not over `D`'s relation
+/// schemas, position by position, is [`EngineError::StateMismatch`].
 ///
 /// The only schema failure the paper's machinery admits is **cyclicity**: the
 /// GYO reduction got stuck before collapsing the schema, so no join tree —
@@ -107,6 +108,12 @@ pub enum EngineError {
         /// `X − U(D)`: the target attributes no relation of `D` carries.
         stray: AttrSet,
     },
+    /// The database state was not built for `D`: relation `index` of the
+    /// state is missing, extra, or over other attributes than `Rᵢ`.
+    StateMismatch {
+        /// The first relation position at which state and schema disagree.
+        index: usize,
+    },
 }
 
 impl EngineError {
@@ -133,12 +140,25 @@ impl EngineError {
         }
     }
 
+    /// [`EngineError::StateMismatch`] unless `state` holds one relation
+    /// per relation schema of `d`, over exactly that schema's attributes.
+    pub(crate) fn check_state(d: &DbSchema, state: &DbState) -> Result<(), EngineError> {
+        let first_mismatch = d.iter().zip(state.rels()).position(|(r, s)| s.attrs() != r);
+        match first_mismatch {
+            Some(index) => Err(EngineError::StateMismatch { index }),
+            None if d.len() != state.len() => Err(EngineError::StateMismatch {
+                index: d.len().min(state.len()),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// The stuck GYO residue `GR(D)` — the offending cycle; `None` for an
     /// error that is not about cyclicity.
     pub fn residue(&self) -> Option<&DbSchema> {
         match self {
             EngineError::Cyclic { residue, .. } => Some(residue),
-            EngineError::TargetOutsideSchema { .. } => None,
+            EngineError::TargetOutsideSchema { .. } | EngineError::StateMismatch { .. } => None,
         }
     }
 
@@ -147,7 +167,7 @@ impl EngineError {
     pub fn survivors(&self) -> Option<&[usize]> {
         match self {
             EngineError::Cyclic { survivors, .. } => Some(survivors),
-            EngineError::TargetOutsideSchema { .. } => None,
+            EngineError::TargetOutsideSchema { .. } | EngineError::StateMismatch { .. } => None,
         }
     }
 
@@ -168,6 +188,7 @@ impl EngineError {
                 "query target is not a subset of U(D): {} not in the schema",
                 stray.to_notation(cat)
             ),
+            EngineError::StateMismatch { .. } => self.to_string(),
         }
     }
 }
@@ -189,6 +210,10 @@ impl fmt::Display for EngineError {
                 "query target is not a subset of U(D): attribute id(s) {:?} not in the schema",
                 stray.iter().map(|a| a.0).collect::<Vec<_>>()
             ),
+            EngineError::StateMismatch { index } => write!(
+                f,
+                "database state does not match the schema at relation R{index}"
+            ),
         }
     }
 }
@@ -204,7 +229,9 @@ impl std::error::Error for EngineError {}
 /// [`EngineError::Cyclic`] with the stuck residue attached. [`NaiveEngine`]
 /// and [`TreeifyEngine`](crate::TreeifyEngine) are **total** over schemas —
 /// they never decline one. Every engine's `answer` returns
-/// [`EngineError::TargetOutsideSchema`] for a target `X ⊄ U(D)`.
+/// [`EngineError::TargetOutsideSchema`] for a target `X ⊄ U(D)`, and both
+/// methods return [`EngineError::StateMismatch`] for a state that was not
+/// built for `d` (checked once, before any plan work).
 pub trait Engine {
     /// A stable identifier for reports and benchmarks.
     fn name(&self) -> &'static str;
@@ -231,6 +258,7 @@ impl Engine for NaiveEngine {
     }
 
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
+        EngineError::check_state(d, state)?;
         let total = state.join_all();
         Ok(DbState::new(
             d,
@@ -248,6 +276,7 @@ impl Engine for NaiveEngine {
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
         EngineError::check_target(d, x)?;
+        EngineError::check_state(d, state)?;
         Ok(state.eval_join_query(x))
     }
 }
@@ -265,10 +294,13 @@ impl Engine for IncrementalEngine {
     }
 
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
+        EngineError::check_state(d, state)?;
         full_reduce(d, state)
     }
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
+        EngineError::check_target(d, x)?;
+        EngineError::check_state(d, state)?;
         solve_tree_query(d, state, x)
     }
 }
@@ -368,16 +400,13 @@ impl FullReducerEngine {
     /// [`EngineError::Cyclic`] when `d` is cyclic — this negative outcome
     /// is cached as well, diagnostic included.
     pub fn plan(&self, d: &DbSchema) -> Result<Arc<FullReducerPlan>, EngineError> {
-        if let Some(cached) = self.plans.lock().expect("plan cache lock").get(d.rels()) {
+        if let Some(cached) = lock_cache(&self.plans).get(d.rels()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = FullReducerPlan::compile(d).map(Arc::new);
-        self.plans
-            .lock()
-            .expect("plan cache lock")
-            .insert(d.rels().to_vec(), plan.clone());
+        lock_cache(&self.plans).insert(d.rels().to_vec(), plan.clone());
         plan
     }
 
@@ -385,13 +414,13 @@ impl FullReducerEngine {
     /// invalidation — keys are schema identities — but long-lived engines
     /// can reclaim memory).
     pub fn clear_cache(&self) {
-        self.plans.lock().expect("plan cache lock").clear();
+        lock_cache(&self.plans).clear();
     }
 
     /// Number of schemas with a cached outcome (including cached cyclic
     /// verdicts).
     pub fn cached_plan_count(&self) -> usize {
-        self.plans.lock().expect("plan cache lock").len()
+        lock_cache(&self.plans).len()
     }
 
     /// `(hits, misses)` of the plan cache since construction.
@@ -469,12 +498,14 @@ impl Engine for FullReducerEngine {
     }
 
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
+        EngineError::check_state(d, state)?;
         let plan = self.plan(d)?;
         Ok(self.reduce_with_plan(d, state, &plan))
     }
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
         EngineError::check_target(d, x)?;
+        EngineError::check_state(d, state)?;
         let plan = self.plan(d)?;
         Ok(self.answer_with_plan(d, state, x, &plan))
     }
@@ -713,6 +744,83 @@ mod tests {
             err.display_with(&cat),
             "query target is not a subset of U(D): z not in the schema"
         );
+    }
+
+    /// `ab, bc` with a state built for `ab, cd` (relation 1 differs) and
+    /// one built for `ab, bc, cd` (one relation too many).
+    fn mismatched_states() -> (DbSchema, AttrSet, [(DbState, usize); 2]) {
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc", &mut cat);
+        let x = AttrSet::parse("ac", &mut cat).unwrap();
+        let other = db("ab, cd", &mut cat);
+        let longer = db("ab, bc, cd", &mut cat);
+        let states = [
+            (random_state(&other, 0x5A, 10, 3), 1),
+            (random_state(&longer, 0x5B, 10, 3), 2),
+        ];
+        (d, x, states)
+    }
+
+    fn assert_state_mismatch(engine: &dyn Engine) {
+        let (d, x, states) = mismatched_states();
+        for (state, index) in states {
+            let want = EngineError::StateMismatch { index };
+            let err = engine.reduce(&d, &state).unwrap_err();
+            assert_eq!(err, want, "{} reduce", engine.name());
+            assert_eq!((err.residue(), err.survivors()), (None, None));
+            assert_eq!(
+                engine.answer(&d, &state, &x).unwrap_err(),
+                want,
+                "{} answer",
+                engine.name()
+            );
+        }
+    }
+
+    #[test]
+    fn naive_engine_rejects_a_state_for_another_schema() {
+        assert_state_mismatch(&NaiveEngine);
+    }
+
+    #[test]
+    fn incremental_engine_rejects_a_state_for_another_schema() {
+        assert_state_mismatch(&IncrementalEngine);
+    }
+
+    #[test]
+    fn cached_engine_rejects_a_state_for_another_schema() {
+        let e = FullReducerEngine::new();
+        assert_state_mismatch(&e);
+        assert_eq!(e.cached_plan_count(), 0, "checked before any plan work");
+        let err = EngineError::StateMismatch { index: 1 };
+        assert_eq!(
+            err.to_string(),
+            "database state does not match the schema at relation R1"
+        );
+    }
+
+    #[test]
+    fn a_poisoned_plan_cache_lock_recovers() {
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd", &mut cat);
+        let state = random_state(&d, 0x90, 20, 3);
+        let x = AttrSet::parse("ad", &mut cat).unwrap();
+        let e = FullReducerEngine::new();
+        let want = e.answer(&d, &state, &x).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = e.plans.lock().unwrap();
+                panic!("poison the plan cache");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && e.plans.is_poisoned());
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "cached plan");
+        assert_eq!(e.cached_plan_count(), 1);
+        e.clear_cache();
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "recompiled plan");
+        assert_eq!(e.cache_stats(), (1, 2));
     }
 
     #[test]

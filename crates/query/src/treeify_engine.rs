@@ -73,7 +73,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gyo_relation::{DbState, Relation};
+use gyo_relation::{lock_cache, DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema, FxHashMap};
 
 use crate::engine::{Engine, EngineError, FullReducerEngine, FullReducerPlan};
@@ -207,12 +207,7 @@ impl TreeifyEngine {
     /// engine probes this **before** the inner plan cache, so warm cyclic
     /// calls never touch (or clone) the cached `EngineError` verdict.
     fn lookup_treeified(&self, d: &DbSchema) -> Option<Arc<TreeifyPlan>> {
-        let plan = self
-            .treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .get(d.rels())
-            .cloned();
+        let plan = lock_cache(&self.treeified).get(d.rels()).cloned();
         if plan.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -228,10 +223,7 @@ impl TreeifyEngine {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(TreeifyPlan::compile(d, err, &self.inner));
-        self.treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .insert(d.rels().to_vec(), plan.clone());
+        lock_cache(&self.treeified).insert(d.rels().to_vec(), plan.clone());
         plan
     }
 
@@ -257,18 +249,12 @@ impl TreeifyEngine {
 
     /// Number of cyclic schemas with a cached treeified plan.
     pub fn cached_treeified_count(&self) -> usize {
-        self.treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .len()
+        lock_cache(&self.treeified).len()
     }
 
     /// Drops every cached plan, treeified and tree alike.
     pub fn clear_cache(&self) {
-        self.treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .clear();
+        lock_cache(&self.treeified).clear();
         self.inner.clear_cache();
     }
 
@@ -321,6 +307,7 @@ impl Engine for TreeifyEngine {
     }
 
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
+        EngineError::check_state(d, state)?;
         // Warm cyclic schemas hit the treeified cache directly — the
         // cached cyclic verdict (and its residue clone) is only touched on
         // the compile path.
@@ -338,6 +325,7 @@ impl Engine for TreeifyEngine {
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
         EngineError::check_target(d, x)?;
+        EngineError::check_state(d, state)?;
         if let Some(plan) = self.lookup_treeified(d) {
             return Ok(self.answer_cyclic(state, x, &plan));
         }
@@ -551,6 +539,51 @@ mod tests {
             );
         }
         assert_eq!(engine.cached_treeified_count(), 0);
+    }
+
+    #[test]
+    fn rejects_a_state_for_another_schema() {
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        // A tree and a cyclic schema, each given its neighbor's state
+        // (relation 2 differs) — cold, and again once the cyclic plan is
+        // cached, so the warm treeified path checks too.
+        let tree = db("ab, bc, cd", &mut cat);
+        let ring = db("ab, bc, ca", &mut cat);
+        let x = AttrSet::parse("ab", &mut cat).unwrap();
+        let want = EngineError::StateMismatch { index: 2 };
+        for (d, other) in [(&tree, &ring), (&ring, &tree), (&ring, &tree)] {
+            let wrong = random_state(other, 0x5C, 10, 3);
+            assert_eq!(engine.reduce(d, &wrong).unwrap_err(), want);
+            assert_eq!(engine.answer(d, &wrong, &x).unwrap_err(), want);
+            let right = random_state(d, 0x5D, 10, 3);
+            assert_eq!(
+                engine.answer(d, &right, &x).unwrap(),
+                right.eval_join_query(&x)
+            );
+        }
+    }
+
+    #[test]
+    fn a_poisoned_treeified_cache_lock_recovers() {
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd, da", &mut cat);
+        let state = random_state(&d, 0x91, 20, 3);
+        let x = AttrSet::parse("ac", &mut cat).unwrap();
+        let engine = TreeifyEngine::new();
+        let want = engine.answer(&d, &state, &x).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = engine.treeified.lock().unwrap();
+                panic!("poison the treeified cache");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && engine.treeified.is_poisoned());
+        assert_eq!(engine.answer(&d, &state, &x).unwrap(), want);
+        assert_eq!(engine.cached_treeified_count(), 1);
+        assert_eq!(engine.treeified_cache_stats(), (1, 1));
     }
 
     #[test]

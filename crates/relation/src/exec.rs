@@ -8,20 +8,32 @@
 //! materializing intermediate relations: semijoins only ever *remove*
 //! tuples, so the executor tracks one reusable [`SelVec`] per slot (the
 //! surviving row indices plus a generation-stamped bitset) and runs every
-//! step over the relations' cached flat key columns (keys of width ≤ 2
-//! packed into scalars, wider keys in one packed side buffer).
+//! step over the relations' cached flat key columns.
+//!
+//! Keys of every width `w ≥ 2` share one scalar encoding: when all of a
+//! column's values fit in `s = ⌊128/w⌋` bits, the cached column holds one
+//! `u128` per row, value `j` at shift `s·(w−1−j)` (for `w = 2`, the two
+//! 64-bit halves). `s` depends only on `w`, so both sides of a step pack
+//! alike without consulting each other. A column with a value `≥ 2^s`
+//! keeps its keys row-major instead.
 //!
 //! Every step is two columnar kernels:
 //!
 //! 1. **Build** a membership structure over the *selected* source keys —
-//!    a [`StampTable`] (direct-map, one store per key) when the packed
-//!    `u64` key range is small, a reused hash set otherwise, and a reused
-//!    sorted `(hash, row)` spine for wide keys (probes re-compare the
-//!    actual key slices through the packed side buffers — a chunked memcmp
-//!    — so hash collisions cannot lie).
+//!    a [`StampTable`] (direct-map, one store per key) when the width-1
+//!    key range is small, and a reused hash set otherwise: `u64` for
+//!    width 1, `u128` for packed keys of every wider width.
 //! 2. **Probe** the target's key column through the selection-vector
 //!    retain kernels ([`SelVec::retain_u64`]&c.): fixed-size chunks,
 //!    branchless mask accumulation, no per-row branching.
+//!
+//! Two fallbacks cover values too wide to pack. When only one side of a
+//! step holds such a value, the step stays on the `u128` set by
+//! *pack-or-reject*: an unfit key cannot equal any key of the all-fit side,
+//! so unfit target keys are rejected and unfit source keys skipped. Only
+//! when both sides hold unfit values does the step build a reused sorted
+//! `(hash, row)` spine; its probes re-compare the actual key slices (a
+//! chunked memcmp), so hash collisions cannot lie.
 //!
 //! All scratch state lives in an [`ExecScratch`] that is reused across
 //! steps *and* across whole program runs, so after warm-up (first run at a
@@ -41,7 +53,7 @@ use std::hash::{Hash, Hasher};
 use gyo_schema::{AttrSet, FxHashSet, FxHasher};
 
 use crate::kernels::{SelVec, StampTable};
-use crate::relation::{KeyColumn, Relation};
+use crate::relation::{pack_key, pack_shift, KeyColumn, Relation};
 
 /// One precompiled semijoin statement
 /// `rels[target] := rels[target] ⋉ rels[source]`, with the shared (key)
@@ -89,21 +101,22 @@ impl SemijoinStep {
 }
 
 /// Reusable execution state for [`semijoin_program_with`]: one selection
-/// vector per slot plus the per-step membership scratch (stamp table, hash
-/// sets per packed key width, the wide-key hash spine). Everything is
-/// grow-only — steps after warm-up allocate nothing.
+/// vector per slot plus the per-step membership scratch (stamp table, the
+/// `u64` and packed `u128` hash sets, the wide-key hash spine). Everything
+/// is grow-only — steps after warm-up allocate nothing.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     /// Per-slot liveness (index `i` tracks `rels[i]`).
     sel: Vec<SelVec>,
-    /// Direct-map membership for small-range packed `u64` keys.
+    /// Direct-map membership for small-range width-1 keys.
     stamp: StampTable,
-    /// Hash-set fallback for packed `u64` keys with a large value range.
+    /// Hash-set fallback for width-1 keys with a large value range.
     one: FxHashSet<u64>,
-    /// Membership for packed width-2 (`u128`) keys.
-    two: FxHashSet<u128>,
-    /// Wide-key membership spine: `(fxhash(key), source row)`, sorted by
-    /// hash; probes binary-search the hash then memcmp the key slices.
+    /// Membership for packed (`u128`) keys of every width ≥ 2.
+    packed: FxHashSet<u128>,
+    /// Membership spine for keys too wide to pack on both sides:
+    /// `(fxhash(key), source row)`, sorted by hash; probes binary-search
+    /// the hash then memcmp the key slices.
     wide: Vec<(u64, u32)>,
 }
 
@@ -118,6 +131,23 @@ impl ExecScratch {
             self.sel.resize_with(n, SelVec::default);
         }
     }
+}
+
+/// Clears `set`, inserts the packed key of every selected source row that
+/// has one (`key(i)` is `None` for a key too wide to pack), and hands the
+/// set back for probing.
+fn fill_packed<'a>(
+    set: &'a mut FxHashSet<u128>,
+    ssel: &SelVec,
+    mut key: impl FnMut(usize) -> Option<u128>,
+) -> &'a FxHashSet<u128> {
+    set.clear();
+    ssel.for_each(|i| {
+        if let Some(k) = key(i) {
+            set.insert(k);
+        }
+    });
+    set
 }
 
 #[inline]
@@ -232,15 +262,35 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 tsel.retain_u64(tvals, |k| set.contains(&k));
             }
         }
-        (KeyColumn::Two(svals), KeyColumn::Two(tvals)) => {
-            scratch.two.clear();
-            let set = &mut scratch.two;
-            ssel.for_each(|i| {
-                set.insert(svals[i]);
-            });
-            let set = &scratch.two;
+        (
+            KeyColumn::Packed { width, keys: svals },
+            KeyColumn::Packed {
+                width: twidth,
+                keys: tvals,
+            },
+        ) => {
+            debug_assert_eq!(width, twidth, "key widths match across a step");
+            let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i]));
             tsel.retain_u128(tvals, |k| set.contains(&k));
         }
+        // Mixed pairs, by pack-or-reject: a key with a value too wide to
+        // pack cannot equal any key of an all-fit side, so it is rejected
+        // (target) or skipped (source) instead of compared.
+        (KeyColumn::Packed { keys: svals, .. }, KeyColumn::Wide { width, keys: tkeys }) => {
+            let shift = pack_shift(*width);
+            let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i]));
+            tsel.retain_wide(tkeys, *width, |key| {
+                pack_key(key.iter().copied(), shift).is_some_and(|k| set.contains(&k))
+            });
+        }
+        (KeyColumn::Wide { width, keys: skeys }, KeyColumn::Packed { keys: tvals, .. }) => {
+            let (w, shift) = (*width, pack_shift(*width));
+            let set = fill_packed(&mut scratch.packed, ssel, |i| {
+                pack_key(skeys[i * w..(i + 1) * w].iter().copied(), shift)
+            });
+            tsel.retain_u128(tvals, |k| set.contains(&k));
+        }
+        // Both sides hold unfit values: the sorted hash spine.
         (
             KeyColumn::Wide { width, keys: skeys },
             KeyColumn::Wide {
@@ -376,6 +426,45 @@ mod tests {
         semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
         assert_eq!(rels[0], expected);
         assert_eq!(rels[0].len(), 1);
+    }
+
+    #[test]
+    fn packed_mixed_and_unpackable_pairs_match_the_operator() {
+        // Width-3 keys: s = 42. `fit` packs; `unfit` holds 2^42 in a key
+        // column, which unchecked packing would carry into (1, 0, 0).
+        let schemas = vec![attrs(&[0, 1, 2, 3]), attrs(&[0, 1, 2, 9])];
+        let big = 1u64 << 42;
+        let fit = |k: usize| {
+            Relation::new(
+                schemas[k].clone(),
+                vec![vec![1, 0, 0, 5], vec![2, 3, 4, 5], vec![big - 1, 0, 7, 5]],
+            )
+        };
+        let unfit = |k: usize| {
+            Relation::new(
+                schemas[k].clone(),
+                vec![vec![0, big, 0, 5], vec![2, 3, 4, 6], vec![big, big, 1, 5]],
+            )
+        };
+        let cases = [
+            ("packed x packed", fit(0), fit(1)),
+            ("wide target, packed source", unfit(0), fit(1)),
+            ("packed target, wide source", fit(0), unfit(1)),
+            ("wide x wide", unfit(0), unfit(1)),
+        ];
+        for (label, target, source) in cases {
+            let expected = target.semijoin(&source);
+            let mut rels = vec![target, source];
+            semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+            assert_eq!(rels[0], expected, "{label}");
+        }
+        // The mixed pairs keep exactly the shared all-fit key.
+        let mut rels = vec![unfit(0), fit(1)];
+        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        assert_eq!(rels[0].to_vecs(), vec![vec![2, 3, 4, 6]]);
+        let mut rels = vec![fit(0), unfit(1)];
+        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        assert_eq!(rels[0].to_vecs(), vec![vec![2, 3, 4, 5]]);
     }
 
     #[test]

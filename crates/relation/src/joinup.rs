@@ -15,6 +15,10 @@
 //!   but unsorted**. Leaves borrow the input relations' buffers.
 //! * A projection deduplicates through a hash set on packed keys: `u64`
 //!   for width 1, `u128` for width 2, hash-then-compare for wider rows.
+//!   Join keys are chained the same way. Wider keys are not packed into
+//!   the fixed-shift `u128` encoding of the semijoin key columns (see
+//!   [`crate::exec`]): on the `perfbench` `tree_reuse` families that did
+//!   not make this executor faster.
 //! * A join builds a **bucket chain** on its smaller side — `head: key →
 //!   first row`, `next[row] → the next row with the same key` — so a build
 //!   allocates nothing per key. A width-0 key is a cross product. Output

@@ -285,14 +285,16 @@ impl SelVec {
         self.retain_by_index(|i| test(keys[i]));
     }
 
-    /// [`SelVec::retain_u64`] for packed `u128` (width-2) key columns.
+    /// [`SelVec::retain_u64`] for packed `u128` key columns (every key
+    /// width ≥ 2 whose values fit the fixed-shift encoding).
     pub fn retain_u128(&mut self, keys: &[u128], mut test: impl FnMut(u128) -> bool) {
         self.retain_by_index(|i| test(keys[i]));
     }
 
-    /// [`SelVec::retain_u64`] for wide keys packed row-major into one side
-    /// buffer (`keys[i·width..(i+1)·width]` is row `i`'s key). The `test`
-    /// closure compares whole key slices (a chunked memcmp under `==`).
+    /// [`SelVec::retain_u64`] for keys too wide to pack, stored row-major
+    /// in one flat buffer (`keys[i·width..(i+1)·width]` is row `i`'s
+    /// key). The `test` closure compares whole key slices (a chunked
+    /// memcmp under `==`).
     pub fn retain_wide(
         &mut self,
         keys: &[u64],

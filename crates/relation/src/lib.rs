@@ -57,6 +57,25 @@
 //! materialized and, with a caller-owned [`exec::ExecScratch`]
 //! ([`exec::semijoin_program_with`]), no step allocates after warm-up.
 //!
+//! # One key encoding
+//!
+//! Semijoin steps key on one scalar encoding. A width-1 key is its `u64`.
+//! A key of width `w ≥ 2` whose values all fit in `s = ⌊128/w⌋` bits packs
+//! into one `u128`, value `j` at shift `s·(w−1−j)` — for `w = 2` the two
+//! 64-bit halves, so every width-2 key packs. Each relation caches its semijoin key columns in this form, one
+//! scalar per row. Because `s` depends on `w` alone, both sides of a step
+//! pack alike without consulting each other, and a key with a value
+//! `≥ 2^s` can never equal one that fits. So the fallbacks are narrow:
+//!
+//! * when one side of a semijoin step holds an unfit value, its unfit keys
+//!   are rejected (as targets) or skipped (as sources), and the step stays
+//!   on the `u128` hash set (*pack-or-reject*);
+//! * only when both sides hold unfit values does the step compare
+//!   row-major keys behind a sorted `(hash, row)` spine.
+//!
+//! The join-up executor packs width-1 and width-2 keys the same way and
+//! hashes-then-compares wider ones.
+//!
 //! Row-at-a-time execution remains in exactly the places where a column
 //! decomposition has nothing to offer: hash-*building* (`KeyIndex`
 //! construction and the join-up bucket chains walk rows once), the probe
@@ -99,5 +118,5 @@ pub use database::DbState;
 pub use exec::{semijoin_program, semijoin_program_with, ExecScratch, SemijoinStep};
 pub use joinup::{join_up_with, JoinUpScratch};
 pub use kernels::{ColumnarView, SelVec};
-pub use relation::Relation;
+pub use relation::{lock_cache, Relation};
 pub use universal::{join_of_projections, satisfies_jd};

@@ -29,7 +29,7 @@
 //! buffer.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
 
@@ -37,10 +37,39 @@ use crate::kernels::{self, ColumnarView, SelVec};
 
 /// Packs a width-2 key into one scalar. The first column lands in the high
 /// half, so `u128` ordering equals lexicographic row ordering — every
-/// width-2 build, probe, and sort site must agree on this encoding.
+/// width-2 build, probe, and sort site must agree on this encoding. This is
+/// the `width = 2` case of [`pack_key`] (`s = 64`, every value fits).
 #[inline]
 pub(crate) fn pack2(a: u64, b: u64) -> u128 {
     (a as u128) << 64 | b as u128
+}
+
+/// Bits per value in a packed key of `width ≥ 2` values: `s = ⌊128/width⌋`.
+/// It depends on the width alone, so the two sides of a semijoin step pack
+/// their keys identically without consulting each other.
+#[inline]
+pub(crate) fn pack_shift(width: usize) -> u32 {
+    debug_assert!(width >= 2, "width-1 keys are plain u64 columns");
+    (128 / width) as u32
+}
+
+/// The canonical key encoding: packs the `w` values of a key into one
+/// `u128`, value `j` at shift `s·(w−1−j)` with `s` = [`pack_shift`]`(w)`,
+/// or `None` when some value needs more than `s` bits. Packing is
+/// injective on the keys that fit, and a key that does not fit cannot equal
+/// one that does, so a side whose keys all fit can be matched against
+/// another side by packing the other side's keys and rejecting the ones
+/// that do not fit (*pack-or-reject*).
+#[inline]
+pub(crate) fn pack_key(vals: impl IntoIterator<Item = u64>, shift: u32) -> Option<u128> {
+    let mut acc = 0u128;
+    for v in vals {
+        if shift < 64 && v >> shift != 0 {
+            return None;
+        }
+        acc = acc << shift | v as u128;
+    }
+    Some(acc)
 }
 
 /// Inverse of [`pack2`].
@@ -122,11 +151,15 @@ struct CacheInner {
 }
 
 /// A relation's key values over one key-attribute set, extracted into flat,
-/// cache-friendly storage (row `i` of the column is tuple `i`'s key). Keys
-/// of width ≤ 2 pack exactly into scalars and wider keys live in one packed
-/// side buffer (stride = key width), so the batched executor's inner loops
-/// never chase per-tuple heap pointers — there is no `Vec<u64>` per row for
-/// any key width.
+/// cache-friendly storage (row `i` of the column is tuple `i`'s key), so
+/// the batched executor's inner loops never chase per-tuple heap pointers.
+///
+/// Keys of width `w ≥ 2` use one canonical encoding ([`pack_key`]): when
+/// every value fits in `s = ⌊128/w⌋` bits the column is one `u128` per
+/// tuple, value `j` at shift `s·(w−1−j)` ([`KeyColumn::Packed`]; for `w = 2`
+/// that is [`pack2`]). Only a column holding a value `≥ 2^s` keeps its keys
+/// row-major ([`KeyColumn::Wide`]) — instead of, never beside, the packed
+/// form. Since `s` depends on `w` alone, both sides of a step pack alike.
 #[derive(Debug)]
 pub(crate) enum KeyColumn {
     /// Width-0 key: every tuple has the empty key.
@@ -142,14 +175,19 @@ pub(crate) enum KeyColumn {
         /// Largest key (0 for an empty relation).
         max: u64,
     },
-    /// Width-2 key: both values packed into one `u128` per tuple.
-    Two(Vec<u128>),
-    /// Width ≥ 3: keys packed row-major into one flat buffer
-    /// (`keys[i·width .. (i+1)·width]` is tuple `i`'s key).
+    /// Width ≥ 2, every value below `2^s`: one packed `u128` per tuple.
+    Packed {
+        /// Key width (≥ 2).
+        width: usize,
+        /// The packed key per tuple.
+        keys: Vec<u128>,
+    },
+    /// Width ≥ 3 with some value `≥ 2^s`: keys row-major in one flat
+    /// buffer (`keys[i·width .. (i+1)·width]` is tuple `i`'s key).
     Wide {
         /// Key width (≥ 3).
         width: usize,
-        /// Packed key values, `len · width` of them.
+        /// Key values, `len · width` of them.
         keys: Vec<u64>,
     },
 }
@@ -164,19 +202,45 @@ impl KeyColumn {
                 let max = vals.iter().copied().max().unwrap_or(0);
                 KeyColumn::One { vals, min, max }
             }
-            [p, q] => KeyColumn::Two(rel.rows().map(|t| pack2(t[p], t[q])).collect()),
             _ => {
-                let mut keys = Vec::with_capacity(rel.len * pos.len());
+                let shift = pack_shift(pos.len());
+                let mut keys = Vec::with_capacity(rel.len);
                 for t in rel.rows() {
-                    keys.extend(pos.iter().map(|&p| t[p]));
+                    match pack_key(pos.iter().map(|&p| t[p]), shift) {
+                        Some(k) => keys.push(k),
+                        None => return Self::wide(rel, pos),
+                    }
                 }
-                KeyColumn::Wide {
+                KeyColumn::Packed {
                     width: pos.len(),
                     keys,
                 }
             }
         }
     }
+
+    /// The row-major fallback for a key with some value too wide to pack.
+    fn wide(rel: &Relation, pos: &[usize]) -> Self {
+        let mut keys = Vec::with_capacity(rel.len * pos.len());
+        for t in rel.rows() {
+            keys.extend(pos.iter().map(|&p| t[p]));
+        }
+        KeyColumn::Wide {
+            width: pos.len(),
+            keys,
+        }
+    }
+}
+
+/// Locks a mutex that guards only derivable data — a cache whose entries
+/// can all be rebuilt from their keys — and recovers the guard if an
+/// earlier holder panicked. A panic under the lock can at worst lose an
+/// entry, which is just a later miss, so poisoning carries no information;
+/// `expect`-ing on it would turn one failed call into a failure of every
+/// later caller. The relation caches and the engines' plan caches lock
+/// through this.
+pub fn lock_cache<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl RelCache {
@@ -568,7 +632,7 @@ impl Relation {
     /// Cached [`Self::positions_of`]: the first call per `attrs` derives the
     /// positions, later calls (including on clones) return the shared copy.
     pub(crate) fn positions_cached(&self, attrs: &AttrSet) -> Arc<Vec<usize>> {
-        let mut inner = self.cache.inner().lock().expect("relation cache lock");
+        let mut inner = lock_cache(self.cache.inner());
         if let Some(pos) = inner.positions.get(attrs) {
             return Arc::clone(pos);
         }
@@ -581,13 +645,7 @@ impl Relation {
     /// triggered. Lets cold paths choose a cheaper strategy instead of
     /// paying an index build they would not amortize.
     pub(crate) fn key_index_if_cached(&self, key: &AttrSet) -> Option<Arc<KeyIndex>> {
-        self.cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .builds
-            .get(key)
-            .cloned()
+        lock_cache(self.cache.inner()).builds.get(key).cloned()
     }
 
     /// The hash-join build table over `key ⊆ attrs(self)` (see
@@ -595,24 +653,14 @@ impl Relation {
     /// joins/semijoins against this relation (or clones of it) reuse the
     /// build.
     pub(crate) fn key_index(&self, key: &AttrSet) -> Arc<KeyIndex> {
-        if let Some(table) = self
-            .cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .builds
-            .get(key)
-        {
+        if let Some(table) = lock_cache(self.cache.inner()).builds.get(key) {
             return Arc::clone(table);
         }
         // Build outside the lock: the derivation is pure, so a racing
         // builder at worst duplicates work.
         let pos = self.positions_of(key);
         let table = Arc::new(KeyIndex::build(self, &pos));
-        self.cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
+        lock_cache(self.cache.inner())
             .builds
             .entry(key.clone())
             .or_insert_with(|| Arc::clone(&table))
@@ -623,22 +671,12 @@ impl Relation {
     /// extracted once and cached — the batched semijoin executor reads
     /// these instead of chasing per-tuple heap pointers.
     pub(crate) fn key_column(&self, key: &AttrSet) -> Arc<KeyColumn> {
-        if let Some(col) = self
-            .cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .columns
-            .get(key)
-        {
+        if let Some(col) = lock_cache(self.cache.inner()).columns.get(key) {
             return Arc::clone(col);
         }
         let pos = self.positions_of(key);
         let col = Arc::new(KeyColumn::extract(self, &pos));
-        self.cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
+        lock_cache(self.cache.inner())
             .columns
             .entry(key.clone())
             .or_insert_with(|| Arc::clone(&col))
@@ -1093,6 +1131,73 @@ mod tests {
         // ... and with an empty disjoint relation it empties out.
         let nothing = Relation::empty(attrs(&[5]));
         assert!(r.semijoin(&nothing).is_empty());
+    }
+
+    #[test]
+    fn packed_keys_use_a_fixed_shift_per_width() {
+        // Width 2 is pack2: the whole u64 range fits.
+        assert_eq!(pack_shift(2), 64);
+        assert_eq!(pack_key([u64::MAX, 7], 64), Some(pack2(u64::MAX, 7)));
+        // Width 3: 42 bits per value, value j at shift 42·(2−j).
+        assert_eq!(pack_shift(3), 42);
+        let top = (1u64 << 42) - 1;
+        assert_eq!(
+            pack_key([top, 1, 2], 42),
+            Some((top as u128) << 84 | 1 << 42 | 2)
+        );
+        assert_eq!(pack_key([0, 1 << 42, 0], 42), None, "2^s does not fit");
+        // Unchecked, (0, 2^42, 0) would carry into (1, 0, 0): the fit check
+        // is what keeps packing injective.
+        assert_eq!(pack_key([1, 0, 0], 42), Some(1 << 84));
+        assert_eq!(pack_shift(9), 14);
+        assert_eq!(pack_key([(1 << 14) - 1; 9], 14), Some((1u128 << 126) - 1));
+        assert_eq!(pack_key([1 << 14; 9], 14), None);
+    }
+
+    #[test]
+    fn key_columns_pack_when_every_value_fits() {
+        let key = attrs(&[0, 1, 2]);
+        let fit = Relation::new(
+            attrs(&[0, 1, 2, 3]),
+            vec![vec![1, 2, 3, 4], vec![(1 << 42) - 1, 0, 0, 9]],
+        );
+        assert!(matches!(
+            *fit.key_column(&key),
+            KeyColumn::Packed { width: 3, ref keys } if keys.len() == 2
+        ));
+        let unfit = Relation::new(
+            attrs(&[0, 1, 2, 3]),
+            vec![vec![1, 2, 3, 4], vec![0, 1 << 42, 0, 9]],
+        );
+        assert!(matches!(
+            *unfit.key_column(&key),
+            KeyColumn::Wide { width: 3, ref keys } if keys.len() == 6
+        ));
+        // Width 2 always packs, even at u64::MAX.
+        let two = Relation::new(attrs(&[0, 1]), vec![vec![u64::MAX, u64::MAX]]);
+        assert!(matches!(
+            *two.key_column(&attrs(&[0, 1])),
+            KeyColumn::Packed { width: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn a_poisoned_relation_cache_recovers() {
+        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
+        let s = Relation::new(attrs(&[1, 2]), vec![vec![10, 100]]);
+        let want = r.semijoin(&s);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = s.cache.inner().lock().unwrap();
+                    panic!("poison the relation cache");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(panicked && s.cache.inner().is_poisoned());
+        assert_eq!(r.semijoin(&s), want, "cached build still served");
+        assert_eq!(s.semijoin(&r).len(), 1, "new derivations still cached");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! run, executing a whole semijoin program must perform **zero heap
 //! allocation per step** — the SelVecs, the stamp table, the hash-set
 //! fallbacks, and the wide-key spine are all reused from the
-//! [`ExecScratch`], and key columns are cached on the relations.
+//! [`ExecScratch`], and key columns are cached on the relations. Every
+//! membership path is covered: width-1 stamp and hash, packed `u128` keys,
+//! the pack-or-reject mixed pairs, and the spine for keys too wide to pack.
 //!
 //! The file installs a counting global allocator, so it contains exactly
 //! one `#[test]` (parallel tests would pollute the counter).
@@ -88,7 +90,9 @@ fn wide_chain_schemas(n: usize, arity: u32, overlap: u32) -> Vec<AttrSet> {
 #[test]
 fn warm_program_steps_allocate_nothing() {
     // One scenario per membership path: width-1 stamp table, width-1 hash
-    // fallback (huge key range), width-2 packed set, wide (width-3) spine.
+    // fallback (huge key range), width-2 packed set, width-3 keys packed
+    // into the same u128 set, and width-3 keys with every value ≥ 2^42
+    // (too wide for the 42-bit fields), which take the hash spine.
     let scenarios: Vec<(&str, Vec<AttrSet>, Box<dyn Fn(u64) -> u64>)> = vec![
         (
             "width-1 stamp",
@@ -106,6 +110,11 @@ fn warm_program_steps_allocate_nothing() {
             Box::new(|v| v),
         ),
         ("wide keys", wide_chain_schemas(5, 6, 3), Box::new(|v| v)),
+        (
+            "wide keys, unpackable",
+            wide_chain_schemas(5, 6, 3),
+            Box::new(|v| v + (1 << 42)),
+        ),
     ];
     for (label, schemas, value) in scenarios {
         let steps = chain_reducer_steps(&schemas);
@@ -152,4 +161,50 @@ fn warm_program_steps_allocate_nothing() {
             after - before
         );
     }
+
+    // "wide keys, mixed fit": slot 0 alone holds a row with values ≥ 2^42
+    // in its width-3 key, so its key column is row-major while slot 1's
+    // packs. The downward pass only ever reads slot 0 as a source (its
+    // unfit keys are skipped, nothing is dropped): zero allocations when
+    // warm. The full reducer then filters slot 0 against packed keys and
+    // rejects the unfit row: only that slot's materialization allocates.
+    let label = "wide keys, mixed fit";
+    let schemas = wide_chain_schemas(5, 6, 3);
+    let reference = ur_rels(&schemas, 64, |v| v);
+    let mut mixed = reference.clone();
+    let mut data = mixed[0].data().to_vec();
+    data.extend((0..schemas[0].len()).map(|c| (1 << 42) + c as u64));
+    mixed[0] = Relation::from_row_major(schemas[0].clone(), mixed[0].len() + 1, data);
+    let down: Vec<SemijoinStep> = (1..schemas.len())
+        .map(|v| SemijoinStep::new(&schemas, v, v - 1))
+        .collect();
+    let mut scratch = ExecScratch::new();
+    let mut rels = mixed.clone();
+    semijoin_program_with(&mut rels, &down, &mut scratch);
+    assert_eq!(rels, mixed, "{label}: the downward pass drops nothing");
+    let before = allocs();
+    semijoin_program_with(&mut rels, &down, &mut scratch);
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "{label}: warm program run must not allocate (steps: {})",
+        down.len()
+    );
+    assert_eq!(rels, mixed, "{label}: still unchanged");
+
+    let steps = chain_reducer_steps(&schemas);
+    let mut run = mixed.clone();
+    semijoin_program_with(&mut run, &steps, &mut scratch); // warm at this shape
+    let mut run = mixed.clone();
+    let before = allocs();
+    semijoin_program_with(&mut run, &steps, &mut scratch);
+    let after = allocs();
+    assert_eq!(run, reference, "{label}: the unfit row is rejected");
+    assert!(
+        after - before <= 4,
+        "{label}: a filtering run allocates only to materialize the one \
+         changed slot, got {} allocations",
+        after - before
+    );
 }

@@ -6,7 +6,10 @@
 //! widths 1/2/wide, selection-vector program execution — each against a
 //! per-row reference, on small and on pack-defeating huge values), and the
 //! flat join-up executor against the operator-at-a-time
-//! `natural_join` + `project` loop on random rooted trees.
+//! `natural_join` + `project` loop on random rooted trees. The kernel,
+//! program and join-up laws run a second time on keys of width 2 to 9 whose
+//! values sit on the packed encoding's fit boundary (`2^s − 1` and `2^s`
+//! for `s = ⌊128/w⌋`).
 
 use std::collections::BTreeSet;
 
@@ -15,6 +18,7 @@ use gyo_relation::{
     DbState, ExecScratch, JoinUpScratch, Relation, SemijoinStep,
 };
 use gyo_schema::{AttrSet, DbSchema, RootedTree};
+use proptest::collection::SizeRange;
 use proptest::prelude::*;
 
 const W: usize = 4; // attribute universe 0..W
@@ -296,10 +300,7 @@ proptest! {
         ra in proptest::sample::select(kernel_schemas()).prop_flat_map(relation_over),
         rb in proptest::sample::select(kernel_schemas()).prop_flat_map(relation_over),
     ) {
-        prop_assert_eq!(ra.semijoin(&rb).to_vecs(), reference_semijoin(&ra, &rb));
-        prop_assert_eq!(rb.semijoin(&ra).to_vecs(), reference_semijoin(&rb, &ra));
-        // Definition check against the (independently kernel-tested) join.
-        prop_assert_eq!(ra.semijoin(&rb), ra.natural_join(&rb).project(ra.attrs()));
+        check_semijoin(&ra, &rb);
     }
 
     /// Selection-vector program execution (`semijoin_program`, fresh and
@@ -312,32 +313,55 @@ proptest! {
         raw_steps in proptest::collection::vec((0usize..6, 0usize..6), 0..12),
         reuse in any::<bool>(),
     ) {
-        let schemas: Vec<AttrSet> = rels0.iter().map(|r| r.attrs().clone()).collect();
-        let steps: Vec<SemijoinStep> = raw_steps.iter()
-            .map(|&(t, s)| SemijoinStep::new(&schemas, t % rels0.len(), s % rels0.len()))
-            .collect();
+        check_program(&rels0, &raw_steps, reuse);
+    }
+}
 
-        // Reference: one semijoin operator per step, in order.
-        let mut expect = rels0.clone();
-        for st in &steps {
-            expect[st.target()] = expect[st.target()].semijoin(&expect[st.source()].clone());
-        }
+/// `r ⋉ s` and `s ⋉ r` through the one-shot operator and through a
+/// one-step program, against the per-row reference.
+fn check_semijoin(ra: &Relation, rb: &Relation) {
+    for (r, s) in [(ra, rb), (rb, ra)] {
+        let want = reference_semijoin(r, s);
+        prop_assert_eq!(r.semijoin(s).to_vecs(), want.clone());
+        let schemas = [r.attrs().clone(), s.attrs().clone()];
+        let mut rels = vec![r.clone(), s.clone()];
+        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        prop_assert_eq!(rels[0].to_vecs(), want);
+    }
+    // Definition check against the (independently kernel-tested) join.
+    prop_assert_eq!(ra.semijoin(rb), ra.natural_join(rb).project(ra.attrs()));
+}
 
-        let mut got = rels0.clone();
-        if reuse {
-            // Warm the scratch on a first run, then re-run from the
-            // original state: reused buffers must not change answers.
-            let mut scratch = ExecScratch::new();
-            let mut warm = rels0.clone();
-            semijoin_program_with(&mut warm, &steps, &mut scratch);
-            semijoin_program_with(&mut got, &steps, &mut scratch);
-            prop_assert_eq!(&warm, &got, "warm-up run and reuse run agree");
-        } else {
-            semijoin_program(&mut got, &steps);
-        }
-        for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
-            prop_assert_eq!(g, e, "slot {}", k);
-        }
+/// Runs the program `raw_steps` (slot indices taken modulo the slot count)
+/// over `rels0` with a fresh scratch, or with a warmed one when `reuse`,
+/// against one semijoin operator per step.
+fn check_program(rels0: &[Relation], raw_steps: &[(usize, usize)], reuse: bool) {
+    let schemas: Vec<AttrSet> = rels0.iter().map(|r| r.attrs().clone()).collect();
+    let steps: Vec<SemijoinStep> = raw_steps
+        .iter()
+        .map(|&(t, s)| SemijoinStep::new(&schemas, t % rels0.len(), s % rels0.len()))
+        .collect();
+
+    // Reference: one semijoin operator per step, in order.
+    let mut expect = rels0.to_vec();
+    for st in &steps {
+        expect[st.target()] = expect[st.target()].semijoin(&expect[st.source()].clone());
+    }
+
+    let mut got = rels0.to_vec();
+    if reuse {
+        // Warm the scratch on a first run, then re-run from the
+        // original state: reused buffers must not change answers.
+        let mut scratch = ExecScratch::new();
+        let mut warm = rels0.to_vec();
+        semijoin_program_with(&mut warm, &steps, &mut scratch);
+        semijoin_program_with(&mut got, &steps, &mut scratch);
+        prop_assert_eq!(&warm, &got, "warm-up run and reuse run agree");
+    } else {
+        semijoin_program(&mut got, &steps);
+    }
+    for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
+        prop_assert_eq!(g, e, "slot {}", k);
     }
 }
 
@@ -405,24 +429,163 @@ proptest! {
         xs in proptest::collection::vec(0u32..10, 0..6),
         ys in proptest::collection::vec(0u32..10, 0..6),
     ) {
-        let n = rels.len();
-        let rooted = rooted_tree(n, shift % n, &raw);
-        let u = rels.iter().fold(AttrSet::empty(), |acc, r| acc.union(r.attrs()));
-        let mut scratch = JoinUpScratch::new();
-        for x in [AttrSet::from_raw(&xs).intersect(&u), AttrSet::from_raw(&ys).intersect(&u), u.clone()] {
-            let want = reference_join_up(&rels, &rooted, &x);
-            prop_assert_eq!(
-                &join_up_with(&rels, &rooted, &x, &mut JoinUpScratch::new()),
-                &want,
-                "fresh scratch, X = {:?}",
-                x
-            );
-            prop_assert_eq!(
-                &join_up_with(&rels, &rooted, &x, &mut scratch),
-                &want,
-                "reused scratch, X = {:?}",
-                x
-            );
+        check_join_up(&rels, shift, &raw, &xs, &ys);
+    }
+}
+
+/// The flat executor against the operator-at-a-time reference on the
+/// rooted tree `rooted_tree(n, shift, raw)`, for `X` = `xs ∩ U`, `ys ∩ U`
+/// and `U`, with a fresh scratch and with one reused across the calls.
+fn check_join_up(rels: &[Relation], shift: usize, raw: &[usize], xs: &[u32], ys: &[u32]) {
+    let n = rels.len();
+    let rooted = rooted_tree(n, shift % n, raw);
+    let u = rels
+        .iter()
+        .fold(AttrSet::empty(), |acc, r| acc.union(r.attrs()));
+    let mut scratch = JoinUpScratch::new();
+    for x in [
+        AttrSet::from_raw(xs).intersect(&u),
+        AttrSet::from_raw(ys).intersect(&u),
+        u.clone(),
+    ] {
+        let want = reference_join_up(rels, &rooted, &x);
+        prop_assert_eq!(
+            &join_up_with(rels, &rooted, &x, &mut JoinUpScratch::new()),
+            &want,
+            "fresh scratch, X = {:?}",
+            x
+        );
+        prop_assert_eq!(
+            &join_up_with(rels, &rooted, &x, &mut scratch),
+            &want,
+            "reused scratch, X = {:?}",
+            x
+        );
+    }
+}
+
+/// Bits per value `s = ⌊128/w⌋` of a packed key of width `w`.
+fn fit_shift(w: usize) -> u32 {
+    (128 / w) as u32
+}
+
+/// Relations whose keys sit on the fit boundary of one random width
+/// `w = 2..=9`. Every schema holds a shared core of `w` attributes
+/// (`0..w`) — all of it, or all but attribute 0 — plus, mostly, one
+/// private attribute, so any two relations join on a key of width `w` or
+/// `w − 1` and never on an empty one.
+///
+/// Rows come from one pool. Each base row of 0/1 values has one perturbed
+/// core column `c` and up to three copies: `c` set to `2^s − 1` (the largest
+/// value that packs at width `w`), `c` set to `2^s` (the smallest that does
+/// not; `u64::MAX` for `w = 2`, where every value packs), and column
+/// `c − 1` incremented. Packed with shift `s + 1`, the `2^s` copy wraps
+/// onto the base row when `c = 0`; packed without the fit check, it carries
+/// onto the incremented copy. A correct encoding keeps every copy apart.
+/// Each relation keeps a random quarter, half or three quarters of the
+/// pool, so some sides hold no unfit value and pair with others that do.
+fn boundary_rels(n: impl Into<SizeRange>) -> impl Strategy<Value = Vec<Relation>> {
+    let n = n.into();
+    (2usize..=9).prop_flat_map(move |w| {
+        let perturbed = prop_oneof![1 => Just(0usize), 1 => Just(1usize), 2 => 0..w];
+        let base = (proptest::collection::vec(0u64..2, w + 1), perturbed);
+        let shape = (0u32..8, any::<u64>(), any::<u64>(), 0u32..3);
+        (
+            proptest::collection::vec(base, 1..=3),
+            proptest::collection::vec(shape, n),
+        )
+            .prop_map(move |(bases, shapes)| boundary_state(w, &bases, &shapes))
+    })
+}
+
+/// Builds [`boundary_rels`]' relations: the row pool (`w` core values plus
+/// one tail value per row) and, per `(form, mask, mask2, density)` shape,
+/// one relation over the chosen schema holding the masked pool rows.
+fn boundary_state(
+    w: usize,
+    bases: &[(Vec<u64>, usize)],
+    shapes: &[(u32, u64, u64, u32)],
+) -> Vec<Relation> {
+    let s = fit_shift(w);
+    let top = ((1u128 << s) - 1) as u64;
+    let over = if s < 64 { 1u64 << s } else { u64::MAX };
+    let mut pool: Vec<Vec<u64>> = Vec::new();
+    for (row, c) in bases {
+        let c = *c;
+        for v in [top, over] {
+            let mut r = row.clone();
+            r[c] = v;
+            pool.push(r);
         }
+        if c > 0 {
+            let mut r = row.clone();
+            r[c - 1] += 1;
+            pool.push(r);
+        }
+        pool.push(row.clone());
+    }
+    let core = w as u32;
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(form, m1, m2, density))| {
+            // form 0: the core alone; 1: core minus attribute 0 plus a
+            // private attribute; otherwise: core plus a private attribute.
+            let lo = u32::from(form == 1);
+            let mut attrs: Vec<u32> = (lo..core).collect();
+            if form != 0 {
+                attrs.push(core + i as u32);
+            }
+            let mask = match density {
+                0 => m1 & m2,
+                1 => m1,
+                _ => m1 | m2,
+            };
+            let tuples = pool
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| mask >> j & 1 == 1)
+                .map(|(_, r)| {
+                    let mut t = r[lo as usize..w].to_vec();
+                    if form != 0 {
+                        t.push(r[w]);
+                    }
+                    t
+                })
+                .collect();
+            Relation::new(AttrSet::from_raw(&attrs), tuples)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// [`check_semijoin`] with keys of width 2 to 9 on the fit boundary.
+    #[test]
+    fn kernel_semijoin_matches_reference_at_the_fit_boundary(rels in boundary_rels(2..=2)) {
+        check_semijoin(&rels[0], &rels[1]);
+    }
+
+    /// [`check_program`] with keys of width 2 to 9 on the fit boundary.
+    #[test]
+    fn selvec_program_matches_sequential_semijoins_at_the_fit_boundary(
+        rels0 in boundary_rels(2..6),
+        raw_steps in proptest::collection::vec((0usize..6, 0usize..6), 0..12),
+        reuse in any::<bool>(),
+    ) {
+        check_program(&rels0, &raw_steps, reuse);
+    }
+
+    /// [`check_join_up`] with keys of width 2 to 9 on the fit boundary.
+    #[test]
+    fn flat_join_up_matches_operator_at_a_time_reference_at_the_fit_boundary(
+        rels in boundary_rels(1..6),
+        shift in 0usize..6,
+        raw in proptest::collection::vec(0usize..6, 6),
+        xs in proptest::collection::vec(0u32..16, 0..6),
+        ys in proptest::collection::vec(0u32..16, 0..6),
+    ) {
+        check_join_up(&rels, shift, &raw, &xs, &ys);
     }
 }

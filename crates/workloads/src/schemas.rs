@@ -204,8 +204,9 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize) -> DbSchema {
 /// generalization of [`chain`] (`chain(n) = wide_chain(n, 2, 1)`). Always a
 /// tree schema (the running intersection property holds along the chain by
 /// construction), and the semijoin keys between neighbors have width
-/// exactly `overlap`, so `overlap ≥ 3` drives every wide-key kernel path
-/// (packed side-buffer key columns, chunked-memcmp membership).
+/// exactly `overlap`, so `overlap ≥ 3` drives the wide-key kernel paths
+/// (fixed-shift `u128` key columns when the values fit, the chunked-memcmp
+/// spine when they do not).
 ///
 /// # Panics
 ///
