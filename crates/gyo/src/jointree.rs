@@ -14,28 +14,23 @@
 
 use gyo_schema::{DbSchema, JoinTree, QualGraph};
 
-use crate::reduce::{gyo_reduce, GyoStep, Reduction};
+use crate::reduce::{gyo_reduce, Reduction};
 
 /// Rebuilds a qual tree from the trace of a **total** GYO reduction: each
 /// `RemoveSubset { removed, witness }` step contributes the tree edge
 /// `{removed, witness}`.
 ///
-/// Returns `None` if the reduction was not total (the schema is cyclic) or —
-/// which the library's invariants rule out, but the validator re-checks —
-/// the collected edges fail to form a qual tree.
+/// Returns `None` if the reduction was not total (the schema is cyclic).
+/// The edges then still pass [`JoinTree::try_new`]'s hard check, which
+/// costs a union-find over the edges and one intersection count per edge
+/// (no hashing). Theorem 3.1 says it cannot fail on a total reduction of
+/// `d`, so a `None` from a total reduction means the reduction was not of
+/// `d`.
 pub fn join_tree_from_trace(d: &DbSchema, red: &Reduction) -> Option<JoinTree> {
     if !red.is_total() {
         return None;
     }
-    let edges: Vec<(usize, usize)> = red
-        .trace
-        .iter()
-        .filter_map(|s| match *s {
-            GyoStep::RemoveSubset { removed, witness } => Some((removed, witness)),
-            GyoStep::DeleteAttr { .. } => None,
-        })
-        .collect();
-    JoinTree::try_new(QualGraph::new(d.len(), edges), d)
+    JoinTree::try_new(QualGraph::new(d.len(), red.elimination_edges()), d)
 }
 
 /// Computes a join tree for `d` directly (GYO-reduce, then rebuild).

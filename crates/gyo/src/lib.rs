@@ -4,7 +4,8 @@
 //!
 //! * [`reduce`] — the GYO reduction `GR(D, X)` with respect to a *sacred*
 //!   attribute set `X` (isolated-attribute deletion + subset elimination),
-//!   with full operation traces, an incremental engine, and a naive fixpoint
+//!   with full operation traces, an incremental engine over dense attribute
+//!   bitsets, and a naive fixpoint
 //!   engine kept as a test oracle. `GR(D, X)` is unique and reduced (Maier &
 //!   Ullman), which the property tests verify by randomizing operation order.
 //! * [`jointree`] — join trees rebuilt from reduction traces (the

@@ -14,8 +14,12 @@
 //! (tree/cyclic), which yields the classical decision procedure: `D` is a
 //! tree schema iff `GR(D, ∅)` collapses to the single empty relation schema
 //! (Corollary 3.1).
+//!
+//! [`gyo_reduce`] runs the incremental engine on dense attribute bitsets
+//! (see its docs for the layout, the cost and the lowest-index witness
+//! rule); [`gyo_reduce_naive`] is the fixpoint oracle it is tested against.
 
-use gyo_schema::{AttrId, AttrSet, DbSchema, FxHashMap, FxHashSet};
+use gyo_schema::{AttrId, AttrSet, DbSchema};
 
 /// One GYO operation, recorded against *original* relation indices of the
 /// input schema (indices never shift as relations are eliminated).
@@ -61,6 +65,16 @@ impl Reduction {
         self.result.is_empty() || (self.result.len() == 1 && self.result.rel(0).is_empty())
     }
 
+    /// The `(removed, witness)` pair of every subset elimination, in trace
+    /// order. For a total reduction these are the edges of a join tree
+    /// (Theorem 3.1, [`join_tree_from_trace`](crate::join_tree_from_trace)).
+    pub fn elimination_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.trace.iter().filter_map(|s| match *s {
+            GyoStep::RemoveSubset { removed, witness } => Some((removed, witness)),
+            GyoStep::DeleteAttr { .. } => None,
+        })
+    }
+
     /// Pretty-prints the operation trace, one step per line, in the
     /// vocabulary of §3.3 (attribute names resolved through `cat`).
     pub fn display(&self, cat: &gyo_schema::Catalog) -> String {
@@ -96,10 +110,22 @@ pub enum SchemaKind {
 
 /// Computes `GR(D, X)` with the incremental engine.
 ///
-/// Runs in `O(Σ|R| · log + subset-probe)` time in practice: attribute
-/// occurrence counts drive isolated-attribute deletion; subset elimination
-/// probes only the candidate relations sharing the rarest attribute of a
-/// shrunken relation.
+/// `U(D)` is numbered densely (one sort of the `Σ|R|` attribute
+/// occurrences), and each relation becomes a bitset over those numbers: the
+/// nonzero words of its `⌈|U(D)|/64⌉`-word bitset, which is all of them
+/// when `|U(D)| ≤ 64`, so memory stays `O(Σ|R|)` on long chains too. One
+/// holder list per attribute, built once, and one count of its alive
+/// holders make isolated-attribute deletion a counter test. A relation is
+/// re-checked only when it shrinks or one of its attributes drops to a sole
+/// holder; subset elimination then probes only the alive holders of its
+/// rarest attribute, word by word. That is `O(Σ|R| · log Σ|R|)` to set up
+/// plus `O(w)` per subset probe, for relations of at most `w` words, with
+/// no hashing.
+///
+/// **Witness rule:** a subset elimination records the *lowest-index* alive
+/// relation that contains the eliminated one. Relations are re-checked in a
+/// fixed order too, so the trace, and every join tree built from it, is a
+/// function of the relation list alone.
 ///
 /// # Examples
 ///
@@ -116,7 +142,7 @@ pub enum SchemaKind {
 /// assert!(!gyo_reduce(&ring, &AttrSet::empty()).is_total());
 /// ```
 pub fn gyo_reduce(d: &DbSchema, x: &AttrSet) -> Reduction {
-    Engine::new(d, x).run()
+    Engine::new(d, x).run(d)
 }
 
 /// Computes just the reduced schema `GR(D, X)`.
@@ -217,137 +243,268 @@ pub fn treeifying_relation(d: &DbSchema) -> AttrSet {
 // Incremental engine
 // ---------------------------------------------------------------------------
 
-struct Engine<'a> {
-    sacred: &'a AttrSet,
-    rels: Vec<AttrSet>,
-    alive: Vec<bool>,
+/// One nonzero word of a relation's attribute bitset: dense attribute `a`
+/// is bit `a % 64` of the word with `index == a / 64`.
+#[derive(Clone, Copy)]
+struct Word {
+    index: u32,
+    bits: u64,
+}
+
+/// Relation flags: still in the schema, and queued for a re-check.
+const ALIVE: u8 = 1;
+const DIRTY: u8 = 2;
+
+struct Engine {
+    /// Every attribute occurrence as `(id << 32) | relation`, sorted. Runs
+    /// of equal ids number `U(D)` densely; run `a` lists the holders of
+    /// dense attribute `a` in ascending relation order.
+    holders: Vec<u64>,
+    /// Run `a` is `holders[start[a]..start[a + 1]]`.
+    start: Vec<u32>,
+    /// Alive holders per dense attribute; `0` once the attribute is deleted.
+    count: Vec<u32>,
+    /// Relation `i`'s bitset is `words[row[i]..row[i + 1]]`, ascending
+    /// `index`, fixed at construction (bits only ever get cleared).
+    row: Vec<u32>,
+    words: Vec<Word>,
+    /// Current size of each relation.
+    len: Vec<u32>,
+    flags: Vec<u8>,
     alive_count: usize,
-    /// attribute -> indices of alive relations containing it
-    holders: FxHashMap<AttrId, FxHashSet<usize>>,
-    /// relations whose content changed and must be re-checked
-    dirty: Vec<usize>,
-    in_dirty: Vec<bool>,
+    /// Sacred dense attributes, as a plain `⌈k/64⌉`-word bitset.
+    sacred: Vec<u64>,
+    /// Relations whose content changed and must be re-checked (a stack).
+    dirty: Vec<u32>,
     trace: Vec<GyoStep>,
 }
 
-impl<'a> Engine<'a> {
-    fn new(d: &DbSchema, sacred: &'a AttrSet) -> Self {
-        let rels: Vec<AttrSet> = d.iter().cloned().collect();
-        let n = rels.len();
-        let mut holders: FxHashMap<AttrId, FxHashSet<usize>> = FxHashMap::default();
-        for (i, r) in rels.iter().enumerate() {
-            for a in r.iter() {
-                holders.entry(a).or_default().insert(i);
+/// The set bits of `words`, as dense attribute numbers, ascending.
+fn bits_of(words: &[Word]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().flat_map(|w| {
+        let base = w.index as usize * 64;
+        let mut m = w.bits;
+        std::iter::from_fn(move || {
+            (m != 0).then(|| {
+                let b = m.trailing_zeros() as usize;
+                m &= m - 1;
+                base + b
+            })
+        })
+    })
+}
+
+/// Whether `a ⊆ b`, word by word; both are ascending by `index`.
+fn words_subset(a: &[Word], b: &[Word]) -> bool {
+    let mut q = 0;
+    for w in a.iter().filter(|w| w.bits != 0) {
+        while q < b.len() && b[q].index < w.index {
+            q += 1;
+        }
+        if q == b.len() || b[q].index != w.index || w.bits & !b[q].bits != 0 {
+            return false;
+        }
+    }
+    true
+}
+
+impl Engine {
+    fn new(d: &DbSchema, sacred: &AttrSet) -> Self {
+        let n = d.len();
+        let u32_of = |i: usize| {
+            u32::try_from(i)
+                .expect("GYO reduction: 2^32 or more relations or attribute occurrences")
+        };
+        let total: usize = d.iter().map(AttrSet::len).sum();
+        let mut holders: Vec<u64> = Vec::with_capacity(total);
+        for (i, r) in d.iter().enumerate() {
+            let i = u64::from(u32_of(i));
+            holders.extend(r.iter().map(|a| (u64::from(a.0) << 32) | i));
+        }
+        holders.sort_unstable();
+        let mut start: Vec<u32> = Vec::with_capacity(total + 1);
+        for (p, &o) in holders.iter().enumerate() {
+            if p == 0 || o >> 32 != holders[p - 1] >> 32 {
+                start.push(u32_of(p));
             }
         }
-        Engine {
-            sacred,
-            rels,
-            alive: vec![true; n],
-            alive_count: n,
+        start.push(u32_of(total));
+        let count: Vec<u32> = start.windows(2).map(|s| s[1] - s[0]).collect();
+        let mut engine = Engine {
             holders,
-            dirty: (0..n).collect(),
-            in_dirty: vec![true; n],
-            trace: Vec::new(),
+            start,
+            count,
+            row: Vec::with_capacity(n + 1),
+            words: Vec::with_capacity(total),
+            len: Vec::with_capacity(n),
+            flags: vec![ALIVE | DIRTY; n],
+            alive_count: n,
+            sacred: Vec::new(),
+            dirty: (0..n).map(u32_of).collect(),
+            trace: Vec::with_capacity(total + n),
+        };
+        // Each relation's attributes are ascending, and so are their dense
+        // numbers: consecutive numbers in one word share one `Word`.
+        for r in d.iter() {
+            let first = engine.words.len();
+            engine.row.push(u32_of(first));
+            engine.len.push(u32_of(r.len()));
+            for id in r.iter() {
+                let a = engine.dense(id);
+                let (index, bit) = ((a / 64) as u32, 1u64 << (a % 64));
+                match engine.words[first..].last_mut() {
+                    Some(w) if w.index == index => w.bits |= bit,
+                    _ => engine.words.push(Word { index, bits: bit }),
+                }
+            }
         }
+        engine.row.push(u32_of(engine.words.len()));
+        let mut sacred_bits = vec![0u64; engine.count.len().div_ceil(64)];
+        for a in sacred.iter() {
+            if let Some(a) = engine.try_dense(a) {
+                sacred_bits[a / 64] |= 1 << (a % 64);
+            }
+        }
+        engine.sacred = sacred_bits;
+        engine
+    }
+
+    /// The attribute id of dense attribute `a`.
+    fn id(&self, a: usize) -> AttrId {
+        AttrId((self.holders[self.start[a] as usize] >> 32) as u32)
+    }
+
+    /// The dense number of `id`, if some relation holds it.
+    fn try_dense(&self, id: AttrId) -> Option<usize> {
+        let k = self.count.len();
+        let a =
+            self.start[..k].partition_point(|&s| ((self.holders[s as usize] >> 32) as u32) < id.0);
+        (a < k && self.id(a) == id).then_some(a)
+    }
+
+    fn dense(&self, id: AttrId) -> usize {
+        self.try_dense(id)
+            .expect("every attribute of D is numbered")
+    }
+
+    fn rel_words(&self, i: usize) -> &[Word] {
+        &self.words[self.row[i] as usize..self.row[i + 1] as usize]
+    }
+
+    /// The alive relations holding dense attribute `a`, ascending.
+    fn alive_holders(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        self.holders[self.start[a] as usize..self.start[a + 1] as usize]
+            .iter()
+            .map(|&o| o as u32 as usize)
+            .filter(|&j| self.flags[j] & ALIVE != 0)
     }
 
     fn mark_dirty(&mut self, i: usize) {
-        if self.alive[i] && !self.in_dirty[i] {
-            self.in_dirty[i] = true;
-            self.dirty.push(i);
+        if self.flags[i] == ALIVE {
+            self.flags[i] |= DIRTY;
+            self.dirty.push(i as u32);
         }
     }
 
-    /// Deletes every currently-isolated non-sacred attribute of relation `i`.
-    fn delete_isolated(&mut self, i: usize) {
-        let mut to_delete = Vec::new();
-        for a in self.rels[i].iter() {
-            if self.sacred.contains(a) {
-                continue;
-            }
-            if self.holders.get(&a).map_or(0, |h| h.len()) == 1 {
-                to_delete.push(a);
+    /// Deletes every currently-isolated non-sacred attribute of relation
+    /// `i`, ascending; returns whether any was deleted.
+    fn delete_isolated(&mut self, i: usize) -> bool {
+        let before = self.trace.len();
+        for p in self.row[i] as usize..self.row[i + 1] as usize {
+            let Word { index, bits } = self.words[p];
+            let mut m = bits & !self.sacred[index as usize];
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let a = index as usize * 64 + b;
+                if self.count[a] == 1 {
+                    self.words[p].bits &= !(1 << b);
+                    self.count[a] = 0;
+                    self.len[i] -= 1;
+                    self.trace.push(GyoStep::DeleteAttr {
+                        attr: self.id(a),
+                        rel: i,
+                    });
+                }
             }
         }
-        for a in to_delete {
-            self.rels[i].remove(a);
-            self.holders.remove(&a);
-            self.trace.push(GyoStep::DeleteAttr { attr: a, rel: i });
-        }
+        self.trace.len() != before
     }
 
-    /// Looks for an alive `j ≠ i` with `rels[i] ⊆ rels[j]`, preferring the
-    /// candidate set of the rarest attribute of `i`. Empty relations scan
-    /// for any other alive relation.
+    /// The lowest-index alive `j ≠ i` with `rels[i] ⊆ rels[j]`. Every such
+    /// `j` holds the rarest attribute of `i`, so only that attribute's
+    /// holders are probed, in ascending order. An empty relation takes the
+    /// lowest-index other alive relation.
     fn find_witness(&self, i: usize) -> Option<usize> {
-        if self.rels[i].is_empty() {
-            return (0..self.rels.len()).find(|&j| j != i && self.alive[j]);
-        }
-        // Probe only relations holding the rarest attribute of rels[i].
-        let rarest = self.rels[i]
-            .iter()
-            .min_by_key(|a| self.holders.get(a).map_or(0, |h| h.len()))?;
-        let candidates = self.holders.get(&rarest)?;
-        for &j in candidates {
-            if j == i || !self.alive[j] {
-                continue;
-            }
-            if self.rels[i].is_subset(&self.rels[j]) {
-                // For equal multiset entries, remove either copy; determinism
-                // of the *resulting multiset* does not depend on the choice.
-                return Some(j);
-            }
-        }
-        None
+        let mine = self.rel_words(i);
+        let Some(rarest) = bits_of(mine).min_by_key(|&a| self.count[a]) else {
+            return (0..self.flags.len()).find(|&j| j != i && self.flags[j] & ALIVE != 0);
+        };
+        self.alive_holders(rarest).find(|&j| {
+            j != i && self.len[j] >= self.len[i] && words_subset(mine, self.rel_words(j))
+        })
     }
 
     fn remove_rel(&mut self, i: usize, witness: usize) {
-        self.alive[i] = false;
+        self.flags[i] &= !ALIVE;
         self.alive_count -= 1;
         self.trace.push(GyoStep::RemoveSubset {
             removed: i,
             witness,
         });
-        let attrs: Vec<AttrId> = self.rels[i].iter().collect();
-        for a in attrs {
-            if let Some(h) = self.holders.get_mut(&a) {
-                h.remove(&i);
-                if h.len() == 1 {
-                    // the attribute may have become isolated elsewhere
-                    let sole = *h.iter().next().expect("len checked");
+        for p in self.row[i] as usize..self.row[i + 1] as usize {
+            let Word { index, mut bits } = self.words[p];
+            while bits != 0 {
+                let a = index as usize * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.count[a] -= 1;
+                if self.count[a] == 1 {
+                    // The attribute may have become isolated in its sole
+                    // remaining holder.
+                    let sole = self.alive_holders(a).next().expect("count is 1");
                     self.mark_dirty(sole);
                 }
             }
         }
     }
 
-    fn run(mut self) -> Reduction {
+    fn run(mut self, d: &DbSchema) -> Reduction {
         while let Some(i) = self.dirty.pop() {
-            self.in_dirty[i] = false;
-            if !self.alive[i] {
+            let i = i as usize;
+            self.flags[i] &= !DIRTY;
+            if self.flags[i] & ALIVE == 0 {
                 continue;
             }
-            let before = self.rels[i].len();
-            self.delete_isolated(i);
-            if self.rels[i].len() != before {
+            if self.delete_isolated(i) {
                 // A shrunken relation may now be a subset of a neighbor, and
                 // *it* is the only relation whose subset status changed.
                 self.mark_dirty(i);
             }
             if self.alive_count > 1 {
                 if let Some(w) = self.find_witness(i) {
-                    self.remove_rel(i, w);
                     // The witness did not change, but relations that shared
                     // attributes with `i` may now hold isolated attributes;
-                    // remove_rel marked exactly those.
+                    // remove_rel marks exactly those.
+                    self.remove_rel(i, w);
                 }
             }
         }
         debug_assert!(self.fixpoint_reached());
-        let survivors: Vec<usize> = (0..self.rels.len()).filter(|&i| self.alive[i]).collect();
+        let survivors: Vec<usize> = (0..d.len())
+            .filter(|&i| self.flags[i] & ALIVE != 0)
+            .collect();
+        let result = survivors
+            .iter()
+            .map(|&i| {
+                if self.len[i] as usize == d.rel(i).len() {
+                    d.rel(i).clone()
+                } else {
+                    AttrSet::from_iter(bits_of(self.rel_words(i)).map(|a| self.id(a)))
+                }
+            })
+            .collect();
         Reduction {
-            result: DbSchema::new(survivors.iter().map(|&i| self.rels[i].clone()).collect()),
+            result: DbSchema::new(result),
             survivors,
             trace: self.trace,
         }
@@ -355,22 +512,17 @@ impl<'a> Engine<'a> {
 
     /// Debug check: no operation applies any more.
     fn fixpoint_reached(&self) -> bool {
-        for i in 0..self.rels.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            for a in self.rels[i].iter() {
-                if !self.sacred.contains(a) && self.holders.get(&a).map_or(0, |h| h.len()) == 1 {
-                    return false;
-                }
-            }
-            for j in 0..self.rels.len() {
-                if i != j && self.alive[j] && self.rels[i].is_subset(&self.rels[j]) {
-                    return false;
-                }
-            }
-        }
-        true
+        let n = self.flags.len();
+        let alive = |j: usize| self.flags[j] & ALIVE != 0;
+        (0..n).filter(|&i| alive(i)).all(|i| {
+            let mine = self.rel_words(i);
+            let isolated = bits_of(mine).any(|a| {
+                self.sacred[a / 64] >> (a % 64) & 1 == 0 && self.alive_holders(a).count() == 1
+            });
+            let covered =
+                (0..n).any(|j| j != i && alive(j) && words_subset(mine, self.rel_words(j)));
+            !isolated && !covered
+        })
     }
 }
 

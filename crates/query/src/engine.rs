@@ -39,18 +39,18 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use gyo_reduce::Reduction;
 use gyo_relation::{
     join_up_with, lock_cache, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
     SemijoinStep,
 };
-use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, RootedTree};
+use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, JoinTree, QualGraph, RootedTree};
 
 use crate::program::Program;
 use crate::yannakakis::{
-    derive_rooted_tree, full_reduce, full_reducer_program_on_tree, solve_tree_query,
+    compile_tree, full_reduce, full_reducer_program_on_tree, root_at_zero, solve_tree_query,
 };
 
 /// Why an engine (or any tree-only entry point of this crate) could not
@@ -220,6 +220,30 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// A cyclic verdict as the plan cache keeps it: the stuck residue and its
+/// survivors, plus the `(removed, witness)` edges of the reduction's subset
+/// eliminations. The edges let [`TreeifyPlan`](crate::TreeifyPlan) build
+/// the join tree of `D ∪ (W)` without reducing again.
+#[derive(Debug)]
+pub(crate) struct CyclicVerdict {
+    pub(crate) residue: DbSchema,
+    pub(crate) survivors: Vec<usize>,
+    pub(crate) edges: Vec<(usize, usize)>,
+}
+
+impl CyclicVerdict {
+    /// The verdict as the public diagnostic.
+    pub(crate) fn error(&self) -> EngineError {
+        EngineError::Cyclic {
+            residue: self.residue.clone(),
+            survivors: self.survivors.clone(),
+        }
+    }
+}
+
+/// A compile outcome as the plan cache keeps it.
+pub(crate) type Compiled = Result<Arc<FullReducerPlan>, Arc<CyclicVerdict>>;
+
 /// A query/reduction engine: one strategy for making states globally
 /// consistent and answering natural-join queries `(D, X)`.
 ///
@@ -306,23 +330,27 @@ impl Engine for IncrementalEngine {
 }
 
 /// A compiled full-reducer plan for one tree schema: the rooted join tree
-/// plus the `2·(n−1)` precompiled semijoin steps, with the §6 [`Program`]
-/// form alongside for inspection and notation rendering.
+/// plus the `2·(n−1)` precompiled semijoin steps.
 #[derive(Clone, Debug)]
 pub struct FullReducerPlan {
     rooted: RootedTree,
     steps: Vec<SemijoinStep>,
-    program: Program,
 }
 
 impl FullReducerPlan {
-    /// Compiles the plan for `d`; [`EngineError::Cyclic`] (with the stuck
-    /// residue attached) when `d` is cyclic.
-    fn compile(d: &DbSchema) -> Result<Self, EngineError> {
-        let rooted = derive_rooted_tree(d)?;
+    /// Compiles the plan for `d` from one GYO reduction; the cyclic
+    /// verdict, with the reduction's subset-elimination edges, when `d` is
+    /// cyclic.
+    fn compile(d: &DbSchema) -> Result<Self, CyclicVerdict> {
+        compile_tree(d).map(|rooted| Self::on_tree(d, rooted))
+    }
+
+    /// The plan along an already-rooted join tree of `d`.
+    fn on_tree(d: &DbSchema, rooted: RootedTree) -> Self {
         let mut steps = Vec::new();
         if d.len() > 1 {
             let schemas = d.rels();
+            steps.reserve_exact(2 * (d.len() - 1));
             for &v in &rooted.post_order {
                 if v != rooted.root {
                     steps.push(SemijoinStep::new(schemas, rooted.parent[v], v));
@@ -334,12 +362,7 @@ impl FullReducerPlan {
                 }
             }
         }
-        let program = full_reducer_program_on_tree(d, &rooted);
-        Ok(Self {
-            rooted,
-            steps,
-            program,
-        })
+        Self { rooted, steps }
     }
 
     /// The compiled semijoin steps, upward pass then downward pass.
@@ -347,9 +370,20 @@ impl FullReducerPlan {
         &self.steps
     }
 
-    /// The plan as a §6 semijoin [`Program`] (new-relation semantics).
-    pub fn program(&self) -> &Program {
-        &self.program
+    /// The plan as a §6 semijoin [`Program`] (new-relation semantics) over
+    /// `d`, the schema the plan was compiled for. Built on each call from
+    /// the rooted tree; compiling a plan never builds one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` has another number of relations than the plan.
+    pub fn program(&self, d: &DbSchema) -> Program {
+        assert_eq!(
+            d.len(),
+            self.rooted.parent.len(),
+            "a plan's program is over the schema it was compiled for"
+        );
+        full_reducer_program_on_tree(d, &self.rooted)
     }
 
     /// The rooted join tree the plan reduces along.
@@ -359,6 +393,20 @@ impl FullReducerPlan {
     /// not be used as an index.
     pub fn rooted(&self) -> &RootedTree {
         &self.rooted
+    }
+}
+
+/// Locks a reusable scratch without waiting. A poisoned lock is recovered:
+/// every use of a scratch resets what it reads first, so one left mid-use
+/// by a panic is still valid. `None` when another call holds it.
+fn try_lock_scratch<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match lock.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => {
+            lock.clear_poison();
+            Some(poisoned.into_inner())
+        }
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -377,14 +425,16 @@ impl FullReducerPlan {
 /// blocked it.
 #[derive(Debug, Default)]
 pub struct FullReducerEngine {
-    plans: Mutex<FxHashMap<Vec<AttrSet>, Result<Arc<FullReducerPlan>, EngineError>>>,
+    plans: Mutex<FxHashMap<Vec<AttrSet>, Compiled>>,
     /// Reusable selection-vector execution state: after the first reduction
     /// at a given shape, program steps run with zero heap allocation (the
     /// `crates/relation/tests/alloc.rs` counter pins this down). Contended
-    /// callers fall back to a per-call scratch rather than serialize.
+    /// callers fall back to a per-call scratch rather than serialize; a
+    /// poisoned lock is recovered, not bypassed.
     scratch: Mutex<ExecScratch>,
     /// Reusable join-up state (bucket chains, pair buffer, dedup sets,
-    /// intermediate row buffers), with the same contention fallback.
+    /// intermediate row buffers), with the same contention fallback and
+    /// poison recovery.
     joinup: Mutex<JoinUpScratch>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -400,13 +450,54 @@ impl FullReducerEngine {
     /// [`EngineError::Cyclic`] when `d` is cyclic — this negative outcome
     /// is cached as well, diagnostic included.
     pub fn plan(&self, d: &DbSchema) -> Result<Arc<FullReducerPlan>, EngineError> {
+        self.compiled(d).map_err(|verdict| verdict.error())
+    }
+
+    /// [`plan`](Self::plan) with the cyclic verdict as cached, trace edges
+    /// included.
+    pub(crate) fn compiled(&self, d: &DbSchema) -> Compiled {
         if let Some(cached) = lock_cache(&self.plans).get(d.rels()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = FullReducerPlan::compile(d).map(Arc::new);
-        lock_cache(&self.plans).insert(d.rels().to_vec(), plan.clone());
+        let compiled = FullReducerPlan::compile(d).map(Arc::new).map_err(Arc::new);
+        lock_cache(&self.plans).insert(d.rels().to_vec(), compiled.clone());
+        compiled
+    }
+
+    /// The cyclic verdict for `d` — read from the cache without counting a
+    /// lookup, compiled on a miss; `None` when `d` is a tree schema.
+    pub(crate) fn cyclic_verdict(&self, d: &DbSchema) -> Option<Arc<CyclicVerdict>> {
+        let cached = lock_cache(&self.plans).get(d.rels()).cloned();
+        cached.unwrap_or_else(|| self.compiled(d)).err()
+    }
+
+    /// The cached plan for the tree schema `d`, or on a miss the plan along
+    /// the join tree that `edges` spell, for callers that know a join tree
+    /// without reducing `d`. The edges pass [`JoinTree::try_new`]'s hard
+    /// check first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edges` are not a join tree of `d`, or `d` holds a cached
+    /// cyclic verdict.
+    pub(crate) fn plan_on_tree(
+        &self,
+        d: &DbSchema,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Arc<FullReducerPlan> {
+        if let Some(cached) = lock_cache(&self.plans).get(d.rels()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return cached
+                .clone()
+                .expect("a schema with a join tree is not cyclic");
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let tree = JoinTree::try_new(QualGraph::new(d.len(), edges), d)
+            .expect("the edges are a join tree of the schema");
+        let plan = Arc::new(FullReducerPlan::on_tree(d, root_at_zero(d, &tree)));
+        lock_cache(&self.plans).insert(d.rels().to_vec(), Ok(plan.clone()));
         plan
     }
 
@@ -437,11 +528,11 @@ impl FullReducerEngine {
     /// scratch under contention). Shared by the full-reducer path and the
     /// treeify engine's extended-schema path.
     pub(crate) fn run_steps(&self, rels: &mut [Relation], steps: &[SemijoinStep]) {
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => semijoin_program_with(rels, steps, &mut scratch),
+        match try_lock_scratch(&self.scratch) {
+            Some(mut scratch) => semijoin_program_with(rels, steps, &mut scratch),
             // Another thread is mid-reduction on this engine: run with a
             // fresh scratch instead of serializing behind the lock.
-            Err(_) => semijoin_program_with(rels, steps, &mut ExecScratch::new()),
+            None => semijoin_program_with(rels, steps, &mut ExecScratch::new()),
         }
     }
 
@@ -451,9 +542,9 @@ impl FullReducerEngine {
     /// Shared by the tree answer path and the treeify engine's `X ⊄ W`
     /// path.
     pub(crate) fn join_up(&self, rels: &[Relation], rooted: &RootedTree, x: &AttrSet) -> Relation {
-        match self.joinup.try_lock() {
-            Ok(mut scratch) => join_up_with(rels, rooted, x, &mut scratch),
-            Err(_) => join_up_with(rels, rooted, x, &mut JoinUpScratch::new()),
+        match try_lock_scratch(&self.joinup) {
+            Some(mut scratch) => join_up_with(rels, rooted, x, &mut scratch),
+            None => join_up_with(rels, rooted, x, &mut JoinUpScratch::new()),
         }
     }
 
@@ -675,10 +766,10 @@ mod tests {
         let e = FullReducerEngine::new();
         let plan = e.plan(&d).unwrap();
         assert_eq!(plan.steps().len(), 2 * (4 - 1));
-        assert_eq!(plan.program().len(), 2 * (4 - 1));
+        assert_eq!(plan.program(&d).len(), 2 * (4 - 1));
         assert_eq!(
-            plan.program(),
-            &crate::yannakakis::full_reducer_program(&d).unwrap()
+            plan.program(&d),
+            crate::yannakakis::full_reducer_program(&d).unwrap()
         );
     }
 
@@ -821,6 +912,49 @@ mod tests {
         e.clear_cache();
         assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "recompiled plan");
         assert_eq!(e.cache_stats(), (1, 2));
+    }
+
+    #[test]
+    fn poisoned_scratch_locks_recover() {
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd", &mut cat);
+        let state = random_state(&d, 0x92, 30, 3);
+        let x = AttrSet::parse("ad", &mut cat).unwrap();
+        let e = FullReducerEngine::new();
+        let want = e.answer(&d, &state, &x).unwrap();
+        // Another schema's data, so each scratch is left mid-use with
+        // state that does not fit the next call.
+        let other = db("ab, bc, ce, ef", &mut cat);
+        let other_state = random_state(&other, 0x93, 40, 4);
+        let other_x = AttrSet::parse("af", &mut cat).unwrap();
+        let other_plan = e.plan(&other).unwrap();
+        let panicked = std::thread::scope(|s| {
+            let semijoin = s.spawn(|| {
+                let mut scratch = e.scratch.lock().unwrap();
+                let mut rels = other_state.rels().to_vec();
+                semijoin_program_with(&mut rels, other_plan.steps(), &mut scratch);
+                panic!("poison the semijoin scratch");
+            });
+            let joinup = s.spawn(|| {
+                let mut scratch = e.joinup.lock().unwrap();
+                join_up_with(
+                    other_state.rels(),
+                    other_plan.rooted(),
+                    &other_x,
+                    &mut scratch,
+                );
+                panic!("poison the join-up scratch");
+            });
+            semijoin.join().is_err() && joinup.join().is_err()
+        });
+        assert!(panicked && e.scratch.is_poisoned() && e.joinup.is_poisoned());
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
+        assert!(
+            !e.scratch.is_poisoned(),
+            "the semijoin scratch is recovered"
+        );
+        assert!(!e.joinup.is_poisoned(), "the join-up scratch is recovered");
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //!   accidental cross products inside connected residues), and the
 //!   compiled full-reducer plan for the extended schema `D ∪ (W)` — stored
 //!   in the *shared* plan cache, compiled once, reused across calls.
+//!   That plan's join tree comes from the verdict's own reduction trace,
+//!   per Theorem 3.2(ii) (see [`TreeifyPlan`]): `D` is reduced once, and
+//!   `D ∪ (W)` never.
 //!   Per call, the engine materializes `state(W)`, runs the extended
 //!   plan's semijoin program through the reusable
 //!   [`SelVec`](gyo_relation::SelVec) scratch, and either projects the
@@ -30,8 +33,11 @@
 //!   flat join-up executor ([`gyo_relation::join_up_with`]).
 //!
 //! The cyclic verdict that routes a schema onto the treeify path is the
-//! [`EngineError::Cyclic`] diagnostic the inner engine caches — the stuck
-//! residue *is* the input to treeification, so nothing is recomputed.
+//! [`EngineError::Cyclic`] diagnostic the inner engine caches, and the
+//! cache keeps the reduction's subset-elimination edges beside it. The
+//! stuck residue gives `W` and the survivors, and those edges plus one
+//! `(survivor, W)` edge per survivor give the extended join tree, so
+//! nothing is recomputed.
 //!
 //! Correctness: `⋈(D ∪ (W)) = ⋈D`, because every tuple of `⋈D` restricted
 //! to the survivors satisfies each survivor's relation, so its `W`
@@ -76,10 +82,13 @@ use std::sync::{Arc, Mutex};
 use gyo_relation::{lock_cache, DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema, FxHashMap};
 
-use crate::engine::{Engine, EngineError, FullReducerEngine, FullReducerPlan};
+use crate::engine::{CyclicVerdict, Engine, EngineError, FullReducerEngine, FullReducerPlan};
 
 /// A compiled treeification plan for one **cyclic** schema: everything
-/// about `D ∪ (U(GR(D)))` that does not depend on data.
+/// about `D ∪ (U(GR(D)))` that does not depend on data. It is compiled
+/// from `D`'s cyclic verdict alone: the extended join
+/// tree is `D`'s reduction trace plus one `(survivor, W)` edge per
+/// survivor, the construction in the proof of Theorem 3.2(ii).
 #[derive(Clone, Debug)]
 pub struct TreeifyPlan {
     /// The extended tree schema `D ∪ (W)`; `W` is the last relation.
@@ -103,16 +112,23 @@ pub struct TreeifyPlan {
 }
 
 impl TreeifyPlan {
-    /// Compiles the plan from a cyclic verdict. The `err` diagnostic
-    /// supplies the residue and survivors, so the GYO reduction is not
-    /// re-run; the extended schema's full-reducer plan is compiled through
-    /// (and cached in) `engine`'s plan cache.
-    fn compile(d: &DbSchema, err: &EngineError, engine: &FullReducerEngine) -> Self {
-        let (Some(residue), Some(survivors)) = (err.residue(), err.survivors()) else {
-            panic!("treeification needs a cyclic verdict, got: {err}");
-        };
-        let w = residue.attributes();
-        let join_order = connected_order(d, survivors)
+    /// Compiles the plan from the cyclic verdict of `d`, with no second
+    /// GYO reduction: the residue gives `W` and the survivors, and the
+    /// verdict's own trace gives the join tree of `D ∪ (W)`.
+    ///
+    /// That tree is the proof of Theorem 3.2(ii). Every step of `D`'s trace
+    /// stays legal in `D ∪ (W)`: a deleted attribute was isolated when
+    /// deleted, so it is in no survivor and not in `W`, and `W` changes no
+    /// holder count. After those steps every survivor is a subset of `W`,
+    /// so eliminating each into `W` makes the reduction total, and by
+    /// Theorem 3.1 its subset eliminations — the trace's edges plus one
+    /// `(survivor, W)` edge per survivor — form a join tree. The edges
+    /// still pass [`JoinTree::try_new`](gyo_schema::JoinTree::try_new)'s
+    /// hard check, and the plan along them is compiled into (or found in)
+    /// `engine`'s shared plan cache.
+    fn compile(d: &DbSchema, verdict: &CyclicVerdict, engine: &FullReducerEngine) -> Self {
+        let w = verdict.residue.attributes();
+        let join_order = connected_order(d, &verdict.survivors)
             .into_iter()
             .map(|i| {
                 let core = d.rel(i).intersect(&w);
@@ -121,9 +137,12 @@ impl TreeifyPlan {
             })
             .collect();
         let extended = d.with_rel(w.clone());
-        let inner = engine
-            .plan(&extended)
-            .expect("Theorem 3.2(ii): D ∪ (U(GR(D))) is a tree schema");
+        let w_node = d.len();
+        let edges = verdict.edges.iter().copied();
+        let inner = engine.plan_on_tree(
+            &extended,
+            edges.chain(verdict.survivors.iter().map(|&s| (s, w_node))),
+        );
         Self {
             extended,
             w,
@@ -165,7 +184,7 @@ fn connected_order(d: &DbSchema, survivors: &[usize]) -> Vec<usize> {
     while !remaining.is_empty() {
         let pick = remaining
             .iter()
-            .position(|&i| !d.rel(i).intersect(&seen).is_empty())
+            .position(|&i| d.rel(i).intersects(&seen))
             .unwrap_or(0);
         let i = remaining.remove(pick);
         seen = seen.union(d.rel(i));
@@ -216,13 +235,34 @@ impl TreeifyEngine {
 
     /// The cached treeify plan for a schema already known to be cyclic,
     /// compiling on first sight. `err` must be the cyclic verdict the
-    /// inner engine produced for `d` — its residue drives the compilation.
+    /// inner engine produced for `d` (what `inner().plan(d)` returns); the
+    /// plan is compiled from the reduction trace the inner cache keeps
+    /// beside that verdict, so `d` is not reduced again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `err` is not [`EngineError::Cyclic`] or `d` is a tree
+    /// schema.
     pub fn treeified_plan(&self, d: &DbSchema, err: &EngineError) -> Arc<TreeifyPlan> {
+        assert!(
+            err.residue().is_some(),
+            "treeification needs a cyclic verdict, got: {err}"
+        );
         if let Some(plan) = self.lookup_treeified(d) {
             return plan;
         }
+        let verdict = self
+            .inner
+            .cyclic_verdict(d)
+            .expect("treeification needs a cyclic schema");
+        self.compile_treeified(d, &verdict)
+    }
+
+    /// Compiles, counts and caches the treeify plan for `d` from its
+    /// verdict.
+    fn compile_treeified(&self, d: &DbSchema, verdict: &CyclicVerdict) -> Arc<TreeifyPlan> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(TreeifyPlan::compile(d, err, &self.inner));
+        let plan = Arc::new(TreeifyPlan::compile(d, verdict, &self.inner));
         lock_cache(&self.treeified).insert(d.rels().to_vec(), plan.clone());
         plan
     }
@@ -314,10 +354,10 @@ impl Engine for TreeifyEngine {
         if let Some(plan) = self.lookup_treeified(d) {
             return Ok(self.reduce_cyclic(d, state, &plan));
         }
-        match self.inner.plan(d) {
+        match self.inner.compiled(d) {
             Ok(plan) => Ok(self.inner.reduce_with_plan(d, state, &plan)),
-            Err(err) => {
-                let plan = self.treeified_plan(d, &err);
+            Err(verdict) => {
+                let plan = self.compile_treeified(d, &verdict);
                 Ok(self.reduce_cyclic(d, state, &plan))
             }
         }
@@ -329,10 +369,10 @@ impl Engine for TreeifyEngine {
         if let Some(plan) = self.lookup_treeified(d) {
             return Ok(self.answer_cyclic(state, x, &plan));
         }
-        match self.inner.plan(d) {
+        match self.inner.compiled(d) {
             Ok(plan) => Ok(self.inner.answer_with_plan(d, state, x, &plan)),
-            Err(err) => {
-                let plan = self.treeified_plan(d, &err);
+            Err(verdict) => {
+                let plan = self.compile_treeified(d, &verdict);
                 Ok(self.answer_cyclic(state, x, &plan))
             }
         }

@@ -31,7 +31,7 @@ use gyo_reduce::{gyo_reduce, join_tree_from_trace};
 use gyo_relation::{DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema, JoinTree, RootedTree};
 
-use crate::engine::EngineError;
+use crate::engine::{CyclicVerdict, EngineError};
 use crate::program::Program;
 
 /// Builds a full-reducer semijoin [`Program`] for a tree schema: child→
@@ -51,16 +51,34 @@ pub fn full_reducer_program(d: &DbSchema) -> Result<Program, EngineError> {
     Ok(full_reducer_program_on_tree(d, &rooted))
 }
 
-/// Runs the GYO reduction and roots the derived join tree at node 0; the
-/// shared decline path of every tree-only entry point — per-call solvers
-/// here and [`FullReducerPlan`](crate::FullReducerPlan) compilation alike.
-pub(crate) fn derive_rooted_tree(d: &DbSchema) -> Result<RootedTree, EngineError> {
+/// The one compile behind every tree-only path — the cached plans and the
+/// per-call solvers alike: a single GYO reduction of `d`, then the join
+/// tree its subset eliminations spell (Theorem 3.1), rooted at node 0. For
+/// a cyclic `d`, the verdict keeps those eliminations' edges beside the
+/// stuck residue.
+pub(crate) fn compile_tree(d: &DbSchema) -> Result<RootedTree, CyclicVerdict> {
     let red = gyo_reduce(d, &AttrSet::empty());
     if !red.is_total() {
-        return Err(EngineError::cyclic(&red));
+        return Err(CyclicVerdict {
+            edges: red.elimination_edges().collect(),
+            residue: red.result,
+            survivors: red.survivors,
+        });
     }
     let tree = join_tree_from_trace(d, &red).expect("total GYO reduction yields a join tree");
-    Ok(if d.is_empty() {
+    Ok(root_at_zero(d, &tree))
+}
+
+/// [`compile_tree`] with the public diagnostic; the decline path of the
+/// per-call solvers.
+pub(crate) fn derive_rooted_tree(d: &DbSchema) -> Result<RootedTree, EngineError> {
+    compile_tree(d).map_err(|verdict| verdict.error())
+}
+
+/// `tree` rooted at node 0; for the empty schema, a tree with no nodes and
+/// the placeholder root `0`.
+pub(crate) fn root_at_zero(d: &DbSchema, tree: &JoinTree) -> RootedTree {
+    if d.is_empty() {
         RootedTree {
             root: 0,
             parent: Vec::new(),
@@ -68,7 +86,7 @@ pub(crate) fn derive_rooted_tree(d: &DbSchema) -> Result<RootedTree, EngineError
         }
     } else {
         tree.rooted_at(0)
-    })
+    }
 }
 
 /// The full-reducer [`Program`] along an already-rooted join tree.

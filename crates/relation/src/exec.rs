@@ -104,6 +104,11 @@ impl SemijoinStep {
 /// vector per slot plus the per-step membership scratch (stamp table, the
 /// `u64` and packed `u128` hash sets, the wide-key hash spine). Everything
 /// is grow-only — steps after warm-up allocate nothing.
+///
+/// Every use resets what it reads before reading it: a run resets the
+/// selection vector of each slot it uses, and each step re-arms the stamp
+/// table or clears the set or spine it fills. So a scratch left mid-run by
+/// a panic is still valid for the next run.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     /// Per-slot liveness (index `i` tracks `rels[i]`).

@@ -51,6 +51,12 @@ const NIL: u32 = u32::MAX;
 /// Reusable state for [`join_up_with`]: the bucket-chain arrays, the
 /// matched-pair buffer, the projection dedup sets, per-edge column maps, and
 /// a pool of row buffers for intermediates. Everything is grow-only.
+///
+/// Every use resets what it reads before reading it: each join clears its
+/// chain heads, `next` links, pair buffer and column maps, each projection
+/// its dedup set, position lists are rebuilt, and pooled buffers are
+/// cleared when taken. So a scratch left mid-join by a panic is still valid
+/// for the next join.
 #[derive(Debug, Default)]
 pub struct JoinUpScratch {
     /// Bucket-chain heads for width-1 keys.

@@ -118,29 +118,25 @@ impl QualGraph {
     }
 
     /// Whether the graph is a tree: connected with exactly `n − 1` edges
-    /// (the empty graph and the single node count as trees).
+    /// (the empty graph and the single node count as trees). Checked with
+    /// a union-find: `n − 1` edges none of which closes a cycle.
     pub fn is_tree(&self) -> bool {
-        if self.n <= 1 {
-            return self.edges.is_empty();
-        }
-        if self.edges.len() != self.n - 1 {
+        if self.edges.len() != self.n.saturating_sub(1) {
             return false;
         }
-        let adj = self.adjacency();
-        let mut seen = vec![false; self.n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(v) = stack.pop() {
-            for &w in &adj[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    count += 1;
-                    stack.push(w);
-                }
+        let mut root: Vec<usize> = (0..self.n).collect();
+        let find = |root: &mut Vec<usize>, mut v: usize| {
+            while root[v] != v {
+                root[v] = root[root[v]];
+                v = root[v];
             }
-        }
-        count == self.n
+            v
+        };
+        self.edges.iter().all(|&(a, b)| {
+            let (ra, rb) = (find(&mut root, a), find(&mut root, b));
+            root[ra] = rb;
+            ra != rb
+        })
     }
 }
 
@@ -151,18 +147,71 @@ impl QualGraph {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinTree {
     graph: QualGraph,
-    adj: Vec<Vec<usize>>,
+    /// Adjacency in one buffer: the neighbors of `v` are
+    /// `adj[offsets[v]..offsets[v + 1]]`, in edge-list order.
+    offsets: Vec<usize>,
+    adj: Vec<usize>,
 }
 
 impl JoinTree {
-    /// Validates that `graph` is a tree and a qual graph for `d`.
+    /// Validates that `graph` is a tree and a qual graph for `d`; `None`
+    /// otherwise. This is a hard check, run in release builds too.
+    ///
+    /// Once the graph is a tree, qual validity is a count. The nodes
+    /// holding an attribute `A` induce a forest, which has at most
+    /// `|holders(A)| − 1` edges, and exactly that many iff it is connected.
+    /// An edge `(u, v)` lies inside `|Rᵤ ∩ Rᵥ|` of those forests, so,
+    /// summing over `U(D)`, the tree is a qual tree iff
+    /// `Σ_(u,v) |Rᵤ ∩ Rᵥ| = Σᵢ |Rᵢ| − |U(D)|` — a single disconnected
+    /// attribute leaves the left side short. That costs one sort of the
+    /// attribute occurrences and one merge per edge, with no hashing.
+    /// [`QualGraph::is_valid_for`] keeps the per-attribute search for
+    /// graphs that are not trees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is a tree and `d.len() != graph.node_count()`.
     pub fn try_new(graph: QualGraph, d: &DbSchema) -> Option<Self> {
-        if graph.is_tree() && graph.is_valid_for(d) {
-            let adj = graph.adjacency();
-            Some(Self { graph, adj })
-        } else {
-            None
+        if !graph.is_tree() {
+            return None;
         }
+        assert_eq!(d.len(), graph.n, "schema/graph size mismatch");
+        let mut ids: Vec<AttrId> = d.iter().flat_map(|r| r.iter()).collect();
+        let occurrences = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        let induced: usize = graph
+            .edges
+            .iter()
+            .map(|&(u, v)| shared_count(d.rel(u).as_slice(), d.rel(v).as_slice()))
+            .sum();
+        if induced != occurrences - ids.len() {
+            return None;
+        }
+        // Counting sort of the edge ends: `offsets[v + 1]` first counts
+        // `v`'s degree, then serves as its fill cursor, and ends as its
+        // list's end, i.e. the next list's start.
+        let mut offsets = vec![0usize; graph.n + 1];
+        for &(a, b) in &graph.edges {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            (start, *slot) = (start + *slot, start);
+        }
+        let mut adj = vec![0usize; 2 * graph.edges.len()];
+        for &(a, b) in &graph.edges {
+            adj[offsets[a + 1]] = b;
+            offsets[a + 1] += 1;
+            adj[offsets[b + 1]] = a;
+            offsets[b + 1] += 1;
+        }
+        Some(Self {
+            graph,
+            offsets,
+            adj,
+        })
     }
 
     /// The underlying graph.
@@ -186,7 +235,7 @@ impl JoinTree {
     /// Neighbors of node `v`.
     #[inline]
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adj[v]
+        &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The unique path from `r` to `s` (inclusive). Returns `[r]` if
@@ -200,7 +249,7 @@ impl JoinTree {
             if v == s {
                 break;
             }
-            for &w in &self.adj[v] {
+            for &w in self.neighbors(v) {
                 if prev[w] == usize::MAX {
                     prev[w] = v;
                     queue.push_back(w);
@@ -237,7 +286,7 @@ impl JoinTree {
         seen[nodes[0]] = true;
         let mut count = 1usize;
         while let Some(v) = stack.pop() {
-            for &w in &self.adj[v] {
+            for &w in self.neighbors(v) {
                 if inset[w] && !seen[w] {
                     seen[w] = true;
                     count += 1;
@@ -311,7 +360,7 @@ impl JoinTree {
         parent[root] = root;
         while let Some(v) = stack.pop() {
             order.push(v);
-            for &w in &self.adj[v] {
+            for &w in self.neighbors(v) {
                 if parent[w] == usize::MAX {
                     parent[w] = v;
                     stack.push(w);
@@ -325,6 +374,23 @@ impl JoinTree {
             post_order: order,
         }
     }
+}
+
+/// The number of ids two ascending slices share.
+fn shared_count(a: &[AttrId], b: &[AttrId]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared
 }
 
 /// A join tree rooted at a chosen node; see [`JoinTree::rooted_at`].

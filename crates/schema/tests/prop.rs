@@ -1,7 +1,7 @@
 //! Property tests for the set algebra and schema combinators — the laws
 //! every proof in the paper silently uses.
 
-use gyo_schema::{AttrId, AttrSet, DbSchema, QualGraph};
+use gyo_schema::{AttrId, AttrSet, DbSchema, JoinTree, QualGraph};
 use proptest::prelude::*;
 
 fn attr_set() -> impl Strategy<Value = AttrSet> {
@@ -12,8 +12,103 @@ fn schema() -> impl Strategy<Value = DbSchema> {
     proptest::collection::vec(attr_set(), 0..6).prop_map(DbSchema::new)
 }
 
+/// A random spanning tree over a random schema, valid or not. Node
+/// `v > 0` hangs off a random earlier node and takes some of its parent's
+/// attributes plus one fresh one, which makes the tree a join tree. Then a
+/// few nodes get another node's fresh attribute, which may break that, and some
+/// cases get an extra edge, so the graph is no longer a tree.
+fn spanning_tree_case() -> impl Strategy<Value = (DbSchema, QualGraph)> {
+    (1usize..=10).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((0usize..64, proptest::collection::vec(0usize..8, 0..4)), n),
+            proptest::collection::vec((0usize..n, 0usize..n), 0..3),
+            (0usize..n, 0usize..n, 0u32..4),
+        )
+            .prop_map(move |(nodes, extra_attrs, (a, b, extra_edge))| {
+                let mut rels: Vec<AttrSet> = Vec::with_capacity(n);
+                let mut edges = Vec::with_capacity(n);
+                for (v, (pick, inherit)) in nodes.into_iter().enumerate() {
+                    let mut r = AttrSet::from_raw(&[v as u32]);
+                    if v > 0 {
+                        let parent = pick % v;
+                        let from = rels[parent].as_slice();
+                        for i in inherit {
+                            r.insert(from[i % from.len()]);
+                        }
+                        edges.push((parent, v));
+                    }
+                    rels.push(r);
+                }
+                for (v, id) in extra_attrs {
+                    rels[v].insert(AttrId(id as u32));
+                }
+                if extra_edge == 0 && a != b {
+                    edges.push((a, b));
+                }
+                (DbSchema::new(rels), QualGraph::new(n, edges))
+            })
+    })
+}
+
+/// The §3.1 attribute-connectivity fact, checked on a plain graph: for
+/// nodes `r`, `s` and every node `p` on the (first-found) path between
+/// them, `R ∩ S ⊆ P`.
+fn paths_carry_shared_attributes(g: &QualGraph, d: &DbSchema) -> bool {
+    let adj = g.adjacency();
+    let n = g.node_count();
+    (0..n).all(|r| {
+        let mut prev = vec![usize::MAX; n];
+        prev[r] = r;
+        let mut queue = std::collections::VecDeque::from([r]);
+        while let Some(v) = queue.pop_front() {
+            for &w in &adj[v] {
+                if prev[w] == usize::MAX {
+                    prev[w] = v;
+                    queue.push_back(w);
+                }
+            }
+        }
+        (0..n).all(|s| {
+            let shared = d.rel(r).intersect(d.rel(s));
+            if shared.is_empty() {
+                return true;
+            }
+            if prev[s] == usize::MAX {
+                return false;
+            }
+            let mut p = s;
+            loop {
+                if !shared.is_subset(d.rel(p)) {
+                    return false;
+                }
+                if p == r {
+                    return true;
+                }
+                p = prev[p];
+            }
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `JoinTree::try_new`'s counting check agrees with the per-attribute
+    /// search of `QualGraph::is_valid_for` and with attribute connectivity
+    /// along tree paths, on valid and invalid spanning trees alike.
+    #[test]
+    fn join_tree_count_check_matches_search_and_paths(case in spanning_tree_case()) {
+        let (d, g) = case;
+        let accepted = JoinTree::try_new(g.clone(), &d);
+        let searched = g.is_tree() && g.is_valid_for(&d);
+        prop_assert_eq!(accepted.is_some(), searched, "{:?} over {:?}", g, d);
+        if g.is_tree() {
+            prop_assert_eq!(searched, paths_carry_shared_attributes(&g, &d), "{:?}", d);
+        }
+        if let Some(t) = accepted {
+            prop_assert!(t.attribute_connectivity_holds(&d));
+        }
+    }
 
     #[test]
     fn union_is_commutative_associative_idempotent(a in attr_set(), b in attr_set(), c in attr_set()) {
@@ -156,4 +251,24 @@ proptest! {
         prop_assert_eq!(deleted.attributes(), d.attributes().difference(&x));
         prop_assert_eq!(deleted.len(), d.len());
     }
+}
+
+/// The spanning-tree strategy reaches valid trees, invalid trees and
+/// non-trees.
+#[test]
+fn spanning_tree_case_covers_valid_and_invalid() {
+    let (mut valid, mut invalid, mut non_trees) = (0, 0, 0);
+    for c in 0..300 {
+        let mut rng = proptest::test_runner::TestRng::for_case("spanning_tree_coverage", c);
+        let (d, g) = spanning_tree_case().generate(&mut rng);
+        match (g.is_tree(), JoinTree::try_new(g, &d).is_some()) {
+            (false, _) => non_trees += 1,
+            (true, true) => valid += 1,
+            (true, false) => invalid += 1,
+        }
+    }
+    assert!(
+        valid >= 60 && invalid >= 60 && non_trees >= 30,
+        "{valid} {invalid} {non_trees}"
+    );
 }
