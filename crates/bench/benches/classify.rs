@@ -3,17 +3,17 @@
 //! The paper's implicit claim: GYO reduction decides tree-ness cheaply.
 //! Series: classification time vs. schema size for chains, stars, rings,
 //! cliques, grids, and random tree schemas, comparing the incremental GYO
-//! engine, the naive fixpoint engine, and the max-weight-spanning-tree
-//! method — plus the full-reduction engine comparison (naive join-all vs.
-//! per-call Yannakakis vs. the cached full-reducer engine).
+//! reduction, the naive fixpoint reduction, and the max-weight-spanning-tree
+//! method — plus the full-reduction comparison (the naive join-all engine
+//! vs. per-call Yannakakis vs. the cached plans of `TreeifyEngine`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gyo_bench::bench_rng;
 use gyo_core::reduce::{gyo_reduce_naive, is_tree_schema};
 use gyo_core::schema::qual::maximum_weight_join_tree;
 use gyo_core::{
-    reduce_via_treeification, solve_via_treeification, AttrSet, DbState, Engine, FullReducerEngine,
-    IncrementalEngine, NaiveEngine, TreeifyEngine,
+    full_reduce, reduce_via_treeification, solve_via_treeification, AttrSet, DbState, Engine,
+    NaiveEngine, TreeifyEngine,
 };
 use gyo_workloads::{
     aclique_n, aring_n, chain, family_state, grid, random_tree_schema, random_universal, star,
@@ -46,10 +46,10 @@ fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("classify/engines");
     for n in [8usize, 32, 128] {
         let d = chain(n);
-        group.bench_with_input(BenchmarkId::new("incremental", n), &d, |b, d| {
+        group.bench_with_input(BenchmarkId::new("gyo_reduce", n), &d, |b, d| {
             b.iter(|| black_box(gyo_core::gyo_reduce(d, &AttrSet::empty()).is_total()))
         });
-        group.bench_with_input(BenchmarkId::new("naive", n), &d, |b, d| {
+        group.bench_with_input(BenchmarkId::new("gyo_reduce_naive", n), &d, |b, d| {
             b.iter(|| black_box(gyo_reduce_naive(d, &AttrSet::empty()).is_total()))
         });
         group.bench_with_input(BenchmarkId::new("mst", n), &d, |b, d| {
@@ -59,14 +59,15 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full-reduction engines on noisy chain states: the naive engine pays a
-/// monolithic `⋈D` per call, the incremental engine re-derives the join
-/// tree per call, and the cached engine reuses the compiled semijoin plan.
+/// Full reduction on noisy chain states: the naive engine pays a monolithic
+/// `⋈D` per call, per-call Yannakakis (`full_reduce`, the
+/// `reduce_incremental` ids) re-derives the join tree per call, and the
+/// cached engine reuses the compiled semijoin plan.
 /// The acceptance target of this suite: `reduce_cached` beats
 /// `reduce_naive` by ≥10× at n = 128.
 fn bench_reduction_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("classify/engines");
-    let cached = FullReducerEngine::new();
+    let cached = TreeifyEngine::new();
     for n in [8usize, 32, 128] {
         let d = chain(n);
         let mut rng = bench_rng();
@@ -87,9 +88,7 @@ fn bench_reduction_engines(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("reduce_incremental", n),
             &state,
-            |b, state| {
-                b.iter(|| black_box(IncrementalEngine.reduce(&d, state).unwrap().rel(0).len()))
-            },
+            |b, state| b.iter(|| black_box(full_reduce(&d, state).unwrap().rel(0).len())),
         );
         group.bench_with_input(BenchmarkId::new("reduce_cached", n), &state, |b, state| {
             b.iter(|| black_box(cached.reduce(&d, state).unwrap().rel(0).len()))
@@ -104,15 +103,13 @@ fn bench_reduction_engines(c: &mut Criterion) {
         let state = family_state(&mut rng, &d, 256, 64, 32);
         assert_eq!(
             cached.reduce(&d, &state).expect("wide chain is a tree"),
-            IncrementalEngine.reduce(&d, &state).unwrap(),
+            full_reduce(&d, &state).unwrap(),
             "sanity"
         );
         group.bench_with_input(
             BenchmarkId::new("reduce_incremental_wide", n),
             &state,
-            |b, state| {
-                b.iter(|| black_box(IncrementalEngine.reduce(&d, state).unwrap().rel(0).len()))
-            },
+            |b, state| b.iter(|| black_box(full_reduce(&d, state).unwrap().rel(0).len())),
         );
         group.bench_with_input(
             BenchmarkId::new("reduce_cached_wide", n),
@@ -123,10 +120,10 @@ fn bench_reduction_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Treeification engines on the cyclic families (rings and grids): the
-/// per-call path (`solve_via_treeification` / `reduce_via_treeification` —
-/// GYO reduction, extended join tree, and every semijoin re-derived and
-/// re-materialized per call) against [`TreeifyEngine`], whose cached
+/// Treeification on the cyclic families (rings and grids): the per-call
+/// path (`solve_via_treeification` / `reduce_via_treeification` — the plan
+/// compiled and every semijoin re-materialized per call) against
+/// [`TreeifyEngine`], whose cached
 /// [`TreeifyPlan`] pays the schema-dependent work once and runs the
 /// selection-vector executor per call. Both paths share the one
 /// data-dependent cost — materializing `state(W)` — so the ratio isolates
@@ -205,7 +202,7 @@ fn bench_treeify_engines(c: &mut Criterion) {
 /// they are the acceptance family for storage-layout changes.
 fn bench_materialize(c: &mut Criterion) {
     let mut group = c.benchmark_group("classify/materialize");
-    let cached = FullReducerEngine::new();
+    let cached = TreeifyEngine::new();
     for n in [8usize, 32, 128] {
         let d = chain(n);
         let mut rng = bench_rng();

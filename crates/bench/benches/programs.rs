@@ -5,14 +5,13 @@
 //! blows up); the monolithic join catches up when everything matches
 //! (nothing to filter). The crossover moves with the value-domain size.
 //! The `cached_engine` series runs the same Yannakakis pipeline through
-//! [`FullReducerEngine`], whose compiled plan amortizes the per-call GYO
+//! [`TreeifyEngine`], whose cached plan amortizes the per-call GYO
 //! reduction and position derivations that `yannakakis` pays each time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gyo_bench::bench_rng;
 use gyo_core::prelude::*;
 use gyo_core::relation::{semijoin_program_with, ExecScratch, SemijoinStep};
-use gyo_core::{Engine, FullReducerEngine};
 use gyo_workloads::{chain, family_state, random_universal, tpch_like, wide_chain};
 use std::hint::black_box;
 use std::time::Duration;
@@ -26,7 +25,7 @@ fn bench_selectivity_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("programs/selectivity");
     let d = chain(8);
     let x = target(&d);
-    let engine = FullReducerEngine::new();
+    let engine = TreeifyEngine::new();
     // Small domains = dense joins (low selectivity); large domains =
     // selective joins.
     for domain in [600u64, 1200, 2400, 9600] {
@@ -62,7 +61,7 @@ fn bench_selectivity_sweep(c: &mut Criterion) {
 
 fn bench_size_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("programs/size");
-    let engine = FullReducerEngine::new();
+    let engine = TreeifyEngine::new();
     for n in [4usize, 8, 16] {
         let d = chain(n);
         let x = target(&d);
@@ -87,7 +86,7 @@ fn bench_size_sweep(c: &mut Criterion) {
 /// Monolithic join cost grows like m^5; the full reducer stays ~m^2.
 fn bench_dead_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("programs/dead_end");
-    let engine = FullReducerEngine::new();
+    let engine = TreeifyEngine::new();
     for m in [4u64, 8, 12] {
         let d = chain(5);
         let x = target(&d);
@@ -184,7 +183,7 @@ fn bench_columnar(c: &mut Criterion) {
     // Wide-arity full reduction: arity-6 chains with width-3 semijoin keys
     // (packed into one u128 per row, 42 bits per value), and the TPC-H-like
     // snowflake.
-    let cached = FullReducerEngine::new();
+    let cached = TreeifyEngine::new();
     for n in [8usize, 32] {
         let d = wide_chain(n, 6, 3);
         let mut rng = bench_rng();

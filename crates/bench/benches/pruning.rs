@@ -4,14 +4,13 @@
 //! (growing with tail length and data size); the CC-pruned program's cost
 //! is flat in the tail length. "The UR property is helpful to the extent
 //! that CC(D, X) is smaller than D." The `engine_tail` group replays the
-//! sweep on a tree family through the cached full-reducer engine: even a
+//! sweep on a tree family through `TreeifyEngine`'s cached plans: even a
 //! cached plan pays `2·(n−1)` semijoins for the unpruned chain, while the
 //! pruned plan's cost is flat — pruning and plan caching compose.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gyo_bench::{bench_rng, pruning_family, tree_pruning_family};
 use gyo_core::prelude::*;
-use gyo_core::{Engine, FullReducerEngine};
 use gyo_workloads::random_universal;
 use std::hint::black_box;
 use std::time::Duration;
@@ -43,7 +42,7 @@ fn bench_pruning_payoff(c: &mut Criterion) {
 
 fn bench_engine_tail(c: &mut Criterion) {
     let mut group = c.benchmark_group("pruning/engine_tail");
-    let engine = FullReducerEngine::new();
+    let engine = TreeifyEngine::new();
     for tail in [2usize, 8, 32] {
         let (d, x) = tree_pruning_family(tail);
         let mut rng = bench_rng();

@@ -17,7 +17,7 @@
 //! bench_compare --ratio FILE NUMERATOR_ID DENOMINATOR_ID [MIN]
 //!     Prints median(NUMERATOR_ID) / median(DENOMINATOR_ID) from one file;
 //!     with MIN, exits nonzero if the ratio falls below it. Used by CI to
-//!     assert the cached full-reducer engine's ≥10× win over the naive
+//!     assert the cached full-reducer plan's ≥10× win over the naive
 //!     engine stays real.
 //! ```
 //!

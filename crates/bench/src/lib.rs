@@ -61,8 +61,8 @@ pub fn pruning_family(tail: usize) -> (DbSchema, AttrSet) {
 /// queried at its head (`X = {A₀, A₂}`), so `CC(D, X)` keeps only the first
 /// two relations and the whole tail is irrelevant. Unlike
 /// [`pruning_family`], whose core is cyclic, every sub-schema here is a
-/// tree schema — so the full-reducer engine can answer both the pruned and
-/// the unpruned query, quantifying how CC pruning composes with plan
+/// tree schema — so both the pruned and the unpruned query run on a cached
+/// full-reducer plan, quantifying how CC pruning composes with plan
 /// caching.
 pub fn tree_pruning_family(tail: usize) -> (DbSchema, AttrSet) {
     (gyo_workloads::chain(2 + tail), AttrSet::from_raw(&[0, 2]))

@@ -24,8 +24,8 @@
 //! | lossless joins (§5, Thm 5.1, Cor. 5.2) | [`query`]: [`implies_lossless`] |
 //! | γ-acyclicity (§5.2, Thm 5.3) | [`gamma`]: [`is_gamma_acyclic`], [`find_weak_gamma_cycle`] |
 //! | programs, `P(D)` (§6) | [`query`]: [`Program`] |
-//! | full reducers, query engines (§4 "tree case") | [`query`]: [`Engine`], [`FullReducerEngine`], [`solve_tree_query`] |
-//! | cyclic schemas via treeification (§4, Cor. 3.2) | [`query`]: [`TreeifyEngine`], [`solve_via_treeification`] |
+//! | full reducers, tree queries (§4 "tree case") | [`query`]: [`full_reduce`], [`solve_tree_query`], [`FullReducerPlan`] |
+//! | query engines; cyclic schemas via treeification (§4, Thm 3.2(ii), Cor. 3.2) | [`query`]: [`Engine`], [`NaiveEngine`], [`TreeifyEngine`], [`solve_via_treeification`] |
 //! | cyclicity diagnostics (stuck GYO residue) | [`query`]: [`EngineError`] |
 //! | tree projections (§3.2, Thms 6.1–6.4) | [`treeproj`], [`query`]: [`solve_with_tree_projection`] |
 //! | relational algebra over UR databases | [`relation`]: [`Relation`], [`DbState`] |
@@ -67,10 +67,10 @@ pub use gyo_gamma::{
     AcyclicityReport, GammaCycle,
 };
 pub use gyo_query::{
-    implies_lossless, joins_only_solvable, prune_irrelevant, reduce_via_treeification,
-    solve_tree_query, solve_via_treeification, solve_with_tree_projection, standard_engines,
-    weakly_equivalent, Engine, EngineError, FullReducerEngine, FullReducerPlan, IncrementalEngine,
-    JoinQuery, NaiveEngine, Program, TreeifyEngine, TreeifyPlan,
+    full_reduce, implies_lossless, joins_only_solvable, prune_irrelevant, reduce_via_treeification,
+    solve_tree_query, solve_via_treeification, solve_with_tree_projection, weakly_equivalent,
+    Engine, EngineError, FullReducerPlan, JoinQuery, NaiveEngine, Program, TreeifyEngine,
+    TreeifyPlan,
 };
 pub use gyo_reduce::{
     aclique, aring, classify, find_cyclic_core, gr, gyo_reduce, is_subtree, is_tree_schema,
@@ -85,8 +85,8 @@ pub mod prelude {
     pub use gyo_gamma::{find_weak_gamma_cycle, is_gamma_acyclic};
     pub use gyo_query::{
         implies_lossless, joins_only_solvable, prune_irrelevant, solve_tree_query,
-        solve_via_treeification, weakly_equivalent, Engine, EngineError, FullReducerEngine,
-        IncrementalEngine, JoinQuery, NaiveEngine, Program, TreeifyEngine,
+        solve_via_treeification, weakly_equivalent, Engine, EngineError, JoinQuery, NaiveEngine,
+        Program, TreeifyEngine,
     };
     pub use gyo_reduce::{
         classify, find_cyclic_core, gr, gyo_reduce, is_subtree, is_tree_schema,

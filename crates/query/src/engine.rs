@@ -1,57 +1,45 @@
-//! Query/reduction engines behind one trait, and the cached full-reducer
-//! engine.
+//! Query/reduction engines behind one trait: the naive oracle, and the
+//! planned engine with its full-reducer plans.
 //!
-//! The paper's payoff for tree schemas is that a full reducer — `2·(n−1)`
-//! semijoins along a join tree — achieves global consistency, after which
-//! `(D, X)` is answered by joining up the tree with early projection
-//! (Bernstein–Chiu \[5\], Yannakakis \[18\]). This module promotes that
-//! pipeline from test support to a first-class [`Engine`], alongside the
-//! two reference paths it must agree with:
+//! A full reducer — `2·(n−1)` semijoins along a join tree — makes a tree
+//! schema's state globally consistent, after which `(D, X)` is answered by
+//! joining up the tree with early projection (Bernstein–Chiu \[5\],
+//! Yannakakis \[18\]); adding `W = U(GR(D))` extends that to every schema
+//! (Theorem 3.2(ii)). Two [`Engine`]s implement the trait, both **total**:
 //!
 //! * [`NaiveEngine`] — the definitional engine: materialize `⋈D`, project.
-//!   Works on *every* schema; serves as the ground truth and as the foil
-//!   the semijoin engines are measured against.
-//! * [`IncrementalEngine`] — the per-call Yannakakis path: re-derives the
-//!   join tree with the incremental GYO engine on every call, then runs the
-//!   full reducer. Correct, tree-only, no reuse across calls.
-//! * [`FullReducerEngine`] — the cached engine: compiles the join tree and
-//!   the semijoin program **once per schema** into a [`FullReducerPlan`]
-//!   (precompiled [`SemijoinStep`]s — shared attributes and column
-//!   positions resolved ahead of time), keyed by the schema's exact
-//!   relation-list identity, and reuses it across calls.
+//!   It is the ground truth and the foil the planned engine is measured
+//!   against.
+//! * [`TreeifyEngine`] — the planned engine. Its one cache maps a schema's
+//!   exact relation list to the plan one GYO reduction compiles (see
+//!   [`crate::treeify_engine`]). `reduce` and `answer` run one pipeline:
+//!   look the plan up once; copy the state, pushing `state(W)` when the
+//!   plan is cyclic; run the plan's semijoin steps on the selection-vector
+//!   executor ([`semijoin_program_with`]); finish by truncating back to
+//!   `D` (reduce), by projecting the reduced `W` when `X ⊆ W`, or by
+//!   joining up the plan's tree on the flat executor ([`join_up_with`]).
 //!
-//! A fourth engine lives in [`crate::treeify_engine`]:
-//! [`TreeifyEngine`](crate::TreeifyEngine), which delegates tree schemas
-//! to a [`FullReducerEngine`] and answers cyclic ones through a cached
-//! treeification plan — making the trait **total**. Declines carry an
-//! [`EngineError`] naming the stuck GYO residue, never a bare `None`.
-//!
-//! All four implement [`Engine`]; the repo-level differential suite
-//! (`tests/engine_differential.rs`) holds them to identical answers on
-//! every workload family.
-//!
-//! The two cached engines join up through `gyo-relation`'s flat executor
-//! ([`join_up_with`]: unsorted duplicate-free intermediates, bucket-chain
-//! builds, one normalization at the root), with its scratch held beside
-//! the semijoin [`ExecScratch`]. [`IncrementalEngine`] keeps the per-call
-//! operator-at-a-time join-up of [`solve_tree_query`], so the differential
-//! suite compares two independent join-up routes.
+//! The per-call, operator-at-a-time routes
+//! ([`full_reduce`](crate::full_reduce),
+//! [`solve_tree_query`](crate::solve_tree_query) and [`crate::treeify`]'s
+//! functions) are plain functions. The differential suite
+//! (`tests/engine_differential.rs`) holds them and both engines to
+//! identical answers. The tree-only routes decline a cyclic schema with an
+//! [`EngineError`] naming the stuck GYO residue.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
-use gyo_reduce::Reduction;
 use gyo_relation::{
     join_up_with, lock_cache, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
     SemijoinStep,
 };
-use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, JoinTree, QualGraph, RootedTree};
+use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, RootedTree};
 
 use crate::program::Program;
-use crate::yannakakis::{
-    compile_tree, full_reduce, full_reducer_program_on_tree, root_at_zero, solve_tree_query,
-};
+use crate::treeify_engine::{Plan, TreeifyPlan};
+use crate::yannakakis::full_reducer_program_on_tree;
 
 /// Why an engine (or any tree-only entry point of this crate) could not
 /// serve a schema or a query.
@@ -69,13 +57,13 @@ use crate::yannakakis::{
 /// `GR(D)` (every relation of which still overlaps its neighbors in a way
 /// neither GYO operation can break) and the original indices of the
 /// surviving relations, so callers can show *which* cycle blocked the
-/// semijoin engines — and so [`TreeifyEngine`](crate::TreeifyEngine) can
-/// treeify exactly that residue without re-running the reduction.
+/// tree-only paths — and the residue is exactly what [`TreeifyEngine`]
+/// treeifies.
 ///
 /// ```
-/// use gyo_schema::{AttrSet, Catalog, DbSchema};
+/// use gyo_schema::{Catalog, DbSchema};
 /// use gyo_relation::DbState;
-/// use gyo_query::{Engine, EngineError, FullReducerEngine};
+/// use gyo_query::full_reduce;
 ///
 /// let mut cat = Catalog::alphabetic();
 /// // A 3-ring with a pendant: GYO strips the pendant, the ring remains.
@@ -83,7 +71,7 @@ use crate::yannakakis::{
 /// let state = DbState::new(&d, d.iter().map(|r| {
 ///     gyo_relation::Relation::empty(r.clone())
 /// }).collect());
-/// let err = FullReducerEngine::new().reduce(&d, &state).unwrap_err();
+/// let err = full_reduce(&d, &state).unwrap_err();
 /// assert_eq!(err.residue().unwrap().to_notation(&cat), "(ab, bc, ac)");
 /// assert_eq!(err.survivors(), Some(&[0, 1, 2][..]), "the pendant ax was reduced away");
 /// assert!(err.to_string().contains("cyclic"));
@@ -117,19 +105,6 @@ pub enum EngineError {
 }
 
 impl EngineError {
-    /// Builds the cyclic-schema error from a stuck reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `red` is total (a total reduction is not an error).
-    pub fn cyclic(red: &Reduction) -> Self {
-        assert!(!red.is_total(), "total GYO reductions are not errors");
-        EngineError::Cyclic {
-            residue: red.result.clone(),
-            survivors: red.survivors.clone(),
-        }
-    }
-
     /// [`EngineError::TargetOutsideSchema`] when `x ⊄ U(D)`.
     pub(crate) fn check_target(d: &DbSchema, x: &AttrSet) -> Result<(), EngineError> {
         let stray = x.difference(&d.attributes());
@@ -220,39 +195,12 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// A cyclic verdict as the plan cache keeps it: the stuck residue and its
-/// survivors, plus the `(removed, witness)` edges of the reduction's subset
-/// eliminations. The edges let [`TreeifyPlan`](crate::TreeifyPlan) build
-/// the join tree of `D ∪ (W)` without reducing again.
-#[derive(Debug)]
-pub(crate) struct CyclicVerdict {
-    pub(crate) residue: DbSchema,
-    pub(crate) survivors: Vec<usize>,
-    pub(crate) edges: Vec<(usize, usize)>,
-}
-
-impl CyclicVerdict {
-    /// The verdict as the public diagnostic.
-    pub(crate) fn error(&self) -> EngineError {
-        EngineError::Cyclic {
-            residue: self.residue.clone(),
-            survivors: self.survivors.clone(),
-        }
-    }
-}
-
-/// A compile outcome as the plan cache keeps it.
-pub(crate) type Compiled = Result<Arc<FullReducerPlan>, Arc<CyclicVerdict>>;
-
 /// A query/reduction engine: one strategy for making states globally
 /// consistent and answering natural-join queries `(D, X)`.
 ///
-/// An `Err` means the engine does not support the schema, or the query is
-/// malformed, and says why: the semijoin engines are tree-only (full
-/// reducers do not exist for cyclic schemas), so they return
-/// [`EngineError::Cyclic`] with the stuck residue attached. [`NaiveEngine`]
-/// and [`TreeifyEngine`](crate::TreeifyEngine) are **total** over schemas —
-/// they never decline one. Every engine's `answer` returns
+/// Both engines, [`NaiveEngine`] and [`TreeifyEngine`], are **total** over
+/// schemas — they never decline one, so an `Err` means the call is
+/// malformed, and says why. Every engine's `answer` returns
 /// [`EngineError::TargetOutsideSchema`] for a target `X ⊄ U(D)`, and both
 /// methods return [`EngineError::StateMismatch`] for a state that was not
 /// built for `d` (checked once, before any plan work).
@@ -305,30 +253,6 @@ impl Engine for NaiveEngine {
     }
 }
 
-/// The per-call Yannakakis engine: re-runs the incremental GYO reduction to
-/// rebuild the join tree on every call, then full-reduces and answers along
-/// it. Tree schemas only; nothing is cached between calls — this is the
-/// baseline that quantifies what [`FullReducerEngine`]'s plan cache buys.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IncrementalEngine;
-
-impl Engine for IncrementalEngine {
-    fn name(&self) -> &'static str {
-        "incremental"
-    }
-
-    fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
-        EngineError::check_state(d, state)?;
-        full_reduce(d, state)
-    }
-
-    fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
-        EngineError::check_target(d, x)?;
-        EngineError::check_state(d, state)?;
-        solve_tree_query(d, state, x)
-    }
-}
-
 /// A compiled full-reducer plan for one tree schema: the rooted join tree
 /// plus the `2·(n−1)` precompiled semijoin steps.
 #[derive(Clone, Debug)]
@@ -338,28 +262,18 @@ pub struct FullReducerPlan {
 }
 
 impl FullReducerPlan {
-    /// Compiles the plan for `d` from one GYO reduction; the cyclic
-    /// verdict, with the reduction's subset-elimination edges, when `d` is
-    /// cyclic.
-    fn compile(d: &DbSchema) -> Result<Self, CyclicVerdict> {
-        compile_tree(d).map(|rooted| Self::on_tree(d, rooted))
-    }
-
     /// The plan along an already-rooted join tree of `d`.
-    fn on_tree(d: &DbSchema, rooted: RootedTree) -> Self {
-        let mut steps = Vec::new();
-        if d.len() > 1 {
-            let schemas = d.rels();
-            steps.reserve_exact(2 * (d.len() - 1));
-            for &v in &rooted.post_order {
-                if v != rooted.root {
-                    steps.push(SemijoinStep::new(schemas, rooted.parent[v], v));
-                }
+    pub(crate) fn on_tree(d: &DbSchema, rooted: RootedTree) -> Self {
+        let schemas = d.rels();
+        let mut steps = Vec::with_capacity(2 * d.len().saturating_sub(1));
+        for &v in &rooted.post_order {
+            if v != rooted.root {
+                steps.push(SemijoinStep::new(schemas, rooted.parent[v], v));
             }
-            for &v in rooted.post_order.iter().rev() {
-                if v != rooted.root {
-                    steps.push(SemijoinStep::new(schemas, v, rooted.parent[v]));
-                }
+        }
+        for &v in rooted.post_order.iter().rev() {
+            if v != rooted.root {
+                steps.push(SemijoinStep::new(schemas, v, rooted.parent[v]));
             }
         }
         Self { rooted, steps }
@@ -410,22 +324,20 @@ fn try_lock_scratch<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     }
 }
 
-/// The cached Yannakakis engine: full-reducer plans compiled once per
-/// schema and reused across calls.
+/// The planned engine: **total** over all schemas, one plan per schema.
 ///
 /// The cache key is the schema's **exact relation list** (order and
 /// multiplicity included), not [`DbSchema`]'s multiset equality — a plan's
 /// step indices refer to relation positions, so two multiset-equal schemas
 /// with different relation orders get distinct plans. Any change to the
 /// schema therefore misses the cache and compiles afresh; stale plans are
-/// unreachable by construction. Cyclic outcomes are cached too — with the
-/// full [`EngineError`] diagnostic (the stuck residue and its survivor
-/// indices) — so repeatedly querying a cyclic schema costs one lookup, not
-/// one GYO reduction per call, and every repeat reports *which* cycle
-/// blocked it.
+/// unreachable by construction. A warm call costs one lookup (one lock,
+/// one hash of the relation list) for tree and cyclic schemas alike. See
+/// the [module docs](self) for the pipeline, and [`crate::treeify_engine`]
+/// for the plans and their correctness argument.
 #[derive(Debug, Default)]
-pub struct FullReducerEngine {
-    plans: Mutex<FxHashMap<Vec<AttrSet>, Compiled>>,
+pub struct TreeifyEngine {
+    plans: Mutex<FxHashMap<Vec<AttrSet>, Plan>>,
     /// Reusable selection-vector execution state: after the first reduction
     /// at a given shape, program steps run with zero heap allocation (the
     /// `crates/relation/tests/alloc.rs` counter pins this down). Contended
@@ -440,65 +352,59 @@ pub struct FullReducerEngine {
     misses: AtomicU64,
 }
 
-impl FullReducerEngine {
+impl TreeifyEngine {
     /// A fresh engine with an empty plan cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The cached plan for `d`, compiling on first sight.
-    /// [`EngineError::Cyclic`] when `d` is cyclic — this negative outcome
-    /// is cached as well, diagnostic included.
-    pub fn plan(&self, d: &DbSchema) -> Result<Arc<FullReducerPlan>, EngineError> {
-        self.compiled(d).map_err(|verdict| verdict.error())
+    /// The engine itself. Kept so that callers written against the former
+    /// split into an outer engine and an inner full-reducer engine (the
+    /// `perfbench` harness calls `inner().plan(d)` and
+    /// `inner().cached_plan_count()`) still compile unchanged.
+    #[doc(hidden)]
+    pub fn inner(&self) -> &Self {
+        self
     }
 
-    /// [`plan`](Self::plan) with the cyclic verdict as cached, trace edges
-    /// included.
-    pub(crate) fn compiled(&self, d: &DbSchema) -> Compiled {
-        if let Some(cached) = lock_cache(&self.plans).get(d.rels()) {
+    /// The cached plan for `d`, compiled on first sight.
+    fn lookup(&self, d: &DbSchema) -> Plan {
+        if let Some(plan) = lock_cache(&self.plans).get(d.rels()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return cached.clone();
+            return plan.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = FullReducerPlan::compile(d).map(Arc::new).map_err(Arc::new);
-        lock_cache(&self.plans).insert(d.rels().to_vec(), compiled.clone());
-        compiled
+        let plan = Plan::compile(d);
+        lock_cache(&self.plans).insert(d.rels().to_vec(), plan.clone());
+        plan
     }
 
-    /// The cyclic verdict for `d` — read from the cache without counting a
-    /// lookup, compiled on a miss; `None` when `d` is a tree schema.
-    pub(crate) fn cyclic_verdict(&self, d: &DbSchema) -> Option<Arc<CyclicVerdict>> {
-        let cached = lock_cache(&self.plans).get(d.rels()).cloned();
-        cached.unwrap_or_else(|| self.compiled(d)).err()
+    /// The cached full-reducer plan of the tree schema `d`, compiled on
+    /// first sight; [`EngineError::Cyclic`] with the stuck residue when `d`
+    /// is cyclic (its treeified plan is cached all the same).
+    pub fn plan(&self, d: &DbSchema) -> Result<Arc<FullReducerPlan>, EngineError> {
+        match self.lookup(d) {
+            Plan::Tree(plan) => Ok(plan),
+            Plan::Cyclic(plan) => Err(plan.error()),
+        }
     }
 
-    /// The cached plan for the tree schema `d`, or on a miss the plan along
-    /// the join tree that `edges` spell, for callers that know a join tree
-    /// without reducing `d`. The edges pass [`JoinTree::try_new`]'s hard
-    /// check first.
+    /// The cached treeify plan of the cyclic schema `d`, compiled on first
+    /// sight. `err` is the verdict [`plan`](Self::plan) returned for `d`.
     ///
     /// # Panics
     ///
-    /// Panics if `edges` are not a join tree of `d`, or `d` holds a cached
-    /// cyclic verdict.
-    pub(crate) fn plan_on_tree(
-        &self,
-        d: &DbSchema,
-        edges: impl IntoIterator<Item = (usize, usize)>,
-    ) -> Arc<FullReducerPlan> {
-        if let Some(cached) = lock_cache(&self.plans).get(d.rels()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return cached
-                .clone()
-                .expect("a schema with a join tree is not cyclic");
+    /// Panics if `err` is not [`EngineError::Cyclic`] or `d` is a tree
+    /// schema.
+    pub fn treeified_plan(&self, d: &DbSchema, err: &EngineError) -> Arc<TreeifyPlan> {
+        assert!(
+            err.residue().is_some(),
+            "treeification needs a cyclic verdict, got: {err}"
+        );
+        match self.lookup(d) {
+            Plan::Cyclic(plan) => plan,
+            Plan::Tree(_) => panic!("treeification needs a cyclic schema"),
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let tree = JoinTree::try_new(QualGraph::new(d.len(), edges), d)
-            .expect("the edges are a join tree of the schema");
-        let plan = Arc::new(FullReducerPlan::on_tree(d, root_at_zero(d, &tree)));
-        lock_cache(&self.plans).insert(d.rels().to_vec(), Ok(plan.clone()));
-        plan
     }
 
     /// Drops every cached plan (the cache never *needs* manual
@@ -508,123 +414,91 @@ impl FullReducerEngine {
         lock_cache(&self.plans).clear();
     }
 
-    /// Number of schemas with a cached outcome (including cached cyclic
-    /// verdicts).
+    /// Number of schemas with a cached plan, tree and cyclic alike.
     pub fn cached_plan_count(&self) -> usize {
         lock_cache(&self.plans).len()
     }
 
+    /// Number of cyclic schemas with a cached treeify plan.
+    pub fn cached_treeified_count(&self) -> usize {
+        lock_cache(&self.plans)
+            .values()
+            .filter(|plan| matches!(plan, Plan::Cyclic(_)))
+            .count()
+    }
+
     /// `(hits, misses)` of the plan cache since construction.
-    #[cfg(test)]
-    pub(crate) fn cache_stats(&self) -> (u64, u64) {
+    pub fn cache_stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
     }
 
-    /// Runs a compiled semijoin program over `rels` through the engine's
-    /// reusable selection-vector scratch (falling back to a per-call
-    /// scratch under contention). Shared by the full-reducer path and the
-    /// treeify engine's extended-schema path.
-    pub(crate) fn run_steps(&self, rels: &mut [Relation], steps: &[SemijoinStep]) {
+    /// Copies the state (pushing `state(W)` for a cyclic plan) and runs the
+    /// plan's semijoin steps through the engine's reusable scratch (a
+    /// per-call scratch under contention). Returns the reduced relations,
+    /// `D`'s first and `W` last.
+    fn reduced(&self, plan: &Plan, state: &DbState) -> Vec<Relation> {
+        let mut rels = state.rels().to_vec();
+        if let Plan::Cyclic(treeify) = plan {
+            rels.push(treeify.materialize_w(state));
+        }
+        let steps = plan.tree().steps();
         match try_lock_scratch(&self.scratch) {
-            Some(mut scratch) => semijoin_program_with(rels, steps, &mut scratch),
+            Some(mut scratch) => semijoin_program_with(&mut rels, steps, &mut scratch),
             // Another thread is mid-reduction on this engine: run with a
             // fresh scratch instead of serializing behind the lock.
-            None => semijoin_program_with(rels, steps, &mut ExecScratch::new()),
+            None => semijoin_program_with(&mut rels, steps, &mut ExecScratch::new()),
         }
-    }
-
-    /// Joins fully reduced relations up `rooted` and projects onto `x`
-    /// through the flat executor ([`join_up_with`]) and the engine's
-    /// reusable join-up scratch (a per-call scratch under contention).
-    /// Shared by the tree answer path and the treeify engine's `X ⊄ W`
-    /// path.
-    pub(crate) fn join_up(&self, rels: &[Relation], rooted: &RootedTree, x: &AttrSet) -> Relation {
-        match try_lock_scratch(&self.joinup) {
-            Some(mut scratch) => join_up_with(rels, rooted, x, &mut scratch),
-            None => join_up_with(rels, rooted, x, &mut JoinUpScratch::new()),
-        }
-    }
-
-    pub(crate) fn reduce_with_plan(
-        &self,
-        d: &DbSchema,
-        state: &DbState,
-        plan: &FullReducerPlan,
-    ) -> DbState {
-        let mut rels = state.rels().to_vec();
-        self.run_steps(&mut rels, plan.steps());
-        DbState::new(d, rels)
-    }
-
-    /// The full answer pipeline over an already-compiled plan: reduce, then
-    /// join up the tree with early projection through the flat executor.
-    /// Shared by [`Engine::answer`] and the treeify engine's delegation
-    /// path.
-    pub(crate) fn answer_with_plan(
-        &self,
-        d: &DbSchema,
-        state: &DbState,
-        x: &AttrSet,
-        plan: &FullReducerPlan,
-    ) -> Relation {
-        if d.is_empty() {
-            return if x.is_empty() {
-                Relation::identity()
-            } else {
-                Relation::empty(x.clone())
-            };
-        }
-        let mut rels = state.rels().to_vec();
-        self.run_steps(&mut rels, plan.steps());
-        self.join_up(&rels, plan.rooted(), x)
+        rels
     }
 }
 
-impl Engine for FullReducerEngine {
+impl Engine for TreeifyEngine {
     fn name(&self) -> &'static str {
-        "full_reducer_cached"
+        "treeify"
     }
 
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
         EngineError::check_state(d, state)?;
-        let plan = self.plan(d)?;
-        Ok(self.reduce_with_plan(d, state, &plan))
+        let mut rels = self.reduced(&self.lookup(d), state);
+        rels.truncate(d.len());
+        Ok(DbState::new(d, rels))
     }
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
         EngineError::check_target(d, x)?;
         EngineError::check_state(d, state)?;
-        let plan = self.plan(d)?;
-        Ok(self.answer_with_plan(d, state, x, &plan))
+        let plan = self.lookup(d);
+        let rels = self.reduced(&plan, state);
+        if let Plan::Cyclic(treeify) = &plan {
+            // After full reduction the W slot holds π_W(⋈D); when the
+            // target fits inside W, one projection finishes the query.
+            if x.is_subset(treeify.w()) {
+                return Ok(rels.last().expect("W is the last relation").project(x));
+            }
+        }
+        let rooted = plan.tree().rooted();
+        Ok(match try_lock_scratch(&self.joinup) {
+            Some(mut scratch) => join_up_with(&rels, rooted, x, &mut scratch),
+            None => join_up_with(&rels, rooted, x, &mut JoinUpScratch::new()),
+        })
     }
-}
-
-/// The four standard engines, boxed for differential harnesses: the three
-/// tree-path strategies plus the treeification-backed total engine.
-pub fn standard_engines() -> Vec<Box<dyn Engine + Send + Sync>> {
-    vec![
-        Box::new(NaiveEngine),
-        Box::new(IncrementalEngine),
-        Box::new(FullReducerEngine::new()),
-        Box::new(crate::TreeifyEngine::new()),
-    ]
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use gyo_schema::Catalog;
+    use crate::{full_reduce, solve_tree_query};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn db(s: &str, cat: &mut Catalog) -> DbSchema {
+    pub(crate) fn db(s: &str, cat: &mut Catalog) -> DbSchema {
         DbSchema::parse(s, cat).unwrap()
     }
 
-    fn random_state(d: &DbSchema, seed: u64, rows: usize, domain: u64) -> DbState {
+    pub(crate) fn random_state(d: &DbSchema, seed: u64, rows: usize, domain: u64) -> DbState {
         let mut rng = StdRng::seed_from_u64(seed);
         let i = gyo_workloads::random_universal(&mut rng, &d.attributes(), rows, domain);
         DbState::from_universal(&i, d)
@@ -633,7 +507,7 @@ mod tests {
     #[test]
     fn engines_agree_on_tree_schemas() {
         let mut cat = Catalog::alphabetic();
-        let cached = FullReducerEngine::new();
+        let cached = TreeifyEngine::new();
         for s in ["ab, bc, cd", "abc, cde, ace, afe", "ab, cd", "abc"] {
             let d = db(s, &mut cat);
             let state = random_state(&d, 0xE1, 25, 4);
@@ -641,30 +515,29 @@ mod tests {
                 d.attributes().iter().next().unwrap(),
                 d.attributes().iter().last().unwrap(),
             ]);
-            let naive = NaiveEngine;
-            let incr = IncrementalEngine;
-            let n_red = naive.reduce(&d, &state).unwrap();
-            assert_eq!(incr.reduce(&d, &state).unwrap(), n_red, "{s}");
+            let n_red = NaiveEngine.reduce(&d, &state).unwrap();
+            assert_eq!(full_reduce(&d, &state).unwrap(), n_red, "{s}");
             assert_eq!(cached.reduce(&d, &state).unwrap(), n_red, "{s}");
-            let n_ans = naive.answer(&d, &state, &x).unwrap();
-            assert_eq!(incr.answer(&d, &state, &x).unwrap(), n_ans, "{s}");
+            let n_ans = NaiveEngine.answer(&d, &state, &x).unwrap();
+            assert_eq!(solve_tree_query(&d, &state, &x).unwrap(), n_ans, "{s}");
             assert_eq!(cached.answer(&d, &state, &x).unwrap(), n_ans, "{s}");
         }
     }
 
     #[test]
     fn semijoin_engines_decline_cyclic_schemas_with_diagnostics() {
+        // The tree-only paths: the per-call solvers, and the engine's
+        // full-reducer plan lookup.
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, ca", &mut cat);
         let state = random_state(&d, 7, 10, 3);
         let x = AttrSet::parse("ab", &mut cat).unwrap();
-        let err = IncrementalEngine.reduce(&d, &state).unwrap_err();
+        let err = full_reduce(&d, &state).unwrap_err();
         // The triangle is its own residue: nothing reduces.
         assert_eq!(err.residue(), Some(&d));
         assert_eq!(err.survivors(), Some(&[0, 1, 2][..]));
-        let cached = FullReducerEngine::new();
-        assert_eq!(cached.reduce(&d, &state).unwrap_err(), err);
-        assert_eq!(cached.answer(&d, &state, &x).unwrap_err(), err);
+        assert_eq!(solve_tree_query(&d, &state, &x).unwrap_err(), err);
+        assert_eq!(TreeifyEngine::new().plan(&d).unwrap_err(), err);
         assert!(NaiveEngine.reduce(&d, &state).is_ok(), "naive always works");
         assert_eq!(
             err.display_with(&cat),
@@ -678,8 +551,7 @@ mod tests {
         // at the surviving ring, not the whole schema.
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd, da, ax, cy", &mut cat);
-        let state = random_state(&d, 8, 5, 3);
-        let err = FullReducerEngine::new().reduce(&d, &state).unwrap_err();
+        let err = TreeifyEngine::new().plan(&d).unwrap_err();
         assert_eq!(
             err.survivors(),
             Some(&[0, 1, 2, 3][..]),
@@ -691,23 +563,30 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_and_misses() {
+        // Tree schemas; `treeified_plan_cache_hits_and_misses` covers the
+        // cyclic ones, which share the same cache and counters.
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd", &mut cat);
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         assert_eq!(e.cache_stats(), (0, 0));
         assert!(e.plan(&d).is_ok());
         assert_eq!(e.cache_stats(), (0, 1), "first sight compiles");
         assert!(e.plan(&d).is_ok());
         assert!(e.plan(&d.clone()).is_ok());
         assert_eq!(e.cache_stats(), (2, 1), "repeats hit");
-        assert_eq!(e.cached_plan_count(), 1);
+        let state = random_state(&d, 5, 15, 3);
+        e.reduce(&d, &state).unwrap();
+        e.answer(&d, &state, &AttrSet::parse("ad", &mut cat).unwrap())
+            .unwrap();
+        assert_eq!(e.cache_stats(), (4, 1), "reduce and answer hit too");
+        assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (1, 0));
     }
 
     #[test]
     fn cyclic_outcome_is_cached_too() {
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, ca", &mut cat);
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         let first = e.plan(&d).unwrap_err();
         let second = e.plan(&d).unwrap_err();
         assert_eq!(first, second, "cached verdicts keep the diagnostic");
@@ -717,10 +596,38 @@ mod tests {
     }
 
     #[test]
+    fn a_cyclic_schema_and_its_extension_get_their_own_entries() {
+        // `D ∪ (W)` spelled out as a schema of its own is a tree schema. It
+        // is compiled and cached apart from the cyclic `D`, whose plan runs
+        // over the same relation list.
+        let mut cat = Catalog::alphabetic();
+        let e = TreeifyEngine::new();
+        let ring = db("ab, bc, cd, da, ax", &mut cat);
+        let err = e.plan(&ring).unwrap_err();
+        let extended = e.treeified_plan(&ring, &err).extended().clone();
+        assert_eq!(e.cached_plan_count(), 1, "the extension takes no entry");
+        assert!(e.plan(&extended).is_ok(), "D ∪ (W) is a tree schema");
+        assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (2, 1));
+        let x = AttrSet::parse("cx", &mut cat).unwrap();
+        for (d, seed) in [(&ring, 0xE7), (&extended, 0xE8), (&ring, 0xE9)] {
+            let state = random_state(d, seed, 25, 3);
+            assert_eq!(
+                e.reduce(d, &state).unwrap(),
+                NaiveEngine.reduce(d, &state).unwrap()
+            );
+            assert_eq!(
+                e.answer(d, &state, &x).unwrap(),
+                NaiveEngine.answer(d, &state, &x).unwrap()
+            );
+        }
+        assert_eq!(e.cached_plan_count(), 2);
+    }
+
+    #[test]
     fn schema_change_misses_the_cache() {
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc", &mut cat);
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         assert!(e.plan(&d).is_ok());
         let mut grown = d.clone();
         grown.push(AttrSet::parse("cd", &mut cat).unwrap());
@@ -742,7 +649,7 @@ mod tests {
         let d1 = db("ab, bc, cd", &mut cat);
         let d2 = db("cd, bc, ab", &mut cat);
         assert!(d1 == d2, "precondition: multiset-equal");
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         assert!(e.plan(&d1).is_ok());
         assert!(e.plan(&d2).is_ok());
         assert_eq!(
@@ -763,8 +670,7 @@ mod tests {
     fn cached_plan_has_2n_minus_2_steps_and_matches_program() {
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd, de", &mut cat);
-        let e = FullReducerEngine::new();
-        let plan = e.plan(&d).unwrap();
+        let plan = TreeifyEngine::new().plan(&d).unwrap();
         assert_eq!(plan.steps().len(), 2 * (4 - 1));
         assert_eq!(plan.program(&d).len(), 2 * (4 - 1));
         assert_eq!(
@@ -776,7 +682,7 @@ mod tests {
     #[test]
     fn single_and_empty_schemas() {
         let mut cat = Catalog::alphabetic();
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         let d1 = db("abc", &mut cat);
         let state = random_state(&d1, 3, 8, 3);
         let x = AttrSet::parse("ac", &mut cat).unwrap();
@@ -791,6 +697,37 @@ mod tests {
             Relation::identity()
         );
         assert!(e.reduce(&d0, &empty_state).unwrap().is_empty());
+    }
+
+    /// Poisons `e`'s plan cache lock by panicking while holding it.
+    pub(crate) fn poison_plan_cache(e: &TreeifyEngine) {
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = e.plans.lock().unwrap();
+                panic!("poison the plan cache");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && e.plans.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_plan_cache_lock_recovers() {
+        // A tree schema; `a_poisoned_treeified_cache_lock_recovers` covers a
+        // cyclic one.
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd", &mut cat);
+        let state = random_state(&d, 0x90, 20, 3);
+        let x = AttrSet::parse("ad", &mut cat).unwrap();
+        let e = TreeifyEngine::new();
+        let want = e.answer(&d, &state, &x).unwrap();
+        poison_plan_cache(&e);
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "cached plan");
+        assert_eq!(e.cached_plan_count(), 1);
+        e.clear_cache();
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "recompiled plan");
+        assert_eq!(e.cache_stats(), (1, 2));
     }
 
     /// `(D, X)` over `ab, bc` with `X = {a, z}`: `z` is in no relation.
@@ -811,14 +748,15 @@ mod tests {
 
     #[test]
     fn incremental_engine_rejects_a_target_outside_the_schema() {
+        // The per-call Yannakakis path, called directly.
         let (d, state, x, want) = stray_target_case();
-        assert_eq!(IncrementalEngine.answer(&d, &state, &x).unwrap_err(), want);
+        assert_eq!(solve_tree_query(&d, &state, &x).unwrap_err(), want);
     }
 
     #[test]
     fn cached_engine_rejects_a_target_outside_the_schema() {
         let (d, state, x, want) = stray_target_case();
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         let err = e.answer(&d, &state, &x).unwrap_err();
         assert_eq!(err, want);
         assert_eq!(err.residue(), None, "not a cyclicity verdict");
@@ -835,6 +773,7 @@ mod tests {
             err.display_with(&cat),
             "query target is not a subset of U(D): z not in the schema"
         );
+        assert_eq!(e.cache_stats(), (0, 0), "no lookup for a stray target");
     }
 
     /// `ab, bc` with a state built for `ab, cd` (relation 1 differs) and
@@ -875,12 +814,20 @@ mod tests {
 
     #[test]
     fn incremental_engine_rejects_a_state_for_another_schema() {
-        assert_state_mismatch(&IncrementalEngine);
+        // The per-call Yannakakis path, called directly.
+        let (d, x, states) = mismatched_states();
+        for (state, index) in states {
+            let want = EngineError::StateMismatch { index };
+            let err = full_reduce(&d, &state).unwrap_err();
+            assert_eq!(err, want, "full_reduce");
+            assert_eq!((err.residue(), err.survivors()), (None, None));
+            assert_eq!(solve_tree_query(&d, &state, &x).unwrap_err(), want);
+        }
     }
 
     #[test]
     fn cached_engine_rejects_a_state_for_another_schema() {
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         assert_state_mismatch(&e);
         assert_eq!(e.cached_plan_count(), 0, "checked before any plan work");
         let err = EngineError::StateMismatch { index: 1 };
@@ -891,36 +838,12 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_plan_cache_lock_recovers() {
-        let mut cat = Catalog::alphabetic();
-        let d = db("ab, bc, cd", &mut cat);
-        let state = random_state(&d, 0x90, 20, 3);
-        let x = AttrSet::parse("ad", &mut cat).unwrap();
-        let e = FullReducerEngine::new();
-        let want = e.answer(&d, &state, &x).unwrap();
-        let panicked = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = e.plans.lock().unwrap();
-                panic!("poison the plan cache");
-            })
-            .join()
-            .is_err()
-        });
-        assert!(panicked && e.plans.is_poisoned());
-        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "cached plan");
-        assert_eq!(e.cached_plan_count(), 1);
-        e.clear_cache();
-        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "recompiled plan");
-        assert_eq!(e.cache_stats(), (1, 2));
-    }
-
-    #[test]
     fn poisoned_scratch_locks_recover() {
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd", &mut cat);
         let state = random_state(&d, 0x92, 30, 3);
         let x = AttrSet::parse("ad", &mut cat).unwrap();
-        let e = FullReducerEngine::new();
+        let e = TreeifyEngine::new();
         let want = e.answer(&d, &state, &x).unwrap();
         // Another schema's data, so each scratch is left mid-use with
         // state that does not fit the next call.
@@ -955,14 +878,5 @@ mod tests {
         );
         assert!(!e.joinup.is_poisoned(), "the join-up scratch is recovered");
         assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
-    }
-
-    #[test]
-    fn standard_engines_cover_the_four_paths() {
-        let names: Vec<&str> = standard_engines().iter().map(|e| e.name()).collect();
-        assert_eq!(
-            names,
-            ["naive", "incremental", "full_reducer_cached", "treeify"]
-        );
     }
 }

@@ -13,16 +13,16 @@
 //!   schema mapping `P(D)`, execution, and empirical solvability checking;
 //! * [`yannakakis`] — the full reducer and the tree-query solver that §4's
 //!   "tree case" alludes to (semijoin programs à la Bernstein–Chiu);
-//! * [`engine`] — the [`Engine`] trait over the naive, per-call-Yannakakis,
-//!   and cached full-reducer evaluation strategies, with a schema-keyed
-//!   plan cache ([`FullReducerEngine`]) and the [`EngineError`] cyclicity
-//!   diagnostic every decline path carries;
-//! * [`treeify`] — §4's strategy for cyclic schemas: materialize
+//! * [`engine`] — the [`Engine`] trait over the definitional
+//!   [`NaiveEngine`] and the planned, **total** [`TreeifyEngine`] (one
+//!   plan cache for every schema), the compiled [`FullReducerPlan`], and
+//!   the [`EngineError`] diagnostics (the cyclicity one names the stuck GYO
+//!   residue);
+//! * [`treeify`] — §4's strategy for cyclic schemas, per call: materialize
 //!   `U(GR(D))` (Corollary 3.2), then solve on the resulting tree schema;
-//! * [`treeify_engine`] — the cached, **total** version of that strategy:
-//!   [`TreeifyEngine`] answers every schema, delegating tree schemas to
-//!   the full-reducer engine and running cyclic ones over a cached
-//!   [`TreeifyPlan`];
+//! * [`treeify_engine`] — the plan one GYO reduction compiles for any
+//!   schema: a [`FullReducerPlan`] for a tree schema, a [`TreeifyPlan`]
+//!   over `D ∪ (W)` for a cyclic one;
 //! * [`tp_solve`] — the Theorem 6.1/6.2 construction: augment a program
 //!   holding a tree projection with ≤ 2·|D″| semijoins to solve `(D, X)`.
 
@@ -41,10 +41,7 @@ pub mod ujr;
 pub mod ur_transform;
 pub mod yannakakis;
 
-pub use engine::{
-    standard_engines, Engine, EngineError, FullReducerEngine, FullReducerPlan, IncrementalEngine,
-    NaiveEngine,
-};
+pub use engine::{Engine, EngineError, FullReducerPlan, NaiveEngine, TreeifyEngine};
 pub use equiv::{
     joins_only_solvable, prune_irrelevant, weakly_contained_semantic, weakly_equivalent,
     weakly_equivalent_semantic, PrunedQuery,
@@ -55,7 +52,7 @@ pub use program::{Program, RelRef, Statement, StatementStats};
 pub use query::JoinQuery;
 pub use tp_solve::solve_with_tree_projection;
 pub use treeify::{reduce_via_treeification, solve_via_treeification};
-pub use treeify_engine::{TreeifyEngine, TreeifyPlan};
+pub use treeify_engine::TreeifyPlan;
 pub use ujr::{check_ujr, is_ujr, minimum_qual_graphs, UjrViolation};
 pub use ur_transform::{is_ur_state, to_ur_state};
 pub use yannakakis::{full_reduce, full_reducer_program, solve_tree_query};

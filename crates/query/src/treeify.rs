@@ -11,13 +11,16 @@
 //!
 //! The functions here — [`solve_via_treeification`] for answers,
 //! [`reduce_via_treeification`] for full reductions — are deliberately
-//! **per-call**: every invocation re-runs the GYO reduction, re-derives
-//! the extended schema's join tree, and re-materializes each semijoin.
-//! They are the reference implementations (and benchmark foils) for
-//! [`TreeifyEngine`](crate::TreeifyEngine), which compiles all of the
-//! data-independent work into a cached [`TreeifyPlan`](crate::TreeifyPlan)
-//! once per schema; the `classify/engines/treeify_*` bench family measures
-//! what the cache buys.
+//! **per-call**: every invocation compiles an uncached plan (one GYO
+//! reduction of `D`, none of `D ∪ (W)`), joins `state(W)` from the
+//! survivors' whole states, and runs operator-at-a-time along the plan's
+//! rooted tree — one `Relation::semijoin` per step and the
+//! `Relation::project` + `Relation::natural_join` join-up. They are the
+//! reference implementations (and benchmark foils) for
+//! [`TreeifyEngine`](crate::TreeifyEngine), which caches the same plan per
+//! schema and runs it on the selection-vector and flat join-up executors;
+//! the `classify/engines/treeify_*` bench family measures what the cache
+//! and the executors buy.
 //!
 //! # Examples
 //!
@@ -51,11 +54,12 @@
 //! }
 //! ```
 
-use gyo_reduce::{gyo_reduce, treeifying_relation};
 use gyo_relation::{DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema};
 
-use crate::yannakakis::{full_reduce, solve_tree_query};
+use crate::engine::EngineError;
+use crate::treeify_engine::Plan;
+use crate::yannakakis::{full_reduce_along, join_up_tree};
 
 /// Solves `(D, X)` on a cyclic (or tree) schema via treeification:
 ///
@@ -74,30 +78,8 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
         x.is_subset(&d.attributes()),
         "target X must be a subset of U(D)"
     );
-    let red = gyo_reduce(d, &AttrSet::empty());
-    if red.is_total() {
-        return solve_tree_query(d, state, x).expect("total reduction ⟹ tree schema");
-    }
-    let w = treeifying_relation(d);
-    debug_assert_eq!(w, red.result.attributes());
-
-    // Materialize state(W) by joining the survivors' original relations.
-    let mut acc = Relation::identity();
-    for &i in &red.survivors {
-        acc = acc.natural_join(state.rel(i));
-        // early projection: only W-attributes (plus nothing else) matter,
-        // but attributes needed to join later survivors must be kept; since
-        // survivors' attributes ⊆ ... keep everything within U(survivors),
-        // projecting onto W once at the end.
-    }
-    let w_state = acc.project(&w);
-
-    let extended_schema = d.with_rel(w.clone());
-    let mut rels: Vec<Relation> = state.rels().to_vec();
-    rels.push(w_state);
-    let extended_state = DbState::new(&extended_schema, rels);
-    solve_tree_query(&extended_schema, &extended_state, x)
-        .expect("Theorem 3.2(ii): D ∪ (U(GR(D))) is a tree schema")
+    let plan = Plan::compile(d);
+    join_up_tree(&reduced(d, &plan, state), x, plan.tree().rooted())
 }
 
 /// Fully reduces a state over **any** schema — cyclic included — via
@@ -116,24 +98,34 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
 ///
 /// Panics if the state does not match `d`.
 pub fn reduce_via_treeification(d: &DbSchema, state: &DbState) -> DbState {
-    let red = gyo_reduce(d, &AttrSet::empty());
-    if red.is_total() {
-        return full_reduce(d, state).expect("total reduction ⟹ tree schema");
-    }
-    let w = red.result.attributes();
-    let mut acc = Relation::identity();
-    for &i in &red.survivors {
-        acc = acc.natural_join(state.rel(i));
-    }
-    let w_state = acc.project(&w);
+    let mut rels = reduced(d, &Plan::compile(d), state);
+    rels.truncate(d.len());
+    DbState::new(d, rels)
+}
 
-    let extended_schema = d.with_rel(w.clone());
-    let mut rels: Vec<Relation> = state.rels().to_vec();
-    rels.push(w_state);
-    let extended_state = DbState::new(&extended_schema, rels);
-    let reduced = full_reduce(&extended_schema, &extended_state)
-        .expect("Theorem 3.2(ii): D ∪ (U(GR(D))) is a tree schema");
-    DbState::new(d, reduced.rels()[..d.len()].to_vec())
+/// The state's relations, with `state(W)` pushed last when `d`'s `plan` is
+/// cyclic, fully reduced one semijoin at a time along the plan's tree.
+///
+/// # Panics
+///
+/// Panics if the state does not match `d`.
+fn reduced(d: &DbSchema, plan: &Plan, state: &DbState) -> Vec<Relation> {
+    if let Err(err) = EngineError::check_state(d, state) {
+        panic!("{err}");
+    }
+    let mut rels = state.rels().to_vec();
+    if let Plan::Cyclic(treeify) = plan {
+        // Join the survivors' whole states, then project onto W once.
+        let joined = treeify
+            .survivors()
+            .iter()
+            .fold(Relation::identity(), |acc, &i| {
+                acc.natural_join(state.rel(i))
+            });
+        rels.push(joined.project(treeify.w()));
+    }
+    full_reduce_along(&mut rels, plan.tree().rooted());
+    rels
 }
 
 #[cfg(test)]
@@ -225,7 +217,7 @@ mod tests {
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd, da, ax, cy", &mut cat);
         let x = AttrSet::parse("xy", &mut cat).unwrap();
-        let red = gyo_reduce(&d, &AttrSet::empty());
+        let red = gyo_reduce::gyo_reduce(&d, &AttrSet::empty());
         assert_eq!(red.survivors.len(), 4, "only the ring survives GYO");
         let mut rng = StdRng::seed_from_u64(44);
         for round in 0..5 {

@@ -1,43 +1,17 @@
-//! The treeification-backed **total** engine: cyclic schemas answered
-//! through a cached tree plan over `D ∪ (U(GR(D)))`.
+//! The plan one GYO reduction of `D` compiles to — the unit of
+//! [`TreeifyEngine`](crate::TreeifyEngine)'s plan cache and of the per-call
+//! [`solve_via_treeification`](crate::solve_via_treeification).
 //!
-//! The paper's central move for cyclic schemas (§4, building on
-//! Corollary 3.2) is that cyclicity is not a dead end: adding the single
-//! relation `W = U(GR(D))` — the attributes of the stuck GYO residue —
-//! turns *any* schema into a tree schema (Theorem 3.2(ii)), and `W` is the
-//! least-cardinality relation that does so. The price is one data-dependent
-//! join: `state(W) = π_W(⋈ of the residue's states)`. Everything before and
-//! after that join is linear semijoin processing on a tree schema — exactly
-//! what the cached full-reducer machinery already does well.
-//!
-//! [`TreeifyEngine`] packages that strategy as an [`Engine`] that **never
-//! declines**:
-//!
-//! * **Tree schemas** delegate to an inner [`FullReducerEngine`] — same
-//!   plan cache, same selection-vector kernels, zero overhead beyond the
-//!   cache probes (one on the always-empty-for-trees treeified cache, one
-//!   the full-reducer engine pays anyway).
-//! * **Cyclic schemas** get a cached [`TreeifyPlan`]: the treeifying
-//!   relation `W`, a connectivity-greedy join order over the GYO survivors
-//!   (computed once at plan time, so per-call materialization avoids
-//!   accidental cross products inside connected residues), and the
-//!   compiled full-reducer plan for the extended schema `D ∪ (W)` — stored
-//!   in the *shared* plan cache, compiled once, reused across calls.
-//!   That plan's join tree comes from the verdict's own reduction trace,
-//!   per Theorem 3.2(ii) (see [`TreeifyPlan`]): `D` is reduced once, and
-//!   `D ∪ (W)` never.
-//!   Per call, the engine materializes `state(W)`, runs the extended
-//!   plan's semijoin program through the reusable
-//!   [`SelVec`](gyo_relation::SelVec) scratch, and either projects the
-//!   reduced `W` (when `X ⊆ W`) or joins up the extended tree through the
-//!   flat join-up executor ([`gyo_relation::join_up_with`]).
-//!
-//! The cyclic verdict that routes a schema onto the treeify path is the
-//! [`EngineError::Cyclic`] diagnostic the inner engine caches, and the
-//! cache keeps the reduction's subset-elimination edges beside it. The
-//! stuck residue gives `W` and the survivors, and those edges plus one
-//! `(survivor, W)` edge per survivor give the extended join tree, so
-//! nothing is recomputed.
+//! Adding the single relation `W = U(GR(D))`, the attributes of the stuck
+//! GYO residue, turns any schema into a tree schema (Theorem 3.2(ii)), and
+//! no smaller relation does (Corollary 3.2); for a tree schema `W = ∅`. So a
+//! tree schema's plan is the [`FullReducerPlan`] along the join tree its
+//! reduction spells (Theorem 3.1), and a cyclic schema's is a
+//! [`TreeifyPlan`]: `W`, a join order over the GYO survivors, the residue
+//! for [`EngineError::Cyclic`], and the [`FullReducerPlan`] of `D ∪ (W)`,
+//! built from the same reduction's trace — `D ∪ (W)` is never reduced. The
+//! one data-dependent step cyclicity adds is
+//! `state(W) = π_W(⋈ of the survivors' states)`.
 //!
 //! Correctness: `⋈(D ∪ (W)) = ⋈D`, because every tuple of `⋈D` restricted
 //! to the survivors satisfies each survivor's relation, so its `W`
@@ -46,7 +20,7 @@
 //! relation at `π_{Rᵢ}(⋈D)` (global consistency), which is exactly
 //! [`NaiveEngine`](crate::NaiveEngine)'s definitional reduce; the repo's
 //! differential suite (`tests/engine_differential.rs`) holds the two
-//! engines to identical results on every cyclic workload family.
+//! engines to identical results on every workload family.
 //!
 //! # Examples
 //!
@@ -64,37 +38,67 @@
 //! let state = DbState::from_universal(&i, &ring);
 //!
 //! let engine = TreeifyEngine::new();
-//! // The ring is cyclic — the semijoin engines decline it — yet the
-//! // treeify engine answers, and agrees with the definitional evaluation.
+//! // The ring is cyclic — the tree-only paths decline it — yet the
+//! // engine answers, and agrees with the definitional evaluation.
 //! let x = AttrSet::parse("ac", &mut cat).unwrap();
 //! let answer = engine.answer(&ring, &state, &x).unwrap();
 //! assert_eq!(answer, state.eval_join_query(&x));
 //!
 //! // One treeified plan was compiled and cached; repeats hit it.
-//! assert_eq!(engine.cached_treeified_count(), 1);
+//! let err = engine.plan(&ring).unwrap_err();
+//! assert_eq!(engine.treeified_plan(&ring, &err).w().to_notation(&cat), "abcd");
 //! engine.answer(&ring, &state, &x).unwrap();
 //! assert_eq!(engine.cached_treeified_count(), 1);
+//! assert_eq!(engine.cache_stats(), (3, 1), "one miss, then hits");
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use gyo_relation::{lock_cache, DbState, Relation};
-use gyo_schema::{AttrSet, DbSchema, FxHashMap};
+use gyo_reduce::Reduction;
+use gyo_relation::{DbState, Relation};
+use gyo_schema::{AttrSet, DbSchema, JoinTree, QualGraph};
 
-use crate::engine::{CyclicVerdict, Engine, EngineError, FullReducerEngine, FullReducerPlan};
+use crate::engine::{EngineError, FullReducerPlan};
+use crate::yannakakis::compile_tree;
+
+/// A compiled plan as the cache keeps it: what one GYO reduction of `D`
+/// yields.
+#[derive(Clone, Debug)]
+pub(crate) enum Plan {
+    /// `D` is a tree schema: its full-reducer plan.
+    Tree(Arc<FullReducerPlan>),
+    /// `D` is cyclic: the plan over `D ∪ (W)`.
+    Cyclic(Arc<TreeifyPlan>),
+}
+
+impl Plan {
+    /// The plan for `d`, from one GYO reduction of `d` and none of
+    /// `D ∪ (W)`.
+    pub(crate) fn compile(d: &DbSchema) -> Self {
+        match compile_tree(d) {
+            Ok(rooted) => Plan::Tree(Arc::new(FullReducerPlan::on_tree(d, rooted))),
+            Err(red) => Plan::Cyclic(Arc::new(TreeifyPlan::compile(d, red))),
+        }
+    }
+
+    /// The full-reducer plan the pipeline runs: over `D` for a tree
+    /// schema, over `D ∪ (W)` for a cyclic one.
+    pub(crate) fn tree(&self) -> &FullReducerPlan {
+        match self {
+            Plan::Tree(plan) => plan,
+            Plan::Cyclic(plan) => &plan.tree,
+        }
+    }
+}
 
 /// A compiled treeification plan for one **cyclic** schema: everything
-/// about `D ∪ (U(GR(D)))` that does not depend on data. It is compiled
-/// from `D`'s cyclic verdict alone: the extended join
-/// tree is `D`'s reduction trace plus one `(survivor, W)` edge per
-/// survivor, the construction in the proof of Theorem 3.2(ii).
+/// about `D ∪ (U(GR(D)))` that does not depend on data, compiled from the
+/// stuck GYO reduction of `D` alone.
 #[derive(Clone, Debug)]
 pub struct TreeifyPlan {
-    /// The extended tree schema `D ∪ (W)`; `W` is the last relation.
+    /// The extended tree schema `D ∪ (W)`; `W = U(GR(D))`, the treeifying
+    /// relation (Corollary 3.2), is the last relation.
     extended: DbSchema,
-    /// `W = U(GR(D))` — the treeifying relation (Corollary 3.2).
-    w: AttrSet,
     /// GYO-survivor indices in a connectivity-greedy join order (each
     /// next survivor shares attributes with the already-joined prefix
     /// whenever the residue permits, so `state(W)` materializes without
@@ -106,15 +110,18 @@ pub struct TreeifyPlan {
     /// private to one survivor and contributes nothing to `π_W` — it
     /// would only inflate the join's intermediates.
     join_order: Vec<(usize, Option<AttrSet>)>,
-    /// The compiled full-reducer plan for `extended` — owned by the
-    /// engine's shared plan cache, referenced here.
-    inner: Arc<FullReducerPlan>,
+    /// The compiled full-reducer plan for `extended`.
+    tree: FullReducerPlan,
+    /// `GR(D)`, the stuck residue, and its members' indices into `D`, in
+    /// GYO order: the [`EngineError::Cyclic`] diagnostic.
+    residue: DbSchema,
+    survivors: Vec<usize>,
 }
 
 impl TreeifyPlan {
-    /// Compiles the plan from the cyclic verdict of `d`, with no second
+    /// Compiles the plan from the stuck reduction of `d`, with no second
     /// GYO reduction: the residue gives `W` and the survivors, and the
-    /// verdict's own trace gives the join tree of `D ∪ (W)`.
+    /// reduction's own trace gives the join tree of `D ∪ (W)`.
     ///
     /// That tree is the proof of Theorem 3.2(ii). Every step of `D`'s trace
     /// stays legal in `D ∪ (W)`: a deleted attribute was isolated when
@@ -123,12 +130,10 @@ impl TreeifyPlan {
     /// so eliminating each into `W` makes the reduction total, and by
     /// Theorem 3.1 its subset eliminations — the trace's edges plus one
     /// `(survivor, W)` edge per survivor — form a join tree. The edges
-    /// still pass [`JoinTree::try_new`](gyo_schema::JoinTree::try_new)'s
-    /// hard check, and the plan along them is compiled into (or found in)
-    /// `engine`'s shared plan cache.
-    fn compile(d: &DbSchema, verdict: &CyclicVerdict, engine: &FullReducerEngine) -> Self {
-        let w = verdict.residue.attributes();
-        let join_order = connected_order(d, &verdict.survivors)
+    /// still pass [`JoinTree::try_new`]'s hard check.
+    fn compile(d: &DbSchema, red: Reduction) -> Self {
+        let w = red.result.attributes();
+        let join_order = connected_order(d, &red.survivors)
             .into_iter()
             .map(|i| {
                 let core = d.rel(i).intersect(&w);
@@ -136,24 +141,26 @@ impl TreeifyPlan {
                 (i, proj)
             })
             .collect();
-        let extended = d.with_rel(w.clone());
+        let extended = d.with_rel(w);
         let w_node = d.len();
-        let edges = verdict.edges.iter().copied();
-        let inner = engine.plan_on_tree(
-            &extended,
-            edges.chain(verdict.survivors.iter().map(|&s| (s, w_node))),
-        );
+        let edges = red
+            .elimination_edges()
+            .chain(red.survivors.iter().map(|&s| (s, w_node)));
+        let tree = JoinTree::try_new(QualGraph::new(extended.len(), edges), &extended)
+            .expect("Theorem 3.2(ii): the trace plus the W edges is a join tree of D ∪ (W)");
+        let tree = FullReducerPlan::on_tree(&extended, tree.rooted_at(0));
         Self {
             extended,
-            w,
             join_order,
-            inner,
+            tree,
+            residue: red.result,
+            survivors: red.survivors,
         }
     }
 
     /// The treeifying relation `W = U(GR(D))`.
     pub fn w(&self) -> &AttrSet {
-        &self.w
+        self.extended.rels().last().expect("W is the last relation")
     }
 
     /// The extended tree schema `D ∪ (W)` the plan reduces over.
@@ -169,7 +176,42 @@ impl TreeifyPlan {
 
     /// The compiled full-reducer plan for the extended schema.
     pub fn tree_plan(&self) -> &FullReducerPlan {
-        &self.inner
+        &self.tree
+    }
+
+    /// The GYO survivors' indices into `D`, in GYO order.
+    pub(crate) fn survivors(&self) -> &[usize] {
+        &self.survivors
+    }
+
+    /// The cyclicity diagnostic the tree-only entry points report for `D`.
+    pub(crate) fn error(&self) -> EngineError {
+        EngineError::Cyclic {
+            residue: self.residue.clone(),
+            survivors: self.survivors.clone(),
+        }
+    }
+
+    /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
+    /// connectivity order with each survivor pre-projected onto `Rᵢ ∩ W` —
+    /// the one data-dependent step cyclicity forces. The accumulated
+    /// attributes end up exactly `W` (the residue relations cover it), so
+    /// no final projection is needed.
+    pub(crate) fn materialize_w(&self, state: &DbState) -> Relation {
+        let mut acc = Relation::identity();
+        for (i, proj) in &self.join_order {
+            acc = match proj {
+                Some(core) => acc.natural_join(&state.rel(*i).project(core)),
+                None => acc.natural_join(state.rel(*i)),
+            };
+            if acc.is_empty() {
+                // The core join is empty: so is its projection — and so is
+                // the whole query; skip the remaining survivor joins.
+                return Relation::empty(self.w().clone());
+            }
+        }
+        debug_assert_eq!(acc.attrs(), self.w(), "residue relations cover W");
+        acc
     }
 }
 
@@ -193,209 +235,12 @@ fn connected_order(d: &DbSchema, survivors: &[usize]) -> Vec<usize> {
     order
 }
 
-/// The treeification-backed engine: **total** over all schemas.
-///
-/// Tree schemas run on the inner [`FullReducerEngine`] (shared plan
-/// cache); cyclic schemas run over a cached [`TreeifyPlan`] — one
-/// data-dependent core join to materialize `state(W)`, then the compiled
-/// semijoin program and tree-join machinery of the extended schema. See
-/// the [module docs](self) for the construction and its correctness
-/// argument.
-#[derive(Debug, Default)]
-pub struct TreeifyEngine {
-    inner: FullReducerEngine,
-    treeified: Mutex<FxHashMap<Vec<AttrSet>, Arc<TreeifyPlan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl TreeifyEngine {
-    /// A fresh engine with empty plan caches.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The inner full-reducer engine (to share its plan cache, or to
-    /// inspect it). Both the tree-schema plans *and* every treeified
-    /// extended-schema plan live in this engine's cache.
-    pub fn inner(&self) -> &FullReducerEngine {
-        &self.inner
-    }
-
-    /// The cached treeify plan for `d`, counting a hit when present. The
-    /// engine probes this **before** the inner plan cache, so warm cyclic
-    /// calls never touch (or clone) the cached `EngineError` verdict.
-    fn lookup_treeified(&self, d: &DbSchema) -> Option<Arc<TreeifyPlan>> {
-        let plan = lock_cache(&self.treeified).get(d.rels()).cloned();
-        if plan.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        plan
-    }
-
-    /// The cached treeify plan for a schema already known to be cyclic,
-    /// compiling on first sight. `err` must be the cyclic verdict the
-    /// inner engine produced for `d` (what `inner().plan(d)` returns); the
-    /// plan is compiled from the reduction trace the inner cache keeps
-    /// beside that verdict, so `d` is not reduced again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `err` is not [`EngineError::Cyclic`] or `d` is a tree
-    /// schema.
-    pub fn treeified_plan(&self, d: &DbSchema, err: &EngineError) -> Arc<TreeifyPlan> {
-        assert!(
-            err.residue().is_some(),
-            "treeification needs a cyclic verdict, got: {err}"
-        );
-        if let Some(plan) = self.lookup_treeified(d) {
-            return plan;
-        }
-        let verdict = self
-            .inner
-            .cyclic_verdict(d)
-            .expect("treeification needs a cyclic schema");
-        self.compile_treeified(d, &verdict)
-    }
-
-    /// Compiles, counts and caches the treeify plan for `d` from its
-    /// verdict.
-    fn compile_treeified(&self, d: &DbSchema, verdict: &CyclicVerdict) -> Arc<TreeifyPlan> {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(TreeifyPlan::compile(d, verdict, &self.inner));
-        lock_cache(&self.treeified).insert(d.rels().to_vec(), plan.clone());
-        plan
-    }
-
-    /// Runs the cyclic-schema pipeline over an already-known plan: the
-    /// core join, the extended plan's semijoin program, truncation back
-    /// to `D`'s relations.
-    fn reduce_cyclic(&self, d: &DbSchema, state: &DbState, plan: &TreeifyPlan) -> DbState {
-        let mut rels = self.reduce_extended(plan, state);
-        rels.truncate(d.len());
-        DbState::new(d, rels)
-    }
-
-    fn answer_cyclic(&self, state: &DbState, x: &AttrSet, plan: &TreeifyPlan) -> Relation {
-        let rels = self.reduce_extended(plan, state);
-        // After full reduction the W slot holds π_W(⋈D); when the target
-        // fits inside W, one projection finishes the query.
-        if x.is_subset(&plan.w) {
-            let w_reduced = rels.last().expect("extended state is nonempty");
-            return w_reduced.project(x);
-        }
-        self.inner.join_up(&rels, plan.inner.rooted(), x)
-    }
-
-    /// Number of cyclic schemas with a cached treeified plan.
-    pub fn cached_treeified_count(&self) -> usize {
-        lock_cache(&self.treeified).len()
-    }
-
-    /// Drops every cached plan, treeified and tree alike.
-    pub fn clear_cache(&self) {
-        lock_cache(&self.treeified).clear();
-        self.inner.clear_cache();
-    }
-
-    /// `(hits, misses)` of the treeified-plan cache since construction.
-    #[cfg(test)]
-    pub(crate) fn treeified_cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
-    /// connectivity order with each survivor pre-projected onto `Rᵢ ∩ W` —
-    /// the one data-dependent step cyclicity forces. The accumulated
-    /// attributes end up exactly `W` (the residue relations cover it), so
-    /// no final projection is needed.
-    fn materialize_w(&self, plan: &TreeifyPlan, state: &DbState) -> Relation {
-        let mut acc = Relation::identity();
-        for (i, proj) in &plan.join_order {
-            let joined = match proj {
-                Some(core) => acc.natural_join(&state.rel(*i).project(core)),
-                None => acc.natural_join(state.rel(*i)),
-            };
-            acc = joined;
-            if acc.is_empty() {
-                // The core join is empty: so is its projection — and so is
-                // the whole query; skip the remaining survivor joins.
-                return Relation::empty(plan.w.clone());
-            }
-        }
-        debug_assert_eq!(acc.attrs(), &plan.w, "residue relations cover W");
-        acc
-    }
-
-    /// Reduces the extended state `state ∪ (state(W))` with the compiled
-    /// plan; returns the reduced relation list (original relations first,
-    /// `W` last).
-    fn reduce_extended(&self, plan: &TreeifyPlan, state: &DbState) -> Vec<Relation> {
-        let mut rels = state.rels().to_vec();
-        rels.push(self.materialize_w(plan, state));
-        self.inner.run_steps(&mut rels, plan.inner.steps());
-        rels
-    }
-}
-
-impl Engine for TreeifyEngine {
-    fn name(&self) -> &'static str {
-        "treeify"
-    }
-
-    fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
-        EngineError::check_state(d, state)?;
-        // Warm cyclic schemas hit the treeified cache directly — the
-        // cached cyclic verdict (and its residue clone) is only touched on
-        // the compile path.
-        if let Some(plan) = self.lookup_treeified(d) {
-            return Ok(self.reduce_cyclic(d, state, &plan));
-        }
-        match self.inner.compiled(d) {
-            Ok(plan) => Ok(self.inner.reduce_with_plan(d, state, &plan)),
-            Err(verdict) => {
-                let plan = self.compile_treeified(d, &verdict);
-                Ok(self.reduce_cyclic(d, state, &plan))
-            }
-        }
-    }
-
-    fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
-        EngineError::check_target(d, x)?;
-        EngineError::check_state(d, state)?;
-        if let Some(plan) = self.lookup_treeified(d) {
-            return Ok(self.answer_cyclic(state, x, &plan));
-        }
-        match self.inner.compiled(d) {
-            Ok(plan) => Ok(self.inner.answer_with_plan(d, state, x, &plan)),
-            Err(verdict) => {
-                let plan = self.compile_treeified(d, &verdict);
-                Ok(self.answer_cyclic(state, x, &plan))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::NaiveEngine;
+    use crate::engine::tests::{db, poison_plan_cache, random_state};
+    use crate::{Engine, NaiveEngine, TreeifyEngine};
     use gyo_schema::Catalog;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn db(s: &str, cat: &mut Catalog) -> DbSchema {
-        DbSchema::parse(s, cat).unwrap()
-    }
-
-    fn random_state(d: &DbSchema, seed: u64, rows: usize, domain: u64) -> DbState {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let i = gyo_workloads::random_universal(&mut rng, &d.attributes(), rows, domain);
-        DbState::from_universal(&i, d)
-    }
 
     #[test]
     fn agrees_with_naive_on_cyclic_schemas() {
@@ -424,6 +269,8 @@ mod tests {
 
     #[test]
     fn tree_schemas_delegate_to_the_inner_engine() {
+        // `inner()` is the engine itself: a tree schema's plan, compiled
+        // by an answer, is the one `inner().plan` returns.
         let mut cat = Catalog::alphabetic();
         let engine = TreeifyEngine::new();
         let d = db("ab, bc, cd", &mut cat);
@@ -433,52 +280,10 @@ mod tests {
             engine.answer(&d, &state, &x).unwrap(),
             state.eval_join_query(&x)
         );
-        // No treeified plan was compiled; the tree plan sits in the shared
-        // inner cache.
         assert_eq!(engine.cached_treeified_count(), 0);
         assert_eq!(engine.inner().cached_plan_count(), 1);
-        assert_eq!(engine.treeified_cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn treeified_plan_cache_hits_and_misses() {
-        let mut cat = Catalog::alphabetic();
-        let engine = TreeifyEngine::new();
-        let ring = db("ab, bc, cd, da", &mut cat);
-        let state = random_state(&ring, 5, 15, 3);
-
-        engine.reduce(&ring, &state).unwrap();
-        assert_eq!(
-            engine.treeified_cache_stats(),
-            (0, 1),
-            "first sight compiles"
-        );
-        // Both the cyclic verdict for the ring AND the tree plan for the
-        // extended schema live in the shared inner cache.
-        assert_eq!(engine.inner().cached_plan_count(), 2);
-
-        engine.reduce(&ring, &state).unwrap();
-        let x = AttrSet::parse("ac", &mut cat).unwrap();
-        engine.answer(&ring, &state, &x).unwrap();
-        assert_eq!(engine.treeified_cache_stats(), (2, 1), "repeats hit");
-        assert_eq!(engine.cached_treeified_count(), 1);
-
-        // A different cyclic schema compiles its own plan.
-        let triangle = db("ab, bc, ca", &mut cat);
-        let t_state = random_state(&triangle, 6, 10, 3);
-        engine.reduce(&triangle, &t_state).unwrap();
-        assert_eq!(engine.treeified_cache_stats(), (2, 2));
-        assert_eq!(engine.cached_treeified_count(), 2);
-
-        engine.clear_cache();
-        assert_eq!(engine.cached_treeified_count(), 0);
-        assert_eq!(engine.inner().cached_plan_count(), 0);
-        engine.reduce(&ring, &state).unwrap();
-        assert_eq!(
-            engine.treeified_cache_stats(),
-            (2, 3),
-            "cleared cache recompiles"
-        );
+        assert_eq!(engine.inner().plan(&d).unwrap().steps().len(), 4);
+        assert_eq!(engine.cache_stats(), (1, 1));
     }
 
     #[test]
@@ -487,11 +292,10 @@ mod tests {
         let engine = TreeifyEngine::new();
         // Ring with two pendants: survivors are the ring; W is its span.
         let d = db("ab, bc, cd, da, ax, cy", &mut cat);
-        let err = engine.inner().plan(&d).unwrap_err();
+        let err = engine.plan(&d).unwrap_err();
         let plan = engine.treeified_plan(&d, &err);
         assert_eq!(plan.w().to_notation(&cat), "abcd");
         assert_eq!(plan.extended().len(), d.len() + 1);
-        assert_eq!(plan.extended().rel(d.len()), plan.w());
         // The join order covers exactly the survivors, connectedly.
         let mut sorted = plan.join_order();
         sorted.sort_unstable();
@@ -517,7 +321,7 @@ mod tests {
         // must still cover every survivor once.
         let d = db("ab, bc, ca, xy, yz, zx", &mut cat);
         let engine = TreeifyEngine::new();
-        let err = engine.inner().plan(&d).unwrap_err();
+        let err = engine.plan(&d).unwrap_err();
         let plan = engine.treeified_plan(&d, &err);
         let mut sorted = plan.join_order();
         sorted.sort_unstable();
@@ -565,20 +369,16 @@ mod tests {
         let mut cat = Catalog::alphabetic();
         let engine = TreeifyEngine::new();
         let stray = AttrSet::parse("z", &mut cat).unwrap();
+        let want = EngineError::TargetOutsideSchema { stray };
         // Cyclic and tree schemas alike: the target is checked first.
         for s in ["ab, bc, ca", "ab, bc"] {
             let d = db(s, &mut cat);
             let state = random_state(&d, 0x5A, 10, 3);
             let x = AttrSet::parse("az", &mut cat).unwrap();
-            assert_eq!(
-                engine.answer(&d, &state, &x).unwrap_err(),
-                EngineError::TargetOutsideSchema {
-                    stray: stray.clone()
-                },
-                "{s}"
-            );
+            assert_eq!(engine.answer(&d, &state, &x).unwrap_err(), want, "{s}");
         }
         assert_eq!(engine.cached_treeified_count(), 0);
+        assert_eq!(engine.cache_stats(), (0, 0), "checked before plan work");
     }
 
     #[test]
@@ -586,14 +386,15 @@ mod tests {
         let mut cat = Catalog::alphabetic();
         let engine = TreeifyEngine::new();
         // A tree and a cyclic schema, each given its neighbor's state
-        // (relation 2 differs) — cold, and again once the cyclic plan is
-        // cached, so the warm treeified path checks too.
+        // (relation 2 differs) or a state one relation too long — cold, and
+        // again once the cyclic plan is cached, so the warm path checks too.
         let tree = db("ab, bc, cd", &mut cat);
         let ring = db("ab, bc, ca", &mut cat);
+        let longer = db("ab, bc, ca, cd", &mut cat);
         let x = AttrSet::parse("ab", &mut cat).unwrap();
-        let want = EngineError::StateMismatch { index: 2 };
-        for (d, other) in [(&tree, &ring), (&ring, &tree), (&ring, &tree)] {
+        for (d, other, index) in [(&tree, &ring, 2), (&ring, &tree, 2), (&ring, &longer, 3)] {
             let wrong = random_state(other, 0x5C, 10, 3);
+            let want = EngineError::StateMismatch { index };
             assert_eq!(engine.reduce(d, &wrong).unwrap_err(), want);
             assert_eq!(engine.answer(d, &wrong, &x).unwrap_err(), want);
             let right = random_state(d, 0x5D, 10, 3);
@@ -602,28 +403,73 @@ mod tests {
                 right.eval_join_query(&x)
             );
         }
+        // Only the three correct calls looked up a plan, and only the first
+        // call on each schema missed.
+        assert_eq!(engine.cache_stats(), (1, 2));
+    }
+
+    #[test]
+    fn treeified_plan_cache_hits_and_misses() {
+        // Cyclic schemas; `plan_cache_hits_and_misses` in the engine module
+        // covers tree ones. A cyclic schema takes one entry, its treeify
+        // plan, and every call on it is one lookup.
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        let ring = db("ab, bc, cd, da", &mut cat);
+        let state = random_state(&ring, 5, 15, 3);
+
+        engine.reduce(&ring, &state).unwrap();
+        assert_eq!(engine.cache_stats(), (0, 1), "first sight compiles");
+        assert_eq!(engine.cached_treeified_count(), 1);
+        assert_eq!(engine.inner().cached_plan_count(), 1, "D ∪ (W) takes none");
+
+        engine.reduce(&ring, &state).unwrap();
+        let x = AttrSet::parse("ac", &mut cat).unwrap();
+        engine.answer(&ring, &state, &x).unwrap();
+        let err = engine.inner().plan(&ring).unwrap_err();
+        engine.treeified_plan(&ring, &err);
+        assert_eq!(engine.cache_stats(), (4, 1), "repeats hit");
+        assert_eq!(engine.cached_treeified_count(), 1);
+
+        // A different cyclic schema compiles its own plan.
+        let triangle = db("ab, bc, ca", &mut cat);
+        let t_state = random_state(&triangle, 6, 10, 3);
+        engine.reduce(&triangle, &t_state).unwrap();
+        assert_eq!(engine.cache_stats(), (4, 2));
+        assert_eq!(engine.cached_treeified_count(), 2);
+
+        engine.clear_cache();
+        assert_eq!(engine.cached_treeified_count(), 0);
+        assert_eq!(engine.inner().cached_plan_count(), 0);
+        engine.reduce(&ring, &state).unwrap();
+        assert_eq!(engine.cache_stats(), (4, 3), "cleared cache recompiles");
     }
 
     #[test]
     fn a_poisoned_treeified_cache_lock_recovers() {
+        // A cyclic schema; `a_poisoned_plan_cache_lock_recovers` in the
+        // engine module covers a tree one.
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd, da", &mut cat);
         let state = random_state(&d, 0x91, 20, 3);
         let x = AttrSet::parse("ac", &mut cat).unwrap();
         let engine = TreeifyEngine::new();
         let want = engine.answer(&d, &state, &x).unwrap();
-        let panicked = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = engine.treeified.lock().unwrap();
-                panic!("poison the treeified cache");
-            })
-            .join()
-            .is_err()
-        });
-        assert!(panicked && engine.treeified.is_poisoned());
-        assert_eq!(engine.answer(&d, &state, &x).unwrap(), want);
+        poison_plan_cache(&engine);
+        assert_eq!(engine.answer(&d, &state, &x).unwrap(), want, "cached plan");
+        assert_eq!(
+            engine.reduce(&d, &state).unwrap(),
+            NaiveEngine.reduce(&d, &state).unwrap()
+        );
         assert_eq!(engine.cached_treeified_count(), 1);
-        assert_eq!(engine.treeified_cache_stats(), (1, 1));
+        assert_eq!(engine.cache_stats(), (2, 1));
+        engine.clear_cache();
+        assert_eq!(
+            engine.answer(&d, &state, &x).unwrap(),
+            want,
+            "recompiled plan"
+        );
+        assert_eq!(engine.cache_stats(), (2, 2));
     }
 
     #[test]
@@ -634,7 +480,7 @@ mod tests {
         let d = db("ab, bc, cd, da, ax, cy", &mut cat);
         let engine = TreeifyEngine::new();
         let x = AttrSet::parse("xy", &mut cat).unwrap();
-        let err = engine.inner().plan(&d).unwrap_err();
+        let err = engine.plan(&d).unwrap_err();
         let plan = engine.treeified_plan(&d, &err);
         assert!(!x.is_subset(plan.w()), "precondition: X ⊄ W");
         for seed in 0..4 {

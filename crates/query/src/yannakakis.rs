@@ -11,27 +11,25 @@
 //! Execution here is deliberately **per-call and operator-at-a-time**
 //! (each semijoin/join/projection runs through `gyo_relation`'s columnar
 //! kernels, but every step materializes its result as a normalized
-//! [`Relation`]): this module is the reference path the cached engines are
+//! [`Relation`]): this module is the reference path the cached engine is
 //! differentially tested against — two independent routes to the same
 //! reduced states and answers. Which join-up runs where:
 //!
-//! * [`solve_tree_query`] (and through it
-//!   [`IncrementalEngine`](crate::IncrementalEngine) and
-//!   [`solve_via_treeification`](crate::solve_via_treeification)) joins up
+//! * [`solve_tree_query`] and
+//!   [`solve_via_treeification`](crate::solve_via_treeification) join up
 //!   here, one `Relation::project` and one `Relation::natural_join` per
 //!   tree edge, each output sorted and deduplicated.
-//! * The cached engines ([`FullReducerEngine`](crate::FullReducerEngine),
-//!   and [`TreeifyEngine`](crate::TreeifyEngine) for tree schemas and for
-//!   targets outside `W`) reduce with the selection-vector executor
-//!   ([`gyo_relation::semijoin_program`]) and join up with the flat
-//!   executor ([`gyo_relation::join_up_with`]): unsorted duplicate-free
-//!   intermediates, bucket-chain builds, one normalization at the root.
+//! * [`TreeifyEngine`](crate::TreeifyEngine) reduces with the
+//!   selection-vector executor ([`gyo_relation::semijoin_program`]) and
+//!   joins up with the flat executor ([`gyo_relation::join_up_with`]):
+//!   unsorted duplicate-free intermediates, bucket-chain builds, one
+//!   normalization at the root.
 
-use gyo_reduce::{gyo_reduce, join_tree_from_trace};
+use gyo_reduce::{gyo_reduce, join_tree_from_trace, Reduction};
 use gyo_relation::{DbState, Relation};
-use gyo_schema::{AttrSet, DbSchema, JoinTree, RootedTree};
+use gyo_schema::{AttrSet, DbSchema, RootedTree};
 
-use crate::engine::{CyclicVerdict, EngineError};
+use crate::engine::EngineError;
 use crate::program::Program;
 
 /// Builds a full-reducer semijoin [`Program`] for a tree schema: child→
@@ -44,41 +42,21 @@ use crate::program::Program;
 /// final statements leave the root's and every node's reduced state as the
 /// most recent versions.
 pub fn full_reducer_program(d: &DbSchema) -> Result<Program, EngineError> {
-    let rooted = derive_rooted_tree(d)?;
-    if d.len() <= 1 {
-        return Ok(Program::new(d.clone()));
-    }
-    Ok(full_reducer_program_on_tree(d, &rooted))
+    Ok(full_reducer_program_on_tree(d, &derive_rooted_tree(d)?))
 }
 
-/// The one compile behind every tree-only path — the cached plans and the
-/// per-call solvers alike: a single GYO reduction of `d`, then the join
-/// tree its subset eliminations spell (Theorem 3.1), rooted at node 0. For
-/// a cyclic `d`, the verdict keeps those eliminations' edges beside the
-/// stuck residue.
-pub(crate) fn compile_tree(d: &DbSchema) -> Result<RootedTree, CyclicVerdict> {
+/// The one GYO reduction behind every plan — the cached plans and the
+/// per-call solvers alike: the join tree of `d` that the reduction's subset
+/// eliminations spell (Theorem 3.1), rooted at node 0; the stuck reduction
+/// when `d` is cyclic. For the empty schema, a tree with no nodes and the
+/// placeholder root `0`.
+pub(crate) fn compile_tree(d: &DbSchema) -> Result<RootedTree, Reduction> {
     let red = gyo_reduce(d, &AttrSet::empty());
     if !red.is_total() {
-        return Err(CyclicVerdict {
-            edges: red.elimination_edges().collect(),
-            residue: red.result,
-            survivors: red.survivors,
-        });
+        return Err(red);
     }
     let tree = join_tree_from_trace(d, &red).expect("total GYO reduction yields a join tree");
-    Ok(root_at_zero(d, &tree))
-}
-
-/// [`compile_tree`] with the public diagnostic; the decline path of the
-/// per-call solvers.
-pub(crate) fn derive_rooted_tree(d: &DbSchema) -> Result<RootedTree, EngineError> {
-    compile_tree(d).map_err(|verdict| verdict.error())
-}
-
-/// `tree` rooted at node 0; for the empty schema, a tree with no nodes and
-/// the placeholder root `0`.
-pub(crate) fn root_at_zero(d: &DbSchema, tree: &JoinTree) -> RootedTree {
-    if d.is_empty() {
+    Ok(if d.is_empty() {
         RootedTree {
             root: 0,
             parent: Vec::new(),
@@ -86,7 +64,16 @@ pub(crate) fn root_at_zero(d: &DbSchema, tree: &JoinTree) -> RootedTree {
         }
     } else {
         tree.rooted_at(0)
-    }
+    })
+}
+
+/// [`compile_tree`] with the public diagnostic; the decline path of the
+/// tree-only solvers.
+pub(crate) fn derive_rooted_tree(d: &DbSchema) -> Result<RootedTree, EngineError> {
+    compile_tree(d).map_err(|red| EngineError::Cyclic {
+        residue: red.result,
+        survivors: red.survivors,
+    })
 }
 
 /// The full-reducer [`Program`] along an already-rooted join tree.
@@ -113,47 +100,40 @@ pub(crate) fn full_reducer_program_on_tree(d: &DbSchema, rooted: &RootedTree) ->
     p
 }
 
-/// Fully reduces a state over a tree schema in place-ish (returns the
-/// reduced state): after this, `state[i] = π_{Rᵢ}(⋈ D)` for every `i`.
-/// Returns [`EngineError::Cyclic`] when `d` is cyclic.
+/// Fully reduces a state over a tree schema (returns the reduced state):
+/// after this, `state[i] = π_{Rᵢ}(⋈ D)` for every `i`. Returns
+/// [`EngineError::StateMismatch`] for a state not built for `d`, and
+/// [`EngineError::Cyclic`] when `d` is cyclic.
 pub fn full_reduce(d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
+    EngineError::check_state(d, state)?;
     let rooted = derive_rooted_tree(d)?;
-    Ok(full_reduce_on_rooted(d, state, &rooted))
+    let mut rels = state.rels().to_vec();
+    full_reduce_along(&mut rels, &rooted);
+    Ok(DbState::new(d, rels))
 }
 
-/// Full reduction along a given join tree.
-pub fn full_reduce_on_tree(d: &DbSchema, state: &DbState, tree: &JoinTree) -> DbState {
-    if d.len() > 1 {
-        full_reduce_on_rooted(d, state, &tree.rooted_at(0))
-    } else {
-        DbState::new(d, state.rels().to_vec())
-    }
-}
-
-/// Full reduction along an already-rooted join tree.
-fn full_reduce_on_rooted(d: &DbSchema, state: &DbState, rooted: &RootedTree) -> DbState {
-    let mut rels: Vec<Relation> = state.rels().to_vec();
-    if d.len() > 1 {
-        for &v in &rooted.post_order {
-            if v != rooted.root {
-                let parent = rooted.parent[v];
-                rels[parent] = rels[parent].semijoin(&rels[v]);
-            }
-        }
-        for &v in rooted.post_order.iter().rev() {
-            if v != rooted.root {
-                let parent = rooted.parent[v];
-                rels[v] = rels[v].semijoin(&rels[parent]);
-            }
+/// Full reduction of `rels` in place, one `Relation::semijoin` per step,
+/// along an already-rooted join tree of their schemas.
+pub(crate) fn full_reduce_along(rels: &mut [Relation], rooted: &RootedTree) {
+    for &v in &rooted.post_order {
+        if v != rooted.root {
+            let parent = rooted.parent[v];
+            rels[parent] = rels[parent].semijoin(&rels[v]);
         }
     }
-    DbState::new(d, rels)
+    for &v in rooted.post_order.iter().rev() {
+        if v != rooted.root {
+            let parent = rooted.parent[v];
+            rels[v] = rels[v].semijoin(&rels[parent]);
+        }
+    }
 }
 
 /// Solves `(D, X)` on a tree schema: full reduction, then joins up the tree
 /// with early projection onto `X ∪ (attributes shared with the not-yet-
 /// joined part)`. Output-sensitive in the Yannakakis sense. Returns
-/// [`EngineError::TargetOutsideSchema`] when `X ⊄ U(D)` and
+/// [`EngineError::TargetOutsideSchema`] when `X ⊄ U(D)`,
+/// [`EngineError::StateMismatch`] for a state not built for `d`, and
 /// [`EngineError::Cyclic`] when `d` is cyclic.
 pub fn solve_tree_query(
     d: &DbSchema,
@@ -161,32 +141,22 @@ pub fn solve_tree_query(
     x: &AttrSet,
 ) -> Result<Relation, EngineError> {
     EngineError::check_target(d, x)?;
+    EngineError::check_state(d, state)?;
     let rooted = derive_rooted_tree(d)?;
-    if d.is_empty() {
-        return Ok(if x.is_empty() {
-            Relation::identity()
-        } else {
-            Relation::empty(x.clone())
-        });
-    }
-    let reduced = full_reduce_on_rooted(d, state, &rooted);
-    Ok(join_up_tree(d, &reduced, x, &rooted))
+    let mut rels = state.rels().to_vec();
+    full_reduce_along(&mut rels, &rooted);
+    Ok(join_up_tree(&rels, x, &rooted))
 }
 
-/// The join phase of the Yannakakis solver: joins a **fully reduced** state
-/// up the rooted join tree with early projection onto `X ∪ (attributes
-/// still needed by unjoined subtrees)`, then projects onto `X`. The
-/// operator-at-a-time reference for [`gyo_relation::join_up_with`].
-pub(crate) fn join_up_tree(
-    d: &DbSchema,
-    reduced: &DbState,
-    x: &AttrSet,
-    rooted: &RootedTree,
-) -> Relation {
+/// The join phase of the Yannakakis solver: joins **fully reduced**
+/// relations up their rooted join tree with early projection onto
+/// `X ∪ (attributes still needed by unjoined subtrees)`, then projects onto
+/// `X` (`⊆ U(D)`). The operator-at-a-time reference for
+/// [`gyo_relation::join_up_with`].
+pub(crate) fn join_up_tree(reduced: &[Relation], x: &AttrSet, rooted: &RootedTree) -> Relation {
     // subtree_x[v] = attributes of X present in the subtree rooted at v
     // (used to prune columns as joins climb toward the root).
-    let n = d.len();
-    let mut subtree_x: Vec<AttrSet> = (0..n).map(|v| d.rel(v).intersect(x)).collect();
+    let mut subtree_x: Vec<AttrSet> = reduced.iter().map(|r| r.attrs().intersect(x)).collect();
     for &v in &rooted.post_order {
         if v != rooted.root {
             let parent = rooted.parent[v];
@@ -198,21 +168,23 @@ pub(crate) fn join_up_tree(
     // acc[v]: the running join of v's subtree, projected onto
     // subtree_x[v] ∪ (Rᵥ ∩ parent's schema) — enough for X and for the
     // upcoming connection to the parent.
-    let mut acc: Vec<Option<Relation>> = (0..n).map(|v| Some(reduced.rel(v).clone())).collect();
+    let mut acc: Vec<Option<Relation>> = reduced.iter().cloned().map(Some).collect();
     for &v in &rooted.post_order {
         if v == rooted.root {
             continue;
         }
         let parent = rooted.parent[v];
-        let keep = subtree_x[v].union(&d.rel(v).intersect(d.rel(parent)));
+        let keep = subtree_x[v].union(&reduced[v].attrs().intersect(reduced[parent].attrs()));
         let mine = acc[v].take().expect("each node joined once");
         let pruned = mine.project(&keep.intersect(mine.attrs()));
         let parent_acc = acc[parent].take().expect("parent still pending");
         acc[parent] = Some(parent_acc.natural_join(&pruned));
     }
-    let root_acc = acc[rooted.root]
-        .take()
-        .expect("root accumulates everything");
+    // The empty schema joins to the identity relation.
+    let root_acc = match acc.get_mut(rooted.root) {
+        Some(root) => root.take().expect("root accumulates everything"),
+        None => Relation::identity(),
+    };
     if root_acc.is_empty() {
         return Relation::empty(x.clone());
     }
@@ -339,5 +311,10 @@ mod tests {
             solve_tree_query(&d, &state, &x).unwrap(),
             state.eval_join_query(&x)
         );
+        let (d0, x0) = (DbSchema::empty(), AttrSet::empty());
+        let empty = DbState::new(&d0, vec![]);
+        let identity = Relation::identity();
+        assert_eq!(solve_tree_query(&d0, &empty, &x0).unwrap(), identity);
+        assert_eq!(crate::solve_via_treeification(&d0, &empty, &x0), identity);
     }
 }

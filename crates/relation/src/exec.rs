@@ -45,8 +45,7 @@
 //!
 //! Because the key columns are cached *on the relations* (and shared by
 //! clones), repeated executions over the same state — the plan-cache usage
-//! pattern of the full-reducer engine — pay the column extraction only
-//! once.
+//! pattern of the cached engine — pay the column extraction only once.
 
 use std::hash::{Hash, Hasher};
 
@@ -169,7 +168,7 @@ fn hash_wide(key: &[u64]) -> u64 {
 /// Bernstein–Chiu reading where each site updates its own state.
 ///
 /// Allocates a fresh [`ExecScratch`] per call; callers that execute
-/// programs repeatedly (the cached full-reducer engine) should hold one
+/// programs repeatedly (the cached engine) should hold one
 /// scratch and use [`semijoin_program_with`].
 ///
 /// # Panics

@@ -32,7 +32,7 @@
 //! row buffers live in a caller-owned [`JoinUpScratch`] that is reused
 //! across edges and across calls.
 //!
-//! The cached engines in `gyo-query` answer through this executor. The
+//! The cached engine in `gyo-query` answers through this executor. The
 //! per-call solvers there keep the operator-at-a-time loop as an
 //! independent reference, and `tests/prop.rs` holds the two to identical
 //! answers on random rooted trees with every key width.

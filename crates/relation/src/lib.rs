@@ -16,9 +16,9 @@
 //!   satisfaction `I ⊨ ⋈D`;
 //! * [`exec`] — precompiled semijoin steps ([`SemijoinStep`]) and the
 //!   selection-vector [`semijoin_program`] executor used by the cached
-//!   full-reducer engine;
+//!   engine;
 //! * [`joinup`] — the flat join-up executor ([`join_up_with`]) the cached
-//!   engines answer through after full reduction;
+//!   engine answers through after full reduction;
 //! * [`kernels`] — the columnar kernel layer: gather projection, chunked
 //!   branchless key-probe kernels over [`SelVec`] selection vectors, the
 //!   generation-stamped [`kernels::StampTable`], and packed row sorting.
@@ -87,12 +87,12 @@
 //!
 //! Two join-ups run over these operators, deliberately:
 //!
-//! * the **flat executor** ([`join_up_with`]) in the cached engines
-//!   (`FullReducerEngine`, and `TreeifyEngine` for tree schemas and for
-//!   targets outside `W`): unsorted duplicate-free intermediates in reused
-//!   buffers, bucket-chain builds, one normalization at the root;
+//! * the **flat executor** ([`join_up_with`]) in the cached engine
+//!   (`TreeifyEngine`, for tree schemas and for targets outside `W`):
+//!   unsorted duplicate-free intermediates in reused buffers, bucket-chain
+//!   builds, one normalization at the root;
 //! * the **operator-at-a-time reference** in the per-call routes
-//!   (`solve_tree_query`, `IncrementalEngine`, `solve_via_treeification`):
+//!   (`solve_tree_query`, `solve_via_treeification`):
 //!   one [`Relation::project`] and one [`Relation::natural_join`] per
 //!   tree edge, every intermediate a normalized `Relation`. The
 //!   differential suite compares the two routes.

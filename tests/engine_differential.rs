@@ -1,37 +1,39 @@
-//! Differential engine suite: the naive, incremental (per-call Yannakakis),
-//! cached full-reducer, and treeification-backed engines must produce
-//! identical reduced states and identical query answers on every workload
-//! family — chains, stars, rings, grids, random trees, and the TPC-H-like
-//! snowflake in both its acyclic and cyclic forms.
+//! Differential engine suite: the naive engine, the per-call Yannakakis
+//! functions (`full_reduce`, `solve_tree_query`), and the
+//! treeification-backed engine must produce identical reduced states and
+//! identical query answers on every workload family — chains, stars, rings,
+//! grids, random trees, and the TPC-H-like snowflake in both its acyclic
+//! and cyclic forms.
 //!
-//! Tree families: all four engines reduce and answer, and must agree with
-//! the definitional results (`π_{Rᵢ}(⋈ state)` and `π_X(⋈ state)`).
+//! Tree families: every path reduces and answers, and must agree with the
+//! definitional results (`π_{Rᵢ}(⋈ state)` and `π_X(⋈ state)`).
 //! Cyclic families (rings, non-degenerate grids, `tpch_cyclic`): the
-//! semijoin engines must *decline* with an [`EngineError::Cyclic`] whose
-//! residue names the stuck cycle, while the naive AND treeify engines —
-//! the two total ones — still answer, identically. The treeify engine's
-//! per-call reference (`reduce_via_treeification`) is cross-checked on the
-//! same states, so the cached plan and the per-call path are held together
-//! too.
+//! tree-only paths (`full_reduce`, `solve_tree_query`, and
+//! `TreeifyEngine::plan`) must *decline* with one [`EngineError::Cyclic`]
+//! whose residue names the stuck cycle, while the naive AND treeify
+//! engines — the two total ones — still answer, identically. The treeify
+//! engine's per-call reference (`reduce_via_treeification`) is
+//! cross-checked on the same states, so the cached plan and the per-call
+//! path are held together too.
 //!
 //! Every case asks five answer targets: `∅`, one attribute, a two-attribute
 //! span (first and last attribute), all of `U(D)`, and a seeded random
-//! subset. The cached engines join up through the flat executor
-//! (`gyo_relation::join_up_with`) while the incremental engine keeps the
-//! operator-at-a-time `solve_tree_query` join-up, so every target compares
-//! two independent join-up routes against the definitional answer.
+//! subset. The treeify engine joins up through the flat executor
+//! (`gyo_relation::join_up_with`) while `solve_tree_query` keeps the
+//! operator-at-a-time join-up, so every target compares two independent
+//! join-up routes against the definitional answer.
 //!
-//! The cached engines are shared across all cases (and test threads)
-//! through static instances, so both plan caches (tree plans and treeified
-//! plans) are exercised under heavy reuse — a disagreement caused by a
-//! stale or miskeyed plan would surface here. Case counts honor
-//! `PROPTEST_CASES` (CI caps at 32; nightly runs full).
+//! The treeify engine is shared across all cases (and test threads)
+//! through a static instance, so its one plan cache (tree plans and
+//! treeified plans alike) is exercised under heavy reuse — a disagreement
+//! caused by a stale or miskeyed plan would surface here. Case counts
+//! honor `PROPTEST_CASES` (CI caps at 32; nightly runs full).
 
 use std::sync::OnceLock;
 
 use gyo::{
-    is_tree_schema, reduce_via_treeification, AttrSet, DbSchema, DbState, Engine,
-    FullReducerEngine, IncrementalEngine, NaiveEngine, Relation, TreeifyEngine,
+    full_reduce, is_tree_schema, reduce_via_treeification, solve_tree_query, AttrSet, DbSchema,
+    DbState, Engine, NaiveEngine, Relation, TreeifyEngine,
 };
 use gyo_workloads::{
     aring_n, chain, engine_families, family_state, grid, random_tree_schema, star,
@@ -41,16 +43,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One engine instance for the whole suite: reusing it across cases is the
-/// point (plan-cache hits must not change any answer).
-fn cached_engine() -> &'static FullReducerEngine {
-    static ENGINE: OnceLock<FullReducerEngine> = OnceLock::new();
-    ENGINE.get_or_init(FullReducerEngine::new)
-}
-
-/// One treeify engine for the whole suite, for the same reason — its two
-/// plan caches (tree plans in the shared inner cache, treeified plans for
-/// cyclic schemas) see every schema this suite generates.
+/// One treeify engine for the whole suite: reusing it across cases is the
+/// point (plan-cache hits must not change any answer), and its plan cache
+/// sees every schema this suite generates.
 fn treeify_engine() -> &'static TreeifyEngine {
     static ENGINE: OnceLock<TreeifyEngine> = OnceLock::new();
     ENGINE.get_or_init(TreeifyEngine::new)
@@ -95,27 +90,26 @@ fn naive_is_tractable(d: &DbSchema) -> bool {
     d.connected_components().len() <= 3
 }
 
-/// The core differential check: reduced states of all four engines on
+/// The core differential check: reduced states of every path on
 /// `(d, state)`, and their answers for every target in `targets`.
 fn check_engines(label: &str, d: &DbSchema, state: &DbState, targets: &[AttrSet]) {
-    let naive = NaiveEngine;
-    let incremental = IncrementalEngine;
-    let cached = cached_engine();
     let treeify = treeify_engine();
     let tree = is_tree_schema(d);
 
-    let n_red = naive.reduce(d, state).expect("naive reduces every schema");
-    let i_red = incremental.reduce(d, state);
-    let c_red = cached.reduce(d, state);
+    let n_red = NaiveEngine
+        .reduce(d, state)
+        .expect("naive reduces every schema");
+    let i_red = full_reduce(d, state);
     let t_red = treeify
         .reduce(d, state)
         .expect("treeify engine is total: every schema reduces");
+    let plan = treeify.plan(d);
     assert_eq!(
         i_red.is_ok(),
         tree,
-        "{label}: incremental supports iff tree"
+        "{label}: full_reduce supports iff tree"
     );
-    assert_eq!(c_red.is_ok(), tree, "{label}: cached supports iff tree");
+    assert_eq!(plan.is_ok(), tree, "{label}: a full-reducer plan iff tree");
     for k in 0..d.len() {
         assert_eq!(
             t_red.rel(k),
@@ -125,26 +119,23 @@ fn check_engines(label: &str, d: &DbSchema, state: &DbState, targets: &[AttrSet]
     }
     if tree {
         let i_red = i_red.unwrap();
-        let c_red = c_red.unwrap();
         for k in 0..d.len() {
             assert_eq!(
                 i_red.rel(k),
                 n_red.rel(k),
-                "{label}: incremental node {k} reaches global consistency"
-            );
-            assert_eq!(
-                c_red.rel(k),
-                n_red.rel(k),
-                "{label}: cached node {k} reaches global consistency"
+                "{label}: full_reduce node {k} reaches global consistency"
             );
         }
     } else {
         // The declines must carry the cyclicity diagnostic: a nonempty
         // residue whose survivor list is parallel to it, drawn from D's
-        // original indices — and both semijoin engines must agree on it.
+        // original indices — and the tree-only paths must agree on it.
         let i_err = i_red.unwrap_err();
-        let c_err = c_red.unwrap_err();
-        assert_eq!(i_err, c_err, "{label}: engines agree on the diagnostic");
+        assert_eq!(
+            plan.unwrap_err(),
+            i_err,
+            "{label}: the cached plan and full_reduce agree on the diagnostic"
+        );
         let residue = i_err.residue().expect("a cyclic verdict");
         let survivors = i_err.survivors().expect("a cyclic verdict");
         assert!(
@@ -181,7 +172,7 @@ fn check_engines(label: &str, d: &DbSchema, state: &DbState, targets: &[AttrSet]
     }
 }
 
-/// The answers of all four engines for one target against `π_X(joined)`.
+/// The answers of every path for one target against `π_X(joined)`.
 fn check_answers(
     label: &str,
     d: &DbSchema,
@@ -190,32 +181,29 @@ fn check_answers(
     joined: &Relation,
     x: &AttrSet,
 ) {
-    let (naive, incremental, cached, treeify) = (
-        NaiveEngine,
-        IncrementalEngine,
-        cached_engine(),
-        treeify_engine(),
-    );
     let expected = if joined.is_empty() {
         Relation::empty(x.clone())
     } else {
         joined.project(x)
     };
     assert_eq!(
-        naive.answer(d, state, x).expect("naive answers everything"),
+        NaiveEngine
+            .answer(d, state, x)
+            .expect("naive answers everything"),
         expected,
         "{label}: naive answer"
     );
-    let i_ans = incremental.answer(d, state, x);
-    let c_ans = cached.answer(d, state, x);
-    assert_eq!(i_ans.is_ok(), tree, "{label}: incremental answers iff tree");
-    assert_eq!(c_ans.is_ok(), tree, "{label}: cached answers iff tree");
+    let i_ans = solve_tree_query(d, state, x);
+    assert_eq!(
+        i_ans.is_ok(),
+        tree,
+        "{label}: solve_tree_query answers iff tree"
+    );
     if tree {
-        assert_eq!(i_ans.unwrap(), expected, "{label}: incremental answer");
-        assert_eq!(c_ans.unwrap(), expected, "{label}: cached answer");
+        assert_eq!(i_ans.unwrap(), expected, "{label}: solve_tree_query answer");
     }
     assert_eq!(
-        treeify
+        treeify_engine()
             .answer(d, state, x)
             .expect("treeify answers everything"),
         expected,
@@ -319,7 +307,7 @@ proptest! {
     /// Storage equivalence: the flat row-major layout is invisible to
     /// semantics. Every relation of a reduced state round-trips unchanged
     /// through the `Vec<Vec<u64>>` shim (`to_vecs` → `Relation::new`), the
-    /// masked executor's output (cached engine, `filter_by_mask` path)
+    /// masked executor's output (treeify engine, `filter_by_mask` path)
     /// matches the per-call semijoin path bit for bit, and answers over
     /// shim-reconstructed states equal answers over the originals.
     #[test]
@@ -329,10 +317,10 @@ proptest! {
         let state = family_state(&mut rng, &d, rows, domain, 6);
         let x = span_target(&d);
 
-        let reduced = cached_engine().reduce(&d, &state).expect("chain is a tree");
+        let reduced = treeify_engine().reduce(&d, &state).expect("treeify is total");
         prop_assert_eq!(
             &reduced,
-            &IncrementalEngine.reduce(&d, &state).unwrap(),
+            &full_reduce(&d, &state).unwrap(),
             "masked executor vs per-call semijoins"
         );
         for k in 0..d.len() {
@@ -350,7 +338,7 @@ proptest! {
         );
         prop_assert_eq!(&rebuilt, &state);
         prop_assert_eq!(
-            cached_engine().answer(&d, &rebuilt, &x).unwrap(),
+            treeify_engine().answer(&d, &rebuilt, &x).unwrap(),
             NaiveEngine.answer(&d, &state, &x).unwrap()
         );
     }
@@ -363,7 +351,7 @@ fn answers_are_stable_across_repeated_cached_calls() {
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let state = family_state(&mut rng, &d, 30, 5, 8);
     let x = span_target(&d);
-    let cached = cached_engine();
+    let cached = treeify_engine();
     let first = cached.answer(&d, &state, &x).unwrap();
     for _ in 0..3 {
         assert_eq!(cached.answer(&d, &state, &x).unwrap(), first);
