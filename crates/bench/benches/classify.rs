@@ -12,8 +12,8 @@ use gyo_bench::bench_rng;
 use gyo_core::reduce::{gyo_reduce_naive, is_tree_schema};
 use gyo_core::schema::qual::maximum_weight_join_tree;
 use gyo_core::{
-    full_reduce, reduce_via_treeification, solve_via_treeification, AttrSet, DbState, Engine,
-    NaiveEngine, TreeifyEngine,
+    full_reduce, reduce_via_treeification, solve_tree_query, solve_via_treeification, AttrSet,
+    DbState, Engine, NaiveEngine, TreeifyEngine,
 };
 use gyo_workloads::{
     aclique_n, aring_n, chain, family_state, grid, random_tree_schema, random_universal, star,
@@ -140,7 +140,8 @@ fn bench_treeify_engines(c: &mut Criterion) {
         // the dangling rows give both full reducers real filtering to do.
         let state = family_state(&mut rng, &d, 64, 1 << 14, 16);
         // Target on the residue: W spans the whole ring, so the answer
-        // projects the reduced W directly.
+        // keeps only W, the root of the extended tree — the upward pass,
+        // then π_X of the reduced W.
         let x = AttrSet::from_raw(&[0, (n / 2) as u32]);
         assert_eq!(
             engine.answer(&d, &state, &x).expect("treeify is total"),
@@ -200,6 +201,11 @@ fn bench_treeify_engines(c: &mut Criterion) {
 /// `reduce_*` series — whose masked executor never touches tuple storage —
 /// these are bounded by per-row touch cost of the `Relation` layout, so
 /// they are the acceptance family for storage-layout changes.
+///
+/// The chain target, its two end attributes, keeps every node of the join
+/// tree. The `answer_cached_star` ids target two leaf attributes of a
+/// star, so an answer reads three of its `n` nodes: the upward pass, two
+/// downward steps and two join-up edges.
 fn bench_materialize(c: &mut Criterion) {
     let mut group = c.benchmark_group("classify/materialize");
     let cached = TreeifyEngine::new();
@@ -223,6 +229,31 @@ fn bench_materialize(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("answer_cached", n), &state, |b, state| {
             b.iter(|| black_box(cached.answer(&d, state, &x).unwrap().len()))
         });
+    }
+    for n in [8usize, 32, 128] {
+        let d = star(n);
+        let mut rng = bench_rng();
+        let state = family_state(&mut rng, &d, 256, 1 << 14, 32);
+        let x = AttrSet::from_raw(&[2, n as u32]);
+        let answer = cached
+            .answer(&d, &state, &x)
+            .expect("star is a tree schema");
+        // Two universal rows sharing a hub value make ⋈D hold 2ⁿ rows, so
+        // the naive oracle runs at n = 8 only; the per-call solver, which
+        // the differential suite holds to it, checks every n.
+        if n == 8 {
+            assert_eq!(
+                answer,
+                NaiveEngine.answer(&d, &state, &x).unwrap(),
+                "sanity"
+            );
+        }
+        assert_eq!(answer, solve_tree_query(&d, &state, &x).unwrap(), "sanity");
+        group.bench_with_input(
+            BenchmarkId::new("answer_cached_star", n),
+            &state,
+            |b, state| b.iter(|| black_box(cached.answer(&d, state, &x).unwrap().len())),
+        );
     }
     group.finish();
 }

@@ -14,10 +14,24 @@
 //!   exact relation list to the plan one GYO reduction compiles (see
 //!   [`crate::treeify_engine`]). `reduce` and `answer` run one pipeline:
 //!   look the plan up once; copy the state, pushing `state(W)` when the
-//!   plan is cyclic; run the plan's semijoin steps on the selection-vector
-//!   executor ([`semijoin_program_with`]); finish by truncating back to
-//!   `D` (reduce), by projecting the reduced `W` when `X ⊆ W`, or by
-//!   joining up the plan's tree on the flat executor ([`join_up_with`]).
+//!   plan is cyclic; run semijoin steps of the plan on the selection-vector
+//!   executor ([`semijoin_program_with`]); finish. `reduce` runs all
+//!   `2·(n−1)` steps and truncates back to `D`.
+//!
+//! `answer` reads only the **kept subtree**: the nodes of the plan's rooted
+//! join tree whose relations `π_X(⋈D)` needs. With the compile-time root,
+//! a non-root node `v` is kept iff `X ∩ U(subtree(v)) ⊄ R_parent(v)`, and
+//! the root always is. By running intersection the kept set is closed
+//! under parents and its relations cover `X`: it is the subtree of the join
+//! tree that spans `X` (on a tree schema, where `π_X(⋈D)` needs only
+//! `CC(D, X)`, Theorem 3.3(ii) and `gyo-tableau::cc`) plus the path from it
+//! up to the root.
+//!
+//! `answer` runs the whole upward pass, which fully reduces the root, then
+//! only the downward steps into kept nodes, and joins up only the kept
+//! nodes ([`join_up_with`]). `X = ∅` keeps the root alone: boolean
+//! Yannakakis, `{()}` or `{}` after the upward pass. A cyclic plan is
+//! rooted at `W`, so `X ⊆ W` is the same one-node case.
 //!
 //! The per-call, operator-at-a-time routes
 //! ([`full_reduce`](crate::full_reduce),
@@ -29,7 +43,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, TryLockError};
 
 use gyo_relation::{
     join_up_with, lock_cache, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
@@ -284,6 +298,47 @@ impl FullReducerPlan {
         &self.steps
     }
 
+    /// Fills `kept` with the nodes an answer `π_X` reads: the root, and
+    /// each non-root `v` with `X ∩ U(subtree(v)) ⊄ R_parent(v)`. `schemas`
+    /// are the relation schemas the plan was compiled for.
+    ///
+    /// On a join tree that condition says some node of `v`'s subtree is the
+    /// topmost holder of an attribute of `X`: an attribute held both below
+    /// `v` and by `v`'s parent is held by every node in between. So one
+    /// post-order pass marks each topmost holder and its ancestors, with no
+    /// per-node attribute set.
+    pub(crate) fn kept_nodes(&self, schemas: &[AttrSet], x: &AttrSet, kept: &mut Vec<bool>) {
+        let rooted = &self.rooted;
+        kept.clear();
+        kept.resize(rooted.parent.len(), false);
+        for &v in &rooted.post_order {
+            let p = rooted.parent[v];
+            // A kept child has already marked `v`.
+            kept[v] = kept[v]
+                || v == rooted.root
+                || schemas[v]
+                    .iter()
+                    .any(|a| x.contains(a) && !schemas[p].contains(a));
+            if kept[v] {
+                kept[p] = true;
+            }
+        }
+    }
+
+    /// The steps of an answer over the `kept` nodes: the whole upward pass,
+    /// which leaves the root fully reduced, then the downward steps into
+    /// kept nodes. The downward pass visits parents first, so each kept
+    /// node is semijoined with a fully reduced parent and ends fully
+    /// reduced; the other nodes are never read.
+    pub(crate) fn answer_steps<'a>(
+        &'a self,
+        kept: &'a [bool],
+    ) -> impl Iterator<Item = &'a SemijoinStep> + 'a {
+        let (up, down) = self.steps.split_at(self.steps.len() / 2);
+        up.iter()
+            .chain(down.iter().filter(move |step| kept[step.target()]))
+    }
+
     /// The plan as a §6 semijoin [`Program`] (new-relation semantics) over
     /// `d`, the schema the plan was compiled for. Built on each call from
     /// the rooted tree; compiling a plan never builds one.
@@ -310,18 +365,27 @@ impl FullReducerPlan {
     }
 }
 
-/// Locks a reusable scratch without waiting. A poisoned lock is recovered:
-/// every use of a scratch resets what it reads first, so one left mid-use
-/// by a panic is still valid. `None` when another call holds it.
-fn try_lock_scratch<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+/// Runs `f` on the reusable scratch behind `lock`, locked without waiting.
+/// A poisoned lock is recovered: every use of a scratch resets what it
+/// reads first, so one left mid-use by a panic is still valid. When another
+/// call holds the lock, `f` runs on a fresh scratch instead of serializing
+/// behind it.
+fn with_scratch<T: Default, R>(lock: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
     match lock.try_lock() {
-        Ok(guard) => Some(guard),
+        Ok(mut guard) => f(&mut guard),
         Err(TryLockError::Poisoned(poisoned)) => {
             lock.clear_poison();
-            Some(poisoned.into_inner())
+            f(&mut poisoned.into_inner())
         }
-        Err(TryLockError::WouldBlock) => None,
+        Err(TryLockError::WouldBlock) => f(&mut T::default()),
     }
+}
+
+/// Reusable answer state: the join-up scratch and the kept-node mask.
+#[derive(Debug, Default)]
+struct AnswerScratch {
+    joinup: JoinUpScratch,
+    kept: Vec<bool>,
 }
 
 /// The planned engine: **total** over all schemas, one plan per schema.
@@ -344,10 +408,10 @@ pub struct TreeifyEngine {
     /// callers fall back to a per-call scratch rather than serialize; a
     /// poisoned lock is recovered, not bypassed.
     scratch: Mutex<ExecScratch>,
-    /// Reusable join-up state (bucket chains, pair buffer, dedup sets,
-    /// intermediate row buffers), with the same contention fallback and
-    /// poison recovery.
-    joinup: Mutex<JoinUpScratch>,
+    /// Reusable answer state (the kept-node mask, and the join-up bucket
+    /// chains, pair buffer, dedup sets and intermediate row buffers), with
+    /// the same contention fallback and poison recovery.
+    answer: Mutex<AnswerScratch>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -435,22 +499,22 @@ impl TreeifyEngine {
         )
     }
 
-    /// Copies the state (pushing `state(W)` for a cyclic plan) and runs the
-    /// plan's semijoin steps through the engine's reusable scratch (a
-    /// per-call scratch under contention). Returns the reduced relations,
-    /// `D`'s first and `W` last.
-    fn reduced(&self, plan: &Plan, state: &DbState) -> Vec<Relation> {
+    /// Copies the state (pushing `state(W)` for a cyclic plan) and runs
+    /// `steps` of the plan through the engine's reusable scratch. Returns
+    /// the relations, `D`'s first and `W` last.
+    fn reduced<'a>(
+        &self,
+        plan: &Plan,
+        state: &DbState,
+        steps: impl IntoIterator<Item = &'a SemijoinStep>,
+    ) -> Vec<Relation> {
         let mut rels = state.rels().to_vec();
         if let Plan::Cyclic(treeify) = plan {
             rels.push(treeify.materialize_w(state));
         }
-        let steps = plan.tree().steps();
-        match try_lock_scratch(&self.scratch) {
-            Some(mut scratch) => semijoin_program_with(&mut rels, steps, &mut scratch),
-            // Another thread is mid-reduction on this engine: run with a
-            // fresh scratch instead of serializing behind the lock.
-            None => semijoin_program_with(&mut rels, steps, &mut ExecScratch::new()),
-        }
+        with_scratch(&self.scratch, |scratch| {
+            semijoin_program_with(&mut rels, steps, scratch)
+        });
         rels
     }
 }
@@ -462,7 +526,8 @@ impl Engine for TreeifyEngine {
 
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
         EngineError::check_state(d, state)?;
-        let mut rels = self.reduced(&self.lookup(d), state);
+        let plan = self.lookup(d);
+        let mut rels = self.reduced(&plan, state, plan.tree().steps());
         rels.truncate(d.len());
         Ok(DbState::new(d, rels))
     }
@@ -471,19 +536,15 @@ impl Engine for TreeifyEngine {
         EngineError::check_target(d, x)?;
         EngineError::check_state(d, state)?;
         let plan = self.lookup(d);
-        let rels = self.reduced(&plan, state);
-        if let Plan::Cyclic(treeify) = &plan {
-            // After full reduction the W slot holds π_W(⋈D); when the
-            // target fits inside W, one projection finishes the query.
-            if x.is_subset(treeify.w()) {
-                return Ok(rels.last().expect("W is the last relation").project(x));
-            }
-        }
-        let rooted = plan.tree().rooted();
-        Ok(match try_lock_scratch(&self.joinup) {
-            Some(mut scratch) => join_up_with(&rels, rooted, x, &mut scratch),
-            None => join_up_with(&rels, rooted, x, &mut JoinUpScratch::new()),
-        })
+        let tree = plan.tree();
+        Ok(with_scratch(
+            &self.answer,
+            |AnswerScratch { joinup, kept }| {
+                tree.kept_nodes(plan.schemas(d), x, kept);
+                let rels = self.reduced(&plan, state, tree.answer_steps(kept));
+                join_up_with(&rels, tree.rooted(), kept, x, joinup)
+            },
+        ))
     }
 }
 
@@ -679,6 +740,75 @@ pub(crate) mod tests {
         );
     }
 
+    /// The nodes `plan` keeps for an answer on `x`.
+    pub(crate) fn kept_of(plan: &Plan, d: &DbSchema, x: &AttrSet) -> Vec<usize> {
+        let mut kept = Vec::new();
+        plan.tree().kept_nodes(plan.schemas(d), x, &mut kept);
+        (0..kept.len()).filter(|&v| kept[v]).collect()
+    }
+
+    #[test]
+    fn a_star_keeps_its_center_and_the_leaves_holding_x() {
+        // star(64) = (A₀A₁, …, A₀A₆₄) joins as a star around its root, node
+        // 0; A₁₇ is only in node 16 and A₆₄ only in node 63.
+        let d = gyo_workloads::star(64);
+        let plan = Plan::compile(&d);
+        let rooted = plan.tree().rooted();
+        assert_eq!(rooted.root, 0);
+        assert!(rooted.parent.iter().all(|&p| p == 0), "a star join tree");
+        let x = AttrSet::from_raw(&[17, 64]);
+        assert_eq!(kept_of(&plan, &d, &x), vec![0, 16, 63]);
+        // The answer runs the whole upward pass, then only the downward
+        // steps into the two kept leaves.
+        let mut kept = Vec::new();
+        plan.tree().kept_nodes(plan.schemas(&d), &x, &mut kept);
+        let targets: Vec<usize> = plan
+            .tree()
+            .answer_steps(&kept)
+            .map(SemijoinStep::target)
+            .collect();
+        assert_eq!(targets.len(), 63 + 2);
+        assert_eq!(targets[63..], [63, 16]);
+        // The hub attribute is in the root: nothing below is needed.
+        assert_eq!(kept_of(&plan, &d, &AttrSet::from_raw(&[0])), vec![0]);
+    }
+
+    #[test]
+    fn a_chain_with_its_end_attributes_keeps_every_node() {
+        let d = gyo_workloads::chain(64);
+        let plan = Plan::compile(&d);
+        let x = AttrSet::from_raw(&[0, 64]);
+        assert_eq!(kept_of(&plan, &d, &x), (0..64).collect::<Vec<_>>());
+        let mut kept = Vec::new();
+        plan.tree().kept_nodes(plan.schemas(&d), &x, &mut kept);
+        assert_eq!(plan.tree().answer_steps(&kept).count(), 2 * 63);
+        // A middle attribute keeps the path from the root down to it.
+        let mid = AttrSet::from_raw(&[10]);
+        assert_eq!(kept_of(&plan, &d, &mid), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_empty_target_keeps_only_the_root() {
+        for d in [
+            gyo_workloads::star(6),
+            gyo_workloads::chain(6),
+            gyo_workloads::aring_n(5),
+        ] {
+            let plan = Plan::compile(&d);
+            let root = plan.tree().rooted().root;
+            assert_eq!(kept_of(&plan, &d, &AttrSet::empty()), vec![root]);
+            // The answer is boolean: {()} for a nonempty join, {} if not.
+            let state = random_state(&d, 0x0B, 20, 3);
+            let e = TreeifyEngine::new();
+            assert_eq!(
+                e.answer(&d, &state, &AttrSet::empty()).unwrap(),
+                NaiveEngine.answer(&d, &state, &AttrSet::empty()).unwrap()
+            );
+        }
+        let d0 = DbSchema::empty();
+        assert!(kept_of(&Plan::compile(&d0), &d0, &AttrSet::empty()).is_empty());
+    }
+
     #[test]
     fn single_and_empty_schemas() {
         let mut cat = Catalog::alphabetic();
@@ -747,7 +877,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn incremental_engine_rejects_a_target_outside_the_schema() {
+    fn per_call_solver_rejects_a_target_outside_the_schema() {
         // The per-call Yannakakis path, called directly.
         let (d, state, x, want) = stray_target_case();
         assert_eq!(solve_tree_query(&d, &state, &x).unwrap_err(), want);
@@ -813,7 +943,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn incremental_engine_rejects_a_state_for_another_schema() {
+    fn per_call_solvers_reject_a_state_for_another_schema() {
         // The per-call Yannakakis path, called directly.
         let (d, x, states) = mismatched_states();
         for (state, index) in states {
@@ -858,25 +988,28 @@ pub(crate) mod tests {
                 semijoin_program_with(&mut rels, other_plan.steps(), &mut scratch);
                 panic!("poison the semijoin scratch");
             });
-            let joinup = s.spawn(|| {
-                let mut scratch = e.joinup.lock().unwrap();
+            let answer = s.spawn(|| {
+                let mut scratch = e.answer.lock().unwrap();
+                let AnswerScratch { joinup, kept } = &mut *scratch;
+                other_plan.kept_nodes(other.rels(), &other_x, kept);
                 join_up_with(
                     other_state.rels(),
                     other_plan.rooted(),
+                    kept,
                     &other_x,
-                    &mut scratch,
+                    joinup,
                 );
-                panic!("poison the join-up scratch");
+                panic!("poison the answer scratch");
             });
-            semijoin.join().is_err() && joinup.join().is_err()
+            semijoin.join().is_err() && answer.join().is_err()
         });
-        assert!(panicked && e.scratch.is_poisoned() && e.joinup.is_poisoned());
+        assert!(panicked && e.scratch.is_poisoned() && e.answer.is_poisoned());
         assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
         assert!(
             !e.scratch.is_poisoned(),
             "the semijoin scratch is recovered"
         );
-        assert!(!e.joinup.is_poisoned(), "the join-up scratch is recovered");
+        assert!(!e.answer.is_poisoned(), "the answer scratch is recovered");
         assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
     }
 }

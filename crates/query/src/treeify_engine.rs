@@ -13,6 +13,11 @@
 //! one data-dependent step cyclicity adds is
 //! `state(W) = π_W(⋈ of the survivors' states)`.
 //!
+//! The tree of `D ∪ (W)` is rooted at `W`. An answer joins up only the
+//! subtree that spans `X` (see [`crate::engine`]), so a target `X ⊆ W`
+//! keeps `W` alone: the upward pass leaves `W` at `π_W(⋈D)`, and `π_X` of
+//! it is the answer, with no downward pass and no join.
+//!
 //! Correctness: `⋈(D ∪ (W)) = ⋈D`, because every tuple of `⋈D` restricted
 //! to the survivors satisfies each survivor's relation, so its `W`
 //! projection is in `state(W)` — the added relation filters nothing.
@@ -89,6 +94,15 @@ impl Plan {
             Plan::Cyclic(plan) => &plan.tree,
         }
     }
+
+    /// The relation schemas of [`tree`](Self::tree)'s nodes: `d`'s for a
+    /// tree schema, those of `D ∪ (W)` for a cyclic one.
+    pub(crate) fn schemas<'a>(&'a self, d: &'a DbSchema) -> &'a [AttrSet] {
+        match self {
+            Plan::Tree(_) => d.rels(),
+            Plan::Cyclic(plan) => plan.extended.rels(),
+        }
+    }
 }
 
 /// A compiled treeification plan for one **cyclic** schema: everything
@@ -130,7 +144,8 @@ impl TreeifyPlan {
     /// so eliminating each into `W` makes the reduction total, and by
     /// Theorem 3.1 its subset eliminations — the trace's edges plus one
     /// `(survivor, W)` edge per survivor — form a join tree. The edges
-    /// still pass [`JoinTree::try_new`]'s hard check.
+    /// still pass [`JoinTree::try_new`]'s hard check. The tree is rooted at
+    /// `W`.
     fn compile(d: &DbSchema, red: Reduction) -> Self {
         let w = red.result.attributes();
         let join_order = connected_order(d, &red.survivors)
@@ -148,7 +163,7 @@ impl TreeifyPlan {
             .chain(red.survivors.iter().map(|&s| (s, w_node)));
         let tree = JoinTree::try_new(QualGraph::new(extended.len(), edges), &extended)
             .expect("Theorem 3.2(ii): the trace plus the W edges is a join tree of D ∪ (W)");
-        let tree = FullReducerPlan::on_tree(&extended, tree.rooted_at(0));
+        let tree = FullReducerPlan::on_tree(&extended, tree.rooted_at(w_node));
         Self {
             extended,
             join_order,
@@ -238,7 +253,7 @@ fn connected_order(d: &DbSchema, survivors: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{db, poison_plan_cache, random_state};
+    use crate::engine::tests::{db, kept_of, poison_plan_cache, random_state};
     use crate::{Engine, NaiveEngine, TreeifyEngine};
     use gyo_schema::Catalog;
 
@@ -268,9 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_schemas_delegate_to_the_inner_engine() {
-        // `inner()` is the engine itself: a tree schema's plan, compiled
-        // by an answer, is the one `inner().plan` returns.
+    fn tree_schemas_share_the_one_plan_cache() {
+        // A tree schema's plan, compiled by an answer, is the one `plan`
+        // returns; `inner()` is the engine itself.
         let mut cat = Catalog::alphabetic();
         let engine = TreeifyEngine::new();
         let d = db("ab, bc, cd", &mut cat);
@@ -473,9 +488,27 @@ mod tests {
     }
 
     #[test]
+    fn a_target_inside_w_keeps_only_w() {
+        // The extended tree is rooted at W, so X ⊆ W keeps the root alone,
+        // and a target reaching the pendants keeps the pendants too.
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd, da, ax, cy", &mut cat);
+        let plan = Plan::compile(&d);
+        let w_node = d.len();
+        assert_eq!(plan.tree().rooted().root, w_node, "rooted at W");
+        for (xs, want) in [("ac", vec![w_node]), ("", vec![w_node])] {
+            let x = AttrSet::parse(xs, &mut cat).unwrap();
+            assert_eq!(kept_of(&plan, &d, &x), want, "X = {xs}");
+        }
+        // ax hangs below ab and cy below bc, both children of W.
+        let x = AttrSet::parse("xy", &mut cat).unwrap();
+        assert_eq!(kept_of(&plan, &d, &x), vec![0, 1, 4, 5, w_node]);
+    }
+
+    #[test]
     fn answers_targets_outside_w() {
         // Pendant attributes are GYO-deleted, so they sit outside W; the
-        // answer path must join up the extended tree rather than project W.
+        // answer must join the pendants' relations in rather than project W.
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd, da, ax, cy", &mut cat);
         let engine = TreeifyEngine::new();

@@ -23,7 +23,8 @@
 //!   selection-vector executor ([`gyo_relation::semijoin_program`]) and
 //!   joins up with the flat executor ([`gyo_relation::join_up_with`]):
 //!   unsorted duplicate-free intermediates, bucket-chain builds, one
-//!   normalization at the root.
+//!   normalization at the root. An answer reduces and joins up only the
+//!   subtree of the join tree that spans `X`.
 
 use gyo_reduce::{gyo_reduce, join_tree_from_trace, Reduction};
 use gyo_relation::{DbState, Relation};

@@ -1,16 +1,18 @@
-//! Property tests for the query layer: programs, reducers, pruning, and
-//! the containment preorder.
+//! Property tests for the query layer: programs, reducers, pruning, the
+//! containment preorder, and answers over the kept subtree.
 
 use gyo_query::{
-    full_reduce, full_reducer_program, prune_irrelevant, weakly_contained_semantic, JoinQuery,
-    Program,
+    full_reduce, full_reducer_program, prune_irrelevant, weakly_contained_semantic, Engine,
+    JoinQuery, NaiveEngine, Program, TreeifyEngine,
 };
-use gyo_relation::DbState;
-use gyo_schema::{AttrSet, DbSchema};
-use gyo_workloads::{random_schema, random_tree_schema, random_universal};
+use gyo_relation::{join_up_with, DbState, JoinUpScratch, Relation};
+use gyo_schema::{AttrSet, DbSchema, RootedTree};
+use gyo_workloads::{
+    noisy_ur_state, random_cyclic_schema, random_schema, random_tree_schema, random_universal,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn target_of(d: &DbSchema, k: usize) -> AttrSet {
     AttrSet::from_iter(d.attributes().iter().take(k.max(1)))
@@ -111,5 +113,114 @@ proptest! {
         prop_assert!(weakly_contained_semantic(&q, &q));
         // fewer join constraints ⟹ larger answers: Q ⊑ Q₁
         prop_assert!(weakly_contained_semantic(&q, &q1));
+    }
+}
+
+/// A state over `d` with dangling rows: the projections of 8 random
+/// universal rows plus 4 noise rows per relation, values in `0..5`.
+fn dangling_state(rng: &mut StdRng, d: &DbSchema) -> DbState {
+    let i = random_universal(rng, &d.attributes(), 8, 5);
+    noisy_ur_state(rng, &i, d, 4, 5)
+}
+
+/// A random subset of `from`, each attribute kept with probability ½.
+fn random_subset(rng: &mut StdRng, from: &AttrSet) -> AttrSet {
+    AttrSet::from_iter(from.iter().filter(|_| rng.random_bool(0.5)))
+}
+
+/// `∅`, one attribute, `U(D)` and a random subset of `U(D)`.
+fn targets(rng: &mut StdRng, d: &DbSchema) -> Vec<AttrSet> {
+    let u = d.attributes();
+    let one = u
+        .iter()
+        .nth(rng.random_range(0..u.len()))
+        .expect("U(D) ≠ ∅");
+    vec![
+        AttrSet::empty(),
+        AttrSet::from_iter([one]),
+        random_subset(rng, &u),
+        u,
+    ]
+}
+
+/// The engine's answer on `x`, which joins up only the subtree that spans
+/// `x`, against `NaiveEngine` and against the flat join-up of every node of
+/// the plan's tree `rooted` over its fully reduced relations `full`.
+fn check_pruned_answer(
+    engine: &TreeifyEngine,
+    d: &DbSchema,
+    state: &DbState,
+    x: &AttrSet,
+    rooted: &RootedTree,
+    full: &[Relation],
+) {
+    let got = engine.answer(d, state, x).expect("the engine is total");
+    prop_assert_eq!(
+        &got,
+        &NaiveEngine.answer(d, state, x).unwrap(),
+        "X = {:?}",
+        x
+    );
+    let all = vec![true; full.len()];
+    let unpruned = join_up_with(full, rooted, &all, x, &mut JoinUpScratch::new());
+    prop_assert_eq!(&got, &unpruned, "X = {:?}", x);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Tree schemas: the pruned answer equals the naive answer and the
+    /// join-up of the whole fully reduced tree, for `X` = `∅`, one
+    /// attribute, a random subset and `U(D)`.
+    #[test]
+    fn pruned_answers_match_naive_and_the_full_tree_on_tree_schemas(
+        seed in any::<u64>(),
+        n in 1usize..7,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = random_tree_schema(&mut rng, n, 2 * n, 0.4);
+        let state = dangling_state(&mut rng, &d);
+        let engine = TreeifyEngine::new();
+        let plan = engine.plan(&d).expect("a tree schema");
+        let full = engine.reduce(&d, &state).unwrap();
+        for x in targets(&mut rng, &d) {
+            check_pruned_answer(&engine, &d, &state, &x, plan.rooted(), full.rels());
+        }
+    }
+
+    /// Cyclic schemas: the same over the extended tree `D ∪ (W)`, whose
+    /// fully reduced `W` is `π_W(⋈D)`, with targets inside and outside `W`
+    /// on top of the tree-schema ones.
+    #[test]
+    fn pruned_answers_match_naive_and_the_full_tree_on_cyclic_schemas(
+        seed in any::<u64>(),
+        n in 3usize..7,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = random_cyclic_schema(&mut rng, n, 6, 3, 20);
+        let state = dangling_state(&mut rng, &d);
+        let engine = TreeifyEngine::new();
+        let err = engine.plan(&d).expect_err("a cyclic schema");
+        let plan = engine.treeified_plan(&d, &err);
+        let w = plan.w().clone();
+        let total = state.join_all();
+        let w_state = if total.is_empty() {
+            Relation::empty(w.clone())
+        } else {
+            total.project(&w)
+        };
+        let mut full = engine.reduce(&d, &state).unwrap().rels().to_vec();
+        full.push(w_state);
+        let mut xs = targets(&mut rng, &d);
+        xs.push(random_subset(&mut rng, &w));
+        let outside = d.attributes().difference(&w);
+        if let Some(a) = outside.iter().next() {
+            let mut x = random_subset(&mut rng, &d.attributes());
+            x.insert(a);
+            xs.push(x);
+        }
+        for x in xs {
+            check_pruned_answer(&engine, &d, &state, &x, plan.tree_plan().rooted(), &full);
+        }
     }
 }

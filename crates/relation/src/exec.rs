@@ -183,9 +183,13 @@ pub fn semijoin_program(rels: &mut [Relation], steps: &[SemijoinStep]) {
 /// [`semijoin_program`] with caller-owned scratch: selection vectors and
 /// membership buffers are reused across calls, making every step
 /// allocation-free after the first run at a given shape.
-pub fn semijoin_program_with(
+///
+/// `steps` is any sequence of step references — a slice, or a filtered
+/// view of one such as the cached engine's answer program (the upward pass
+/// plus the downward steps into the subtree an answer reads).
+pub fn semijoin_program_with<'s>(
     rels: &mut [Relation],
-    steps: &[SemijoinStep],
+    steps: impl IntoIterator<Item = &'s SemijoinStep>,
     scratch: &mut ExecScratch,
 ) {
     scratch.ensure_slots(rels.len());

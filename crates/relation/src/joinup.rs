@@ -32,10 +32,16 @@
 //! row buffers live in a caller-owned [`JoinUpScratch`] that is reused
 //! across edges and across calls.
 //!
-//! The cached engine in `gyo-query` answers through this executor. The
-//! per-call solvers there keep the operator-at-a-time loop as an
-//! independent reference, and `tests/prop.rs` holds the two to identical
-//! answers on random rooted trees with every key width.
+//! [`join_up_with`] joins only the nodes its `kept` mask names, a subtree
+//! hanging from the root. The cached engine in `gyo-query` answers through
+//! this executor and keeps the **subtree that spans `X`**: the root, and
+//! each node `v` with `X ∩ U(subtree(v)) ⊄ R_parent(v)`. After a full
+//! reduction of those nodes, the nodes left out hold no attribute of `X`
+//! their kept ancestor lacks, so they cannot change `π_X`. The per-call
+//! solvers keep the operator-at-a-time loop over every node as an
+//! independent reference, and `tests/prop.rs` holds the executor to that
+//! loop over the same nodes — every node, and random root subtrees — on
+//! random rooted trees with every key width.
 
 use std::hash::Hasher;
 
@@ -162,24 +168,31 @@ fn hash_key(key: impl Iterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-/// Joins `rels` up the rooted tree with early projection and returns
-/// `π_X` of the result, normalized.
+/// Joins the `kept` nodes of `rels` up the rooted tree with early
+/// projection and returns `π_X` of the result, normalized.
 ///
-/// `rels[v]` is node `v`'s relation. For every non-root `v` in post-order,
-/// `v`'s accumulated subtree join is projected onto `X ∩ U(subtree(v)) ∪
-/// (Rᵥ ∩ R_parent(v))` and joined into its parent's accumulator. On a
-/// join tree over a fully reduced state this is the output-bounded
-/// Yannakakis join phase; on any other input it computes exactly what the
-/// same loop over `Relation::project` and `Relation::natural_join` would.
-/// With no relations the answer is `{()}` for `X = ∅` and empty otherwise.
+/// `rels[v]` is node `v`'s relation, and `kept[v]` says whether node `v`
+/// takes part: the kept nodes must include the root and each kept node's
+/// parent, so they form a subtree hanging from the root. For every kept
+/// non-root `v` in post-order, `v`'s accumulated join is projected onto
+/// `X ∩ U(kept subtree of v) ∪ (Rᵥ ∩ R_parent(v))` and joined into its
+/// parent's accumulator. On a join tree over a fully reduced state, with
+/// every node kept, this is the output-bounded Yannakakis join phase; the
+/// cached engine keeps only the subtree that spans `X`. On any other input
+/// it computes exactly what the same loop over `Relation::project` and
+/// `Relation::natural_join` on the same nodes would. With no relations the
+/// answer is `{()}` for `X = ∅` and empty otherwise.
 ///
 /// # Panics
 ///
-/// Panics if `rooted` does not have one node per relation, if `X` is not
-/// covered by `rels`, or if a join side holds `u32::MAX` rows or more.
+/// Panics if `rooted` or `kept` does not have one entry per relation, if
+/// the kept nodes miss the root or the parent of a kept node, if `X` is
+/// not covered by the kept relations, or if a join side holds `u32::MAX`
+/// rows or more.
 pub fn join_up_with(
     rels: &[Relation],
     rooted: &RootedTree,
+    kept: &[bool],
     x: &AttrSet,
     scratch: &mut JoinUpScratch,
 ) -> Relation {
@@ -192,23 +205,24 @@ pub fn join_up_with(
         };
     }
     assert_eq!(rooted.parent.len(), n, "one tree node per relation");
-    // subtree_x[v]: the attributes of X in the subtree rooted at v.
-    let mut subtree_x: Vec<AttrSet> = rels.iter().map(|r| r.attrs().intersect(x)).collect();
-    for &v in &rooted.post_order {
-        if v != rooted.root {
-            let p = rooted.parent[v];
-            subtree_x[p] = subtree_x[p].union(&subtree_x[v]);
-        }
-    }
+    assert_eq!(kept.len(), n, "one kept flag per relation");
+    assert!(
+        kept[rooted.root] && (0..n).all(|v| !kept[v] || kept[rooted.parent[v]]),
+        "the kept nodes form a subtree hanging from the root"
+    );
 
     let mut acc: Vec<Option<Acc<'_>>> = rels.iter().map(|r| Some(Acc::Leaf(r))).collect();
     for &v in &rooted.post_order {
-        if v == rooted.root {
+        if v == rooted.root || !kept[v] {
             continue;
         }
         let p = rooted.parent[v];
-        let keep = subtree_x[v].union(&rels[v].attrs().intersect(rels[p].attrs()));
         let child = acc[v].take().expect("each node joined once");
+        // The child's columns already hold X ∩ U(kept subtree of v): every
+        // join below v kept its own share of X.
+        let keep = AttrSet::from_iter(child.attrs().iter().filter(|&a| {
+            x.contains(a) || (rels[v].attrs().contains(a) && rels[p].attrs().contains(a))
+        }));
         let child = project_dedup(child, &keep, scratch);
         let parent = acc[p].take().expect("parent still pending");
         let joined = join(&parent, &child, scratch);
@@ -460,7 +474,13 @@ mod tests {
     }
 
     fn join_up(rels: &[Relation], rooted: &RootedTree, x: &AttrSet) -> Relation {
-        join_up_with(rels, rooted, x, &mut JoinUpScratch::new())
+        join_up_with(
+            rels,
+            rooted,
+            &vec![true; rels.len()],
+            x,
+            &mut JoinUpScratch::new(),
+        )
     }
 
     /// The chain `0 – 1 – … – n−1` rooted at node 0.
@@ -548,6 +568,55 @@ mod tests {
     }
 
     #[test]
+    fn only_the_kept_subtree_is_joined() {
+        // Node 2 matches nothing of node 1, so the whole chain joins to
+        // nothing; without node 2, nodes 0 and 1 join to two rows.
+        let rels = vec![
+            Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]),
+            Relation::new(attrs(&[1, 2]), vec![vec![10, 100], vec![20, 200]]),
+            Relation::new(attrs(&[2, 3]), vec![vec![999, 7]]),
+        ];
+        let tree = chain_tree(3);
+        let x = attrs(&[0, 2]);
+        let mut scratch = JoinUpScratch::new();
+        assert!(join_up_with(&rels, &tree, &[true; 3], &x, &mut scratch).is_empty());
+        assert_eq!(
+            join_up_with(&rels, &tree, &[true, true, false], &x, &mut scratch).to_vecs(),
+            vec![vec![1, 100], vec![2, 200]]
+        );
+        // The root alone is a plain projection.
+        assert_eq!(
+            join_up_with(
+                &rels,
+                &tree,
+                &[true, false, false],
+                &attrs(&[0]),
+                &mut scratch
+            )
+            .to_vecs(),
+            vec![vec![1], vec![2]]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "subtree hanging from the root")]
+    fn a_kept_node_needs_its_parent() {
+        let rels = vec![
+            Relation::new(attrs(&[0, 1]), vec![vec![1, 10]]),
+            Relation::new(attrs(&[1, 2]), vec![vec![10, 100]]),
+            Relation::new(attrs(&[2, 3]), vec![vec![100, 7]]),
+        ];
+        let mask = [true, false, true];
+        join_up_with(
+            &rels,
+            &chain_tree(3),
+            &mask,
+            &attrs(&[0]),
+            &mut JoinUpScratch::new(),
+        );
+    }
+
+    #[test]
     fn scratch_reuse_across_calls_is_sound() {
         let mut scratch = JoinUpScratch::new();
         let a = vec![
@@ -560,10 +629,14 @@ mod tests {
         ];
         let xa = attrs(&[0, 2]);
         let xb = attrs(&[3]);
-        let first = join_up_with(&a, &chain_tree(2), &xa, &mut scratch);
-        let other = join_up_with(&b, &chain_tree(2), &xb, &mut scratch);
+        let all = [true; 2];
+        let first = join_up_with(&a, &chain_tree(2), &all, &xa, &mut scratch);
+        let other = join_up_with(&b, &chain_tree(2), &all, &xb, &mut scratch);
         assert_eq!(other.to_vecs(), vec![vec![9]]);
-        assert_eq!(join_up_with(&a, &chain_tree(2), &xa, &mut scratch), first);
+        assert_eq!(
+            join_up_with(&a, &chain_tree(2), &all, &xa, &mut scratch),
+            first
+        );
         assert_eq!(first.to_vecs(), vec![vec![1, 5], vec![2, 6], vec![2, 7]]);
     }
 }

@@ -18,7 +18,7 @@
 //!   selection-vector [`semijoin_program`] executor used by the cached
 //!   engine;
 //! * [`joinup`] — the flat join-up executor ([`join_up_with`]) the cached
-//!   engine answers through after full reduction;
+//!   engine answers through, over the reduced subtree that spans `X`;
 //! * [`kernels`] — the columnar kernel layer: gather projection, chunked
 //!   branchless key-probe kernels over [`SelVec`] selection vectors, the
 //!   generation-stamped [`kernels::StampTable`], and packed row sorting.
@@ -88,9 +88,9 @@
 //! Two join-ups run over these operators, deliberately:
 //!
 //! * the **flat executor** ([`join_up_with`]) in the cached engine
-//!   (`TreeifyEngine`, for tree schemas and for targets outside `W`):
-//!   unsorted duplicate-free intermediates in reused buffers, bucket-chain
-//!   builds, one normalization at the root;
+//!   (`TreeifyEngine`, over the subtree of its plan's join tree that spans
+//!   `X`): unsorted duplicate-free intermediates in reused buffers,
+//!   bucket-chain builds, one normalization at the root;
 //! * the **operator-at-a-time reference** in the per-call routes
 //!   (`solve_tree_query`, `solve_via_treeification`):
 //!   one [`Relation::project`] and one [`Relation::natural_join`] per

@@ -84,8 +84,9 @@ fn unpack2(p: u128) -> (u64, u64) {
 /// row; wider keys are boxed once per *distinct* key, never per tuple.
 #[derive(Debug)]
 pub(crate) enum KeyIndex {
-    /// Width-0 key: every tuple carries the empty key.
-    Empty(Vec<usize>),
+    /// Width-0 key: every one of the relation's rows (their count here)
+    /// carries the empty key.
+    Empty(usize),
     /// Width-1 key.
     One(FxHashMap<u64, Vec<usize>>),
     /// Width-2 key, packed into one `u128`.
@@ -97,7 +98,7 @@ pub(crate) enum KeyIndex {
 impl KeyIndex {
     fn build(rel: &Relation, pos: &[usize]) -> Self {
         match *pos {
-            [] => KeyIndex::Empty((0..rel.len).collect()),
+            [] => KeyIndex::Empty(rel.len),
             [p] => {
                 let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
                 for (i, t) in rel.rows().enumerate() {
@@ -594,7 +595,7 @@ impl Relation {
         }
         if let Some(index) = self.key_index_if_cached(&self.attrs) {
             return match &*index {
-                KeyIndex::Empty(all) => !all.is_empty(),
+                KeyIndex::Empty(rows) => *rows > 0,
                 KeyIndex::One(map) => map.contains_key(&tuple[0]),
                 KeyIndex::Two(map) => map.contains_key(&pack2(tuple[0], tuple[1])),
                 KeyIndex::Wide(map) => map.contains_key(tuple),
@@ -809,10 +810,10 @@ impl Relation {
             };
         }
         match &*table {
-            KeyIndex::Empty(all) => {
+            &KeyIndex::Empty(rows) => {
                 // Disjoint schemas: cross product.
                 for pi in 0..probe.len {
-                    for &bi in all {
+                    for bi in 0..rows {
                         pairs.push((pi as u32, bi as u32));
                     }
                     emit(&mut pairs, &mut data, false);
@@ -890,8 +891,8 @@ impl Relation {
             };
         }
         match (index, my_key) {
-            (KeyIndex::Empty(all), _) => {
-                return if all.is_empty() {
+            (&KeyIndex::Empty(rows), _) => {
+                return if rows == 0 {
                     Relation::empty(self.attrs.clone())
                 } else {
                     self.clone()
@@ -962,7 +963,7 @@ impl Relation {
         }
         let index = other.key_index(&other.attrs);
         match &*index {
-            KeyIndex::Empty(all) => !all.is_empty(),
+            KeyIndex::Empty(rows) => *rows > 0,
             KeyIndex::One(map) => self.rows().all(|t| map.contains_key(&t[0])),
             KeyIndex::Two(map) => self.rows().all(|t| map.contains_key(&pack2(t[0], t[1]))),
             KeyIndex::Wide(map) => self.rows().all(|t| map.contains_key(t)),

@@ -365,21 +365,27 @@ fn check_program(rels0: &[Relation], raw_steps: &[(usize, usize)], reuse: bool) 
     }
 }
 
-/// Operator-at-a-time join-up: per tree edge one `Relation::project` onto
-/// `X ∩ U(subtree) ∪ (Rᵥ ∩ R_parent)` and one `Relation::natural_join`
-/// into the parent, then `project` onto `X` — the loop the flat executor
-/// replaces, every intermediate normalized.
-fn reference_join_up(rels: &[Relation], rooted: &RootedTree, x: &AttrSet) -> Relation {
+/// Operator-at-a-time join-up over the `kept` nodes: per kept tree edge
+/// one `Relation::project` onto `X ∩ U(kept subtree) ∪ (Rᵥ ∩ R_parent)`
+/// and one `Relation::natural_join` into the parent, then `project` onto
+/// `X` — the loop the flat executor replaces, every intermediate
+/// normalized.
+fn reference_join_up(
+    rels: &[Relation],
+    rooted: &RootedTree,
+    kept: &[bool],
+    x: &AttrSet,
+) -> Relation {
     let mut subtree_x: Vec<AttrSet> = rels.iter().map(|r| r.attrs().intersect(x)).collect();
     for &v in &rooted.post_order {
-        if v != rooted.root {
+        if v != rooted.root && kept[v] {
             let p = rooted.parent[v];
             subtree_x[p] = subtree_x[p].union(&subtree_x[v]);
         }
     }
     let mut acc: Vec<Relation> = rels.to_vec();
     for &v in &rooted.post_order {
-        if v != rooted.root {
+        if v != rooted.root && kept[v] {
             let p = rooted.parent[v];
             let keep = subtree_x[v].union(&rels[v].attrs().intersect(rels[p].attrs()));
             let pruned = acc[v].project(&keep);
@@ -419,48 +425,67 @@ proptest! {
     /// rooted trees over the width-mixed schema pool — join keys and kept
     /// projections of width 0, 1, 2 and ≥ 3, `{}`/`{()}` nodes, and values
     /// near `u64::MAX` that defeat packed normalization — with a fresh
-    /// scratch and with a scratch reused across calls.
+    /// scratch and with a scratch reused across calls. Every node is kept,
+    /// and then a random subtree hanging from the root.
     #[test]
     fn flat_join_up_matches_operator_at_a_time_reference(
         rels in proptest::collection::vec(
             proptest::sample::select(kernel_schemas()).prop_flat_map(relation_over), 1..6),
         shift in 0usize..6,
         raw in proptest::collection::vec(0usize..6, 6),
+        cut in proptest::collection::vec(any::<bool>(), 6),
         xs in proptest::collection::vec(0u32..10, 0..6),
         ys in proptest::collection::vec(0u32..10, 0..6),
     ) {
-        check_join_up(&rels, shift, &raw, &xs, &ys);
+        check_join_up(&rels, shift, &raw, &cut, &xs, &ys);
     }
 }
 
 /// The flat executor against the operator-at-a-time reference on the
-/// rooted tree `rooted_tree(n, shift, raw)`, for `X` = `xs ∩ U`, `ys ∩ U`
-/// and `U`, with a fresh scratch and with one reused across the calls.
-fn check_join_up(rels: &[Relation], shift: usize, raw: &[usize], xs: &[u32], ys: &[u32]) {
+/// rooted tree `rooted_tree(n, shift, raw)`, over every node and over the
+/// subtree that drops each `cut` node's subtree, for `X` = `xs ∩ U`,
+/// `ys ∩ U` and `U` (`U` the kept nodes' attributes), with a fresh scratch
+/// and with one reused across the calls.
+fn check_join_up(
+    rels: &[Relation],
+    shift: usize,
+    raw: &[usize],
+    cut: &[bool],
+    xs: &[u32],
+    ys: &[u32],
+) {
     let n = rels.len();
     let rooted = rooted_tree(n, shift % n, raw);
-    let u = rels
-        .iter()
-        .fold(AttrSet::empty(), |acc, r| acc.union(r.attrs()));
+    let mut pruned = vec![true; n];
+    for &v in rooted.post_order.iter().rev() {
+        pruned[v] = v == rooted.root || (pruned[rooted.parent[v]] && !cut[v]);
+    }
     let mut scratch = JoinUpScratch::new();
-    for x in [
-        AttrSet::from_raw(xs).intersect(&u),
-        AttrSet::from_raw(ys).intersect(&u),
-        u.clone(),
-    ] {
-        let want = reference_join_up(rels, &rooted, &x);
-        prop_assert_eq!(
-            &join_up_with(rels, &rooted, &x, &mut JoinUpScratch::new()),
-            &want,
-            "fresh scratch, X = {:?}",
-            x
-        );
-        prop_assert_eq!(
-            &join_up_with(rels, &rooted, &x, &mut scratch),
-            &want,
-            "reused scratch, X = {:?}",
-            x
-        );
+    for kept in [vec![true; n], pruned] {
+        let u = (0..n)
+            .filter(|&v| kept[v])
+            .fold(AttrSet::empty(), |acc, v| acc.union(rels[v].attrs()));
+        for x in [
+            AttrSet::from_raw(xs).intersect(&u),
+            AttrSet::from_raw(ys).intersect(&u),
+            u.clone(),
+        ] {
+            let want = reference_join_up(rels, &rooted, &kept, &x);
+            prop_assert_eq!(
+                &join_up_with(rels, &rooted, &kept, &x, &mut JoinUpScratch::new()),
+                &want,
+                "fresh scratch, kept {:?}, X = {:?}",
+                kept,
+                x
+            );
+            prop_assert_eq!(
+                &join_up_with(rels, &rooted, &kept, &x, &mut scratch),
+                &want,
+                "reused scratch, kept {:?}, X = {:?}",
+                kept,
+                x
+            );
+        }
     }
 }
 
@@ -583,9 +608,10 @@ proptest! {
         rels in boundary_rels(1..6),
         shift in 0usize..6,
         raw in proptest::collection::vec(0usize..6, 6),
+        cut in proptest::collection::vec(any::<bool>(), 6),
         xs in proptest::collection::vec(0u32..16, 0..6),
         ys in proptest::collection::vec(0u32..16, 0..6),
     ) {
-        check_join_up(&rels, shift, &raw, &xs, &ys);
+        check_join_up(&rels, shift, &raw, &cut, &xs, &ys);
     }
 }
