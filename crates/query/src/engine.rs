@@ -14,7 +14,8 @@
 //!   exact relation list to the plan one GYO reduction compiles (see
 //!   [`crate::treeify_engine`]). `reduce` and `answer` run one pipeline:
 //!   look the plan up once; copy the state, pushing `state(W)` when the
-//!   plan is cyclic; run semijoin steps of the plan on the selection-vector
+//!   plan is cyclic (built on the flat join-up executor,
+//!   [`join_up_with`]); run semijoin steps of the plan on the selection-vector
 //!   executor ([`semijoin_program_with`]); finish. `reduce` runs all
 //!   `2·(n−1)` steps and truncates back to `D`.
 //!
@@ -381,7 +382,8 @@ fn with_scratch<T: Default, R>(lock: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> 
     }
 }
 
-/// Reusable answer state: the join-up scratch and the kept-node mask.
+/// Reusable join state: the join-up scratch (answers and `state(W)`) and
+/// the kept-node mask (answers).
 #[derive(Debug, Default)]
 struct AnswerScratch {
     joinup: JoinUpScratch,
@@ -408,9 +410,10 @@ pub struct TreeifyEngine {
     /// callers fall back to a per-call scratch rather than serialize; a
     /// poisoned lock is recovered, not bypassed.
     scratch: Mutex<ExecScratch>,
-    /// Reusable answer state (the kept-node mask, and the join-up bucket
-    /// chains, pair buffer, dedup sets and intermediate row buffers), with
-    /// the same contention fallback and poison recovery.
+    /// Reusable join state (the kept-node mask, and the join-up bucket
+    /// chains, pair buffer, dedup sets and intermediate row buffers) for
+    /// answers and for building `state(W)`, with the same contention
+    /// fallback and poison recovery.
     answer: Mutex<AnswerScratch>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -499,18 +502,19 @@ impl TreeifyEngine {
         )
     }
 
-    /// Copies the state (pushing `state(W)` for a cyclic plan) and runs
-    /// `steps` of the plan through the engine's reusable scratch. Returns
-    /// the relations, `D`'s first and `W` last.
+    /// Copies the state (pushing `state(W)` for a cyclic plan, built on
+    /// `joinup`) and runs `steps` of the plan through the engine's reusable
+    /// scratch. Returns the relations, `D`'s first and `W` last.
     fn reduced<'a>(
         &self,
         plan: &Plan,
         state: &DbState,
         steps: impl IntoIterator<Item = &'a SemijoinStep>,
+        joinup: &mut JoinUpScratch,
     ) -> Vec<Relation> {
         let mut rels = state.rels().to_vec();
         if let Plan::Cyclic(treeify) = plan {
-            rels.push(treeify.materialize_w(state));
+            rels.push(treeify.materialize_w(state, joinup));
         }
         with_scratch(&self.scratch, |scratch| {
             semijoin_program_with(&mut rels, steps, scratch)
@@ -527,7 +531,9 @@ impl Engine for TreeifyEngine {
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
         EngineError::check_state(d, state)?;
         let plan = self.lookup(d);
-        let mut rels = self.reduced(&plan, state, plan.tree().steps());
+        let mut rels = with_scratch(&self.answer, |scratch| {
+            self.reduced(&plan, state, plan.tree().steps(), &mut scratch.joinup)
+        });
         rels.truncate(d.len());
         Ok(DbState::new(d, rels))
     }
@@ -541,7 +547,7 @@ impl Engine for TreeifyEngine {
             &self.answer,
             |AnswerScratch { joinup, kept }| {
                 tree.kept_nodes(plan.schemas(d), x, kept);
-                let rels = self.reduced(&plan, state, tree.answer_steps(kept));
+                let rels = self.reduced(&plan, state, tree.answer_steps(kept), joinup);
                 join_up_with(&rels, tree.rooted(), kept, x, joinup)
             },
         ))

@@ -60,8 +60,8 @@
 use std::sync::Arc;
 
 use gyo_reduce::Reduction;
-use gyo_relation::{DbState, Relation};
-use gyo_schema::{AttrSet, DbSchema, JoinTree, QualGraph};
+use gyo_relation::{join_up_with, DbState, JoinUpScratch, Relation};
+use gyo_schema::{AttrSet, DbSchema, JoinTree, QualGraph, RootedTree};
 
 use crate::engine::{EngineError, FullReducerPlan};
 use crate::yannakakis::compile_tree;
@@ -124,6 +124,10 @@ pub struct TreeifyPlan {
     /// private to one survivor and contributes nothing to `π_W` — it
     /// would only inflate the join's intermediates.
     join_order: Vec<(usize, Option<AttrSet>)>,
+    /// The join order as a path for [`join_up_with`]: node `k` is the
+    /// `k`-th survivor and the child of node `k + 1`, and the last node is
+    /// the root. Joining up this path is the left-deep join in that order.
+    w_path: RootedTree,
     /// The compiled full-reducer plan for `extended`.
     tree: FullReducerPlan,
     /// `GR(D)`, the stuck residue, and its members' indices into `D`, in
@@ -148,7 +152,7 @@ impl TreeifyPlan {
     /// `W`.
     fn compile(d: &DbSchema, red: Reduction) -> Self {
         let w = red.result.attributes();
-        let join_order = connected_order(d, &red.survivors)
+        let join_order: Vec<_> = connected_order(d, &red.survivors)
             .into_iter()
             .map(|i| {
                 let core = d.rel(i).intersect(&w);
@@ -156,6 +160,12 @@ impl TreeifyPlan {
                 (i, proj)
             })
             .collect();
+        let k = join_order.len();
+        let w_path = RootedTree {
+            root: k.saturating_sub(1),
+            parent: (0..k).map(|v| (v + 1).min(k - 1)).collect(),
+            post_order: (0..k).collect(),
+        };
         let extended = d.with_rel(w);
         let w_node = d.len();
         let edges = red
@@ -167,6 +177,7 @@ impl TreeifyPlan {
         Self {
             extended,
             join_order,
+            w_path,
             tree,
             residue: red.result,
             survivors: red.survivors,
@@ -209,24 +220,22 @@ impl TreeifyPlan {
 
     /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
     /// connectivity order with each survivor pre-projected onto `Rᵢ ∩ W` —
-    /// the one data-dependent step cyclicity forces. The accumulated
-    /// attributes end up exactly `W` (the residue relations cover it), so
-    /// no final projection is needed.
-    pub(crate) fn materialize_w(&self, state: &DbState) -> Relation {
-        let mut acc = Relation::identity();
-        for (i, proj) in &self.join_order {
-            acc = match proj {
-                Some(core) => acc.natural_join(&state.rel(*i).project(core)),
-                None => acc.natural_join(state.rel(*i)),
-            };
-            if acc.is_empty() {
-                // The core join is empty: so is its projection — and so is
-                // the whole query; skip the remaining survivor joins.
-                return Relation::empty(self.w().clone());
-            }
-        }
-        debug_assert_eq!(acc.attrs(), self.w(), "residue relations cover W");
-        acc
+    /// the one data-dependent step cyclicity forces. The joins run on the
+    /// flat join-up executor along [`Self::w_path`]: intermediates stay
+    /// unsorted in `scratch`'s reused buffers, an empty join ends the build
+    /// early, and only the result is normalized. The cores cover `W`
+    /// exactly, so no join-up projection drops anything.
+    pub(crate) fn materialize_w(&self, state: &DbState, scratch: &mut JoinUpScratch) -> Relation {
+        let cores: Vec<Relation> = self
+            .join_order
+            .iter()
+            .map(|(i, proj)| match proj {
+                Some(core) => state.rel(*i).project(core),
+                None => state.rel(*i).clone(),
+            })
+            .collect();
+        let kept = vec![true; cores.len()];
+        join_up_with(&cores, &self.w_path, &kept, self.w(), scratch)
     }
 }
 
@@ -349,6 +358,54 @@ mod tests {
             engine.answer(&d, &state, &x).unwrap(),
             NaiveEngine.answer(&d, &state, &x).unwrap()
         );
+    }
+
+    #[test]
+    fn state_w_matches_the_operator_at_a_time_join() {
+        // Residues with key widths 1, 2 and 3, survivors with private
+        // attributes (projected onto their cores first), and a disconnected
+        // residue (a cross product). Each state mixes two universal
+        // relations, so some W-joins come out empty.
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        let mut scratch = JoinUpScratch::new();
+        let (mut empty, mut nonempty) = (0, 0);
+        for s in [
+            "ab, bc, ca",
+            "ab, bc, cd, da, ax, cy",
+            "abcd, cdef, efab",
+            "abcdef, defghi, ghiabc",
+            "abx, bcy, caz",
+            "ab, bc, ca, xy, yz, zx",
+        ] {
+            let d = db(s, &mut cat);
+            let plan = engine.treeified_plan(&d, &engine.plan(&d).unwrap_err());
+            for seed in 0..8u64 {
+                let mixed = (0..d.len())
+                    .map(|i| {
+                        random_state(&d, 2 * seed + i as u64 % 2, 12, 3)
+                            .rel(i)
+                            .clone()
+                    })
+                    .collect();
+                let state = DbState::new(&d, mixed);
+                let want = plan
+                    .join_order
+                    .iter()
+                    .fold(Relation::identity(), |acc, (i, proj)| match proj {
+                        Some(core) => acc.natural_join(&state.rel(*i).project(core)),
+                        None => acc.natural_join(state.rel(*i)),
+                    });
+                let got = plan.materialize_w(&state, &mut scratch);
+                assert_eq!(got, want, "{s}, seed {seed}");
+                if got.is_empty() {
+                    empty += 1;
+                } else {
+                    nonempty += 1;
+                }
+            }
+        }
+        assert!(empty > 0 && nonempty > 0, "{empty} empty, {nonempty} not");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! and [`semijoin_program`] executes a whole step sequence without
 //! materializing intermediate relations: semijoins only ever *remove*
 //! tuples, so the executor tracks one reusable [`SelVec`] per slot (the
-//! surviving row indices plus a generation-stamped bitset) and runs every
-//! step over the relations' cached flat key columns.
+//! surviving row indices) and runs every step over the relations' cached
+//! flat key columns. [`Relation::semijoin`] is a one-step program, so the
+//! one-shot operator and the engines share this kernel.
 //!
 //! Keys of every width `w ≥ 2` share one scalar encoding: when all of a
 //! column's values fit in `s = ⌊128/w⌋` bits, the cached column holds one
@@ -137,15 +138,17 @@ impl ExecScratch {
     }
 }
 
-/// Clears `set`, inserts the packed key of every selected source row that
-/// has one (`key(i)` is `None` for a key too wide to pack), and hands the
-/// set back for probing.
+/// Clears `set`, reserves room for every selected source key (so a cold
+/// build allocates the same whatever the key count), inserts the packed
+/// key of every selected source row that has one (`key(i)` is `None` for a
+/// key too wide to pack), and hands the set back for probing.
 fn fill_packed<'a>(
     set: &'a mut FxHashSet<u128>,
     ssel: &SelVec,
     mut key: impl FnMut(usize) -> Option<u128>,
 ) -> &'a FxHashSet<u128> {
     set.clear();
+    set.reserve(ssel.len());
     ssel.for_each(|i| {
         if let Some(k) = key(i) {
             set.insert(k);
@@ -262,6 +265,7 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 tsel.retain_u64(tvals, |k| stamp.contains(k));
             } else {
                 scratch.one.clear();
+                scratch.one.reserve(ssel.len());
                 let set = &mut scratch.one;
                 ssel.for_each(|i| {
                     set.insert(svals[i]);
@@ -343,6 +347,29 @@ mod tests {
         AttrSet::from_raw(raw)
     }
 
+    /// `r ⋉ s` by nested loops over the rows — an oracle independent of
+    /// the kernel, which `Relation::semijoin` itself runs on.
+    fn nested_semijoin(r: &Relation, s: &Relation) -> Relation {
+        let shared = r.attrs().intersect(s.attrs());
+        let pos = |rel: &Relation| -> Vec<usize> {
+            let cols = rel.attrs().as_slice();
+            shared
+                .iter()
+                .map(|a| cols.binary_search(&a).unwrap())
+                .collect()
+        };
+        let (rp, sp) = (pos(r), pos(s));
+        let kept = r
+            .rows()
+            .filter(|t| {
+                s.rows()
+                    .any(|u| rp.iter().zip(&sp).all(|(&p, &q)| t[p] == u[q]))
+            })
+            .map(<[u64]>::to_vec)
+            .collect();
+        Relation::new(r.attrs().clone(), kept)
+    }
+
     #[test]
     fn step_compiles_shared_attributes() {
         let schemas = vec![attrs(&[0, 1]), attrs(&[1, 2])];
@@ -365,8 +392,8 @@ mod tests {
         ];
         let expected = {
             let mut r = rels.clone();
-            r[1] = r[1].semijoin(&r[2]);
-            r[0] = r[0].semijoin(&r[1]);
+            r[1] = nested_semijoin(&r[1], &r[2]);
+            r[0] = nested_semijoin(&r[0], &r[1]);
             r
         };
         let steps = vec![
@@ -430,14 +457,13 @@ mod tests {
             ),
             Relation::new(schemas[1].clone(), vec![vec![1, 2, 3, 0], vec![5, 6, 0, 0]]),
         ];
-        let expected = rels[0].semijoin(&rels[1]);
         semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
-        assert_eq!(rels[0], expected);
-        assert_eq!(rels[0].len(), 1);
+        assert_eq!(rels[0].to_vecs(), vec![vec![1, 2, 3, 4]]);
     }
 
     #[test]
     fn packed_mixed_and_unpackable_pairs_match_the_operator() {
+        // The operator here is the definitional one, by nested loops.
         // Width-3 keys: s = 42. `fit` packs; `unfit` holds 2^42 in a key
         // column, which unchecked packing would carry into (1, 0, 0).
         let schemas = vec![attrs(&[0, 1, 2, 3]), attrs(&[0, 1, 2, 9])];
@@ -461,7 +487,7 @@ mod tests {
             ("wide x wide", unfit(0), unfit(1)),
         ];
         for (label, target, source) in cases {
-            let expected = target.semijoin(&source);
+            let expected = nested_semijoin(&target, &source);
             let mut rels = vec![target, source];
             semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
             assert_eq!(rels[0], expected, "{label}");
@@ -499,10 +525,8 @@ mod tests {
             ),
             Relation::new(schemas[1].clone(), vec![vec![huge, 9], vec![0, 9]]),
         ];
-        let expected = rels[0].semijoin(&rels[1]);
         semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
-        assert_eq!(rels[0], expected);
-        assert_eq!(rels[0].len(), 2);
+        assert_eq!(rels[0].to_vecs(), vec![vec![1, 0], vec![2, huge]]);
     }
 
     #[test]
@@ -522,8 +546,8 @@ mod tests {
             SemijoinStep::new(&schemas, 0, 1),
         ];
         let mut expected = rels.clone();
-        expected[1] = expected[1].semijoin(&expected[2]);
-        expected[0] = expected[0].semijoin(&expected[1]);
+        expected[1] = nested_semijoin(&expected[1], &expected[2]);
+        expected[0] = nested_semijoin(&expected[0], &expected[1]);
         semijoin_program_with(&mut rels, &steps, &mut scratch);
         assert_eq!(rels, expected);
 
@@ -534,7 +558,7 @@ mod tests {
             mk(vec![vec![1, 1]], 2),
         ];
         let mut expected2 = rels2.clone();
-        expected2[1] = expected2[1].semijoin(&expected2[0]);
+        expected2[1] = nested_semijoin(&expected2[1], &expected2[0]);
         let steps2 = vec![SemijoinStep::new(&schemas, 1, 0)];
         semijoin_program_with(&mut rels2, &steps2, &mut scratch);
         assert_eq!(rels2, expected2);

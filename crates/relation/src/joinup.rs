@@ -1,5 +1,6 @@
 //! The flat join-up executor: the join phase of the tree case over
-//! unsorted, duplicate-free intermediates.
+//! unsorted, duplicate-free intermediates, and the one join kernel —
+//! [`Relation::natural_join`] is this module's join over two leaves.
 //!
 //! After a full reducer no tuple dangles, so joining a tree schema's
 //! reduced relations up a rooted join tree with early projection — each
@@ -7,9 +8,9 @@
 //! then joined into its parent — is output-bounded (Yannakakis). Run
 //! operator-at-a-time (`Relation::project`, then `Relation::natural_join`,
 //! per edge), that loop normalizes every intermediate twice — a sort after
-//! the projection and another after the join — and builds a fresh
-//! `KeyIndex` behind the relation cache on every edge. [`join_up_with`]
-//! runs the same edge sequence without any of that:
+//! the projection and another after the join — and starts every join on a
+//! cold scratch. [`join_up_with`] runs the same edge sequence without any
+//! of that:
 //!
 //! * Intermediates are flat row-major buffers that are **duplicate-free
 //!   but unsorted**. Leaves borrow the input relations' buffers.
@@ -19,22 +20,28 @@
 //!   the fixed-shift `u128` encoding of the semijoin key columns (see
 //!   [`crate::exec`]): on the `perfbench` `tree_reuse` families that did
 //!   not make this executor faster.
-//! * A join builds a **bucket chain** on its smaller side — `head: key →
-//!   first row`, `next[row] → the next row with the same key` — so a build
-//!   allocates nothing per key. A width-0 key is a cross product. Output
-//!   rows are assembled by [`kernels::gather_pairs`]. A join of two
-//!   duplicate-free inputs is duplicate-free, so nothing is sorted between
-//!   edges.
+//! * A join builds a **bucket chain** (`ChainIndex`) on its smaller side
+//!   — `head: key → first row`, `next[row] → the next row with the same
+//!   key` — so a build allocates nothing per key. Chains list their rows
+//!   in ascending order. A width-0 key is a cross product. Output rows are
+//!   assembled by [`kernels::gather_pairs`]. A join of two duplicate-free
+//!   inputs is duplicate-free, so nothing is sorted between edges.
 //! * Only the final `π_X` goes through [`Relation::from_row_major`], which
 //!   normalizes once.
 //!
-//! The bucket chains, the pair list, the dedup sets and the intermediate
+//! The chain index, the pair list, the dedup sets and the intermediate
 //! row buffers live in a caller-owned [`JoinUpScratch`] that is reused
-//! across edges and across calls.
+//! across edges and across calls. `Relation::natural_join` runs the same
+//! join on a cold scratch of its own. When its probe side is normalized and
+//! leads the output columns, as in a left-deep `acc.natural_join(r)`, the
+//! ascending chains make the output sorted already and normalization only
+//! scans it.
 //!
 //! [`join_up_with`] joins only the nodes its `kept` mask names, a subtree
-//! hanging from the root. The cached engine in `gyo-query` answers through
-//! this executor and keeps the **subtree that spans `X`**: the root, and
+//! hanging from the root. The cached engine in `gyo-query` builds the
+//! `state(W)` of a cyclic plan through this executor, joining the
+//! survivors' cores along a path, and answers through it. An answer keeps
+//! the **subtree that spans `X`**: the root, and
 //! each node `v` with `X ∩ U(subtree(v)) ⊄ R_parent(v)`. After a full
 //! reduction of those nodes, the nodes left out hold no attribute of `X`
 //! their kept ancestor lacks, so they cannot change `π_X`. The per-call
@@ -54,25 +61,91 @@ use crate::relation::{pack2, Relation};
 /// fewer than `u32::MAX` rows.
 const NIL: u32 = u32::MAX;
 
-/// Reusable state for [`join_up_with`]: the bucket-chain arrays, the
+/// A bucket-chain index over one key of a row-major buffer: `head: key →
+/// first row` and `next[row] → the next row with the same key`, so a build
+/// allocates nothing per key. Width-1 keys chain on their value, width-2
+/// keys on [`pack2`], wider keys on their hash (probes re-compare the key
+/// columns). A width-0 key builds nothing: its join is a cross product.
+///
+/// [`ChainIndex::build`] links rows from the last to the first, so every
+/// chain lists its rows in ascending order.
+#[derive(Debug, Default)]
+struct ChainIndex {
+    /// Chain heads for width-1 keys.
+    head1: FxHashMap<u64, u32>,
+    /// Chain heads for packed width-2 keys.
+    head2: FxHashMap<u128, u32>,
+    /// Chain heads for wider keys, by key hash.
+    head_wide: FxHashMap<u64, u32>,
+    /// `next[row]`: the next row of `row`'s chain, or [`NIL`].
+    next: Vec<u32>,
+}
+
+impl ChainIndex {
+    /// Re-aims the index at the rows of `data` (row-major, `arity` values
+    /// per row), chained on the columns `key`. Only the head map of `key`'s
+    /// width is filled. It grows to the distinct-key count, unless
+    /// `reserve_rows` reserves it for every row up front, so that a cold
+    /// build allocates the same whatever the key count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer holds `u32::MAX` rows or more.
+    fn build(&mut self, data: &[u64], arity: usize, key: &[usize], reserve_rows: bool) {
+        if key.is_empty() {
+            return;
+        }
+        // A nonempty key has columns, so `arity ≥ 1`.
+        let len = data.len() / arity;
+        assert!(
+            len < NIL as usize,
+            "join: row indices are u32, but the build side holds {len} rows"
+        );
+        let next = &mut self.next;
+        next.clear();
+        next.resize(len, NIL);
+        #[allow(clippy::redundant_closure_call)]
+        macro_rules! link {
+            ($head:expr, $key:expr) => {{
+                let head = $head;
+                head.clear();
+                if reserve_rows {
+                    head.reserve(len);
+                }
+                for (row, vals) in data.chunks_exact(arity).enumerate().rev() {
+                    if let Some(prev) = head.insert($key(vals), row as u32) {
+                        next[row] = prev;
+                    }
+                }
+            }};
+        }
+        match *key {
+            [p] => link!(&mut self.head1, |r: &[u64]| r[p]),
+            [p, q] => link!(&mut self.head2, |r: &[u64]| pack2(r[p], r[q])),
+            _ => link!(&mut self.head_wide, |r: &[u64]| hash_key(
+                key.iter().map(|&p| r[p])
+            )),
+        }
+    }
+}
+
+/// Reusable state for [`join_up_with`]: the bucket-chain index, the
 /// matched-pair buffer, the projection dedup sets, per-edge column maps, and
 /// a pool of row buffers for intermediates. Everything is grow-only.
 ///
-/// Every use resets what it reads before reading it: each join clears its
-/// chain heads, `next` links, pair buffer and column maps, each projection
+/// Every use resets what it reads before reading it: each join rebuilds its
+/// chain index and clears its pair buffer and column maps, each projection
 /// its dedup set, position lists are rebuilt, and pooled buffers are
 /// cleared when taken. So a scratch left mid-join by a panic is still valid
 /// for the next join.
 #[derive(Debug, Default)]
 pub struct JoinUpScratch {
-    /// Bucket-chain heads for width-1 keys.
-    head1: FxHashMap<u64, u32>,
-    /// Bucket-chain heads for packed width-2 keys.
-    head2: FxHashMap<u128, u32>,
-    /// Bucket-chain heads for wider keys, by key hash (chains re-compare).
-    head_wide: FxHashMap<u64, u32>,
-    /// `next[row]`: the next row of `row`'s chain, or [`NIL`].
-    next: Vec<u32>,
+    /// The build side's bucket chains; projection dedup of wide rows
+    /// chains through its wide heads too.
+    chain: ChainIndex,
+    /// Whether a chain build reserves its head map for every row: set only
+    /// on the cold scratch of one [`Relation::natural_join`].
+    reserve_chain: bool,
     /// Projection dedup for width-1 rows.
     seen1: FxHashSet<u64>,
     /// Projection dedup for packed width-2 rows.
@@ -225,7 +298,8 @@ pub fn join_up_with(
         }));
         let child = project_dedup(child, &keep, scratch);
         let parent = acc[p].take().expect("parent still pending");
-        let joined = join(&parent, &child, scratch);
+        let (attrs, len, data) = join(&parent, &child, scratch);
+        let joined = Acc::Flat { attrs, len, data };
         scratch.recycle(parent);
         scratch.recycle(child);
         if joined.len() == 0 {
@@ -280,7 +354,7 @@ fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut JoinUpScratch) 
         _ => {
             // Hash-then-compare: a bucket chain over the kept rows, keyed
             // by hash, re-comparing the rows themselves on every hit.
-            let (head, next) = (&mut scratch.head_wide, &mut scratch.next);
+            let (head, next) = (&mut scratch.chain.head_wide, &mut scratch.chain.next);
             head.clear();
             next.clear();
             for row in src {
@@ -311,18 +385,21 @@ fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut JoinUpScratch) 
     }
 }
 
-/// `a ⋈ b` for duplicate-free inputs: a bucket-chain build on the smaller
-/// side, a probe of the other, and column assembly over the matched pairs.
-fn join<'a>(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> Acc<'a> {
-    let (build, probe) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+/// `a ⋈ b` for duplicate-free inputs, as a flat buffer not yet normalized:
+/// a bucket-chain build on the smaller side (`b` on a tie) into the
+/// scratch's index, then a probe that walks the other side in row order
+/// and assembles the matched pairs column-at-a-time. Chains list their rows
+/// in ascending order, so a normalized probe side whose columns come first
+/// in the output yields sorted output rows.
+fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usize, Vec<u64>) {
+    let (build, probe) = if b.len() <= a.len() { (b, a) } else { (a, b) };
     assert!(
         build.len() < NIL as usize && probe.len() <= u32::MAX as usize,
-        "join-up: row indices are u32, but the inputs hold {} and {} rows",
+        "join: row indices are u32, but the inputs hold {} and {} rows",
         build.len(),
         probe.len()
     );
     let out_attrs = build.attrs().union(probe.attrs());
-    let shared = build.attrs().intersect(probe.attrs());
     let out_arity = out_attrs.len();
     scratch.probe_cols.clear();
     scratch.build_cols.clear();
@@ -339,16 +416,20 @@ fn join<'a>(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> Acc<'a> {
             )),
         }
     }
+    let shared = build.attrs().intersect(probe.attrs());
     positions_into(&shared, build.attrs(), &mut scratch.build_key);
     positions_into(&shared, probe.attrs(), &mut scratch.probe_key);
+    scratch.chain.build(
+        build.data(),
+        build.attrs().len(),
+        &scratch.build_key,
+        scratch.reserve_chain,
+    );
 
     let mut out = scratch.take_buf();
     let mut rows = 0usize;
     let JoinUpScratch {
-        head1,
-        head2,
-        head_wide,
-        next,
+        chain,
         pairs,
         build_key,
         probe_key,
@@ -373,28 +454,21 @@ fn join<'a>(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> Acc<'a> {
     };
     pairs.clear();
     if build.len() > 0 {
-        next.clear();
-        next.resize(build.len(), NIL);
-        // Build, then probe: `$bkey`/`$pkey` map a build/probe row to its
-        // chain key; `$same` confirms a chain hit (wide keys chain by hash).
+        // `$head` maps a probe row's `$pkey` to its chain; `$same`
+        // confirms a chain hit (wide keys chain by hash). A keyed join has
+        // columns on both sides, so the row slices below are nonempty.
+        let next = &chain.next;
         #[allow(clippy::redundant_closure_call)]
-        macro_rules! chain_join {
-            ($head:expr, $bkey:expr, $pkey:expr, $same:expr) => {{
-                let head = $head;
-                head.clear();
-                for bi in 0..build.len() {
-                    if let Some(prev) = head.insert($bkey(build.row(bi)), bi as u32) {
-                        next[bi] = prev;
-                    }
-                }
-                for pi in 0..probe.len() {
-                    let prow = probe.row(pi);
-                    let Some(&first) = head.get(&$pkey(prow)) else {
+        macro_rules! probe_join {
+            ($head:expr, $pkey:expr, $same:expr) => {{
+                let rows = probe.data().chunks_exact(probe.attrs().len());
+                for (pi, prow) in rows.enumerate() {
+                    let Some(&first) = $head.get(&$pkey(prow)) else {
                         continue;
                     };
                     let mut bi = first;
                     while bi != NIL {
-                        if $same(build.row(bi as usize), prow) {
+                        if $same(bi as usize, prow) {
                             pairs.push((pi as u32, bi));
                         }
                         bi = next[bi as usize];
@@ -405,7 +479,7 @@ fn join<'a>(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> Acc<'a> {
                 }
             }};
         }
-        let exact = |_: &[u64], _: &[u64]| true;
+        let exact = |_: usize, _: &[u64]| true;
         match (build_key.as_slice(), probe_key.as_slice()) {
             ([], []) => {
                 // Disjoint schemas: cross product.
@@ -416,30 +490,37 @@ fn join<'a>(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> Acc<'a> {
                     }
                 }
             }
-            (&[bp], &[pp]) => chain_join!(head1, |r: &[u64]| r[bp], |r: &[u64]| r[pp], exact),
-            (&[bp, bq], &[pp, pq]) => chain_join!(
-                head2,
-                |r: &[u64]| pack2(r[bp], r[bq]),
-                |r: &[u64]| pack2(r[pp], r[pq]),
-                exact
-            ),
+            (&[_], &[pp]) => probe_join!(chain.head1, |r: &[u64]| r[pp], exact),
+            (&[_, _], &[pp, pq]) => {
+                probe_join!(chain.head2, |r: &[u64]| pack2(r[pp], r[pq]), exact)
+            }
             // Wide keys chain by hash; every hit re-compares the key
             // columns, so a hash collision never matches.
-            (bk, pk) => chain_join!(
-                head_wide,
-                |r: &[u64]| hash_key(bk.iter().map(|&p| r[p])),
+            (bk, pk) => probe_join!(
+                chain.head_wide,
                 |r: &[u64]| hash_key(pk.iter().map(|&p| r[p])),
-                |b: &[u64], r: &[u64]| bk.iter().zip(pk).all(|(&x, &y)| b[x] == r[y])
+                |bi: usize, r: &[u64]| {
+                    let b = build.row(bi);
+                    bk.iter().zip(pk).all(|(&x, &y)| b[x] == r[y])
+                }
             ),
         }
         flush(pairs, &mut out);
     }
     debug_assert_eq!(out.len(), rows * out_arity);
-    Acc::Flat {
-        attrs: out_attrs,
-        len: rows,
-        data: out,
-    }
+    (out_attrs, rows, out)
+}
+
+/// `a ⋈ b` on a cold scratch, normalized once: the kernel of
+/// [`Relation::natural_join`]. The chain map is reserved for every build
+/// row, so the join allocates the same whatever the key count.
+pub(crate) fn join_once(a: &Relation, b: &Relation) -> Relation {
+    let mut scratch = JoinUpScratch {
+        reserve_chain: true,
+        ..JoinUpScratch::default()
+    };
+    let (attrs, len, data) = join(&Acc::Leaf(a), &Acc::Leaf(b), &mut scratch);
+    Relation::from_row_major(attrs, len, data)
 }
 
 /// `π_X(root)`, normalized once by [`Relation::from_row_major`].
@@ -614,6 +695,85 @@ mod tests {
             &attrs(&[0]),
             &mut JoinUpScratch::new(),
         );
+    }
+
+    /// The rows `chain` links under the key of `row`, head first.
+    fn chain_of(chain: &ChainIndex, key: &[usize], row: &[u64]) -> Vec<u32> {
+        let first = match *key {
+            [p] => chain.head1[&row[p]],
+            [p, q] => chain.head2[&pack2(row[p], row[q])],
+            _ => chain.head_wide[&hash_key(key.iter().map(|&p| row[p]))],
+        };
+        let mut rows = vec![first];
+        while let Some(&next) = chain.next.get(*rows.last().unwrap() as usize) {
+            if next == NIL {
+                break;
+            }
+            rows.push(next);
+        }
+        rows
+    }
+
+    #[test]
+    fn chains_visit_each_keys_rows_in_ascending_order() {
+        // 40 rows over (a, b, c, d); the keys repeat with periods 3, 5, 7.
+        let data: Vec<u64> = (0..40u64).flat_map(|i| [i % 3, i % 5, i % 7, i]).collect();
+        let mut chain = ChainIndex::default();
+        for (key, reserve) in [(vec![1], false), (vec![0, 2], true), (vec![0, 1, 2], false)] {
+            chain.build(&data, 4, &key, reserve);
+            for (i, row) in data.chunks_exact(4).enumerate() {
+                let want: Vec<u32> = (0..40u32)
+                    .filter(|&j| {
+                        let other = &data[j as usize * 4..][..4];
+                        key.iter().all(|&p| other[p] == row[p])
+                    })
+                    .collect();
+                assert_eq!(chain_of(&chain, &key, row), want, "key {key:?}, row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_normalized_probe_side_yields_sorted_join_output() {
+        // R(a, b) normalized and larger, S(b, c) smaller: S builds, R
+        // probes, and R's columns lead the output (a, b, c).
+        let r = Relation::from_row_major(
+            attrs(&[0, 1]),
+            60,
+            (0..60u64).flat_map(|i| [i % 13, i % 4]).collect(),
+        );
+        let s = Relation::from_row_major(
+            attrs(&[1, 2]),
+            12,
+            (0..12u64).flat_map(|i| [i % 4, 100 - i]).collect(),
+        );
+        assert!(s.len() < r.len());
+        let sorted = |data: &[u64]| {
+            let rows: Vec<&[u64]> = data.chunks_exact(3).collect();
+            !rows.is_empty() && rows.windows(2).all(|w| w[0] < w[1])
+        };
+        // Either argument order, on a warm scratch and on the cold one of
+        // `natural_join`.
+        let mut warm = JoinUpScratch::new();
+        for (a, b) in [(&r, &s), (&s, &r)] {
+            for scratch in [&mut warm, &mut JoinUpScratch::default()] {
+                let (out, rows, data) = join(&Acc::Leaf(a), &Acc::Leaf(b), scratch);
+                assert_eq!(out, attrs(&[0, 1, 2]));
+                assert_eq!(rows, r.len() * 3, "each b matches three rows of S");
+                assert!(sorted(&data), "join output already sorted");
+                assert_eq!(a.natural_join(b).data(), &data[..]);
+            }
+        }
+        // On a tie the first argument probes, so a left-deep
+        // `acc.natural_join(r)` over a normalized `acc` stays sorted.
+        let t = Relation::from_row_major(
+            attrs(&[1, 2]),
+            r.len(),
+            (0..r.len() as u64).flat_map(|i| [i % 4, 200 - i]).collect(),
+        );
+        assert_eq!(t.len(), r.len());
+        let (_, _, data) = join(&Acc::Leaf(&r), &Acc::Leaf(&t), &mut warm);
+        assert!(sorted(&data), "the first argument probes on a tie");
     }
 
     #[test]

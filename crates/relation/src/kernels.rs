@@ -12,8 +12,7 @@
 //!   contiguous window, as per-row `memcpy`s) instead of a per-row scatter
 //!   loop.
 //! * [`SelVec`] — a reusable **selection vector**: the surviving row
-//!   indices (`u32`, ascending) plus a generation-stamped bitset for O(1)
-//!   membership, resettable in O(1) by bumping the generation. The
+//!   indices (`u32`, ascending), resettable in O(1) to "every row". The
 //!   [`SelVec::retain_u64`]/[`SelVec::retain_u128`]/[`SelVec::retain_wide`]
 //!   kernels drive semijoin probes: keys are tested in fixed-size chunks of
 //!   [`CHUNK`] lanes with **branchless mask accumulation** (one `u64`
@@ -107,17 +106,6 @@ impl<'a> ColumnarView<'a> {
         self.arity
     }
 
-    /// Iterates column `p` top to bottom (one value per row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p >= arity` (on first `next()` via slice indexing).
-    #[inline]
-    pub fn col(&self, p: usize) -> impl ExactSizeIterator<Item = u64> + 'a {
-        let arity = self.arity;
-        self.data.chunks_exact(arity).map(move |row| row[p])
-    }
-
     /// **Gather projection**: appends, row-major, the columns `pos` of every
     /// row to `out`. `pos` is the precomputed column-index map (projection
     /// target positions in this view's column order); it may repeat or
@@ -176,14 +164,13 @@ impl<'a> ColumnarView<'a> {
 }
 
 /// A reusable selection vector: which rows of a relation survive, stored as
-/// ascending `u32` indices plus a generation-stamped bitset for O(1)
-/// membership tests ([`SelVec::is_selected`]).
+/// ascending `u32` indices.
 ///
 /// A fresh/reset `SelVec` is **dense** — every row `0..len` is selected and
 /// no index storage is touched. The `retain_*` kernels switch it to sparse
-/// on the first filtering step. Resetting costs O(1) (bump the generation,
-/// mark dense); the backing buffers are reused across program runs, which is
-/// what makes whole-program execution allocation-free after warm-up.
+/// on the first filtering step. Resetting costs O(1) (mark dense); the
+/// index buffer is reused across program runs, which is what makes
+/// whole-program execution allocation-free after warm-up.
 #[derive(Debug, Default)]
 pub struct SelVec {
     /// Selected row indices, ascending; valid in `idx[..n]` when sparse.
@@ -192,10 +179,6 @@ pub struct SelVec {
     n: usize,
     /// Dense ⇒ selection is exactly `0..n`.
     dense: bool,
-    /// Generation-stamped bitset: row `i` is selected iff dense and `i < n`,
-    /// or `stamp[i] == gen`.
-    stamp: Vec<u32>,
-    gen: u32,
 }
 
 impl SelVec {
@@ -207,18 +190,11 @@ impl SelVec {
     }
 
     /// Re-aims the selection at a relation of `len` rows, selecting all of
-    /// them. O(1): no buffer is cleared, the generation stamp invalidates
-    /// the previous contents.
+    /// them. O(1): no buffer is cleared.
     pub fn reset(&mut self, len: usize) {
         assert!(len <= u32::MAX as usize, "row count exceeds u32 indices");
         self.n = len;
         self.dense = true;
-        // Generation bump; on wrap, genuinely clear the stamps once.
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
     }
 
     /// Number of selected rows.
@@ -239,16 +215,6 @@ impl SelVec {
         self.dense
     }
 
-    /// O(1) membership: is row `i` selected?
-    #[inline]
-    pub fn is_selected(&self, i: usize) -> bool {
-        if self.dense {
-            i < self.n
-        } else {
-            self.stamp.get(i).is_some_and(|&s| s == self.gen)
-        }
-    }
-
     /// Calls `f` with each selected row index, ascending.
     #[inline]
     pub fn for_each(&self, mut f: impl FnMut(usize)) {
@@ -259,17 +225,10 @@ impl SelVec {
         }
     }
 
-    /// Drops every row from the selection (including from
-    /// [`SelVec::is_selected`]'s view — the stamp generation advances so
-    /// previously retained rows stop reporting as members).
+    /// Drops every row from the selection.
     pub fn clear(&mut self) {
         self.n = 0;
         self.dense = false;
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
     }
 
     /// Semijoin probe kernel over packed `u64` key columns: keeps exactly
@@ -308,13 +267,12 @@ impl SelVec {
     /// The shared chunked retain loop: `keep(i)` decides row `i`'s fate.
     fn retain_by_index(&mut self, mut keep: impl FnMut(usize) -> bool) {
         let total = self.n;
-        if self.dense {
+        if self.dense && self.idx.len() < total {
             // Grow-only warm-up: after the first filter at this row count
-            // the buffers are reused as-is. (Sparse selections never hold
+            // the buffer is reused as-is. (Sparse selections never hold
             // indices beyond the dense length they started from.)
-            self.ensure_capacity(total);
+            self.idx.resize(total, 0);
         }
-        let gen = self.gen;
         let mut out = 0usize;
         if self.dense {
             // Dense source: lanes are the row indices themselves.
@@ -328,9 +286,7 @@ impl SelVec {
                 while mask != 0 {
                     let lane = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let row = (base + lane) as u32;
-                    self.idx[out] = row;
-                    self.stamp[row as usize] = gen;
+                    self.idx[out] = (base + lane) as u32;
                     out += 1;
                 }
                 base += lanes;
@@ -354,37 +310,8 @@ impl SelVec {
                 base += lanes;
             }
         }
-        if self.dense {
-            // The stamps were written for survivors only; rows the dense
-            // state implied but the stamp misses are now correctly absent.
-            self.dense = false;
-        } else {
-            // Survivors keep their old stamps (same generation) — but rows
-            // just dropped still carry it. Re-stamp under a fresh
-            // generation so membership stays exact.
-            self.gen = self.gen.wrapping_add(1);
-            if self.gen == 0 {
-                self.stamp.fill(0);
-                self.gen = 1;
-            }
-            let gen = self.gen;
-            for &i in &self.idx[..out] {
-                self.stamp[i as usize] = gen;
-            }
-        }
+        self.dense = false;
         self.n = out;
-    }
-
-    /// Ensures the stamp bitset covers rows `0..len` (grow-only; called
-    /// automatically before the first sparse filter against a relation of
-    /// `len` rows).
-    fn ensure_capacity(&mut self, len: usize) {
-        if self.stamp.len() < len {
-            self.stamp.resize(len, 0);
-        }
-        if self.idx.len() < len {
-            self.idx.resize(len, 0);
-        }
     }
 }
 
@@ -624,7 +551,6 @@ mod tests {
         out.clear();
         v.gather_into(&[0, 1, 2, 3], &mut out); // identity
         assert_eq!(out, data);
-        assert_eq!(v.col(2).collect::<Vec<_>>(), vec![2, 12, 22]);
     }
 
     #[test]
@@ -644,6 +570,12 @@ mod tests {
         assert_eq!(out, expect);
     }
 
+    fn selected(sel: &SelVec) -> Vec<usize> {
+        let mut got = Vec::new();
+        sel.for_each(|i| got.push(i));
+        got
+    }
+
     #[test]
     fn selvec_dense_then_sparse_retain() {
         let keys: Vec<u64> = (0..200).map(|i| i % 10).collect();
@@ -652,14 +584,13 @@ mod tests {
         sel.retain_u64(&keys, |k| k < 5);
         assert_eq!(sel.len(), 100);
         assert!(!sel.is_dense());
-        assert!(sel.is_selected(0) && sel.is_selected(4) && !sel.is_selected(5));
-        // Second (sparse) retain narrows further; stamps stay exact.
+        let got = selected(&sel);
+        assert_eq!(&got[..6], &[0, 1, 2, 3, 4, 10]);
+        // Second (sparse) retain narrows further.
         sel.retain_u64(&keys, |k| k == 3);
         assert_eq!(sel.len(), 20);
-        assert!(sel.is_selected(3) && sel.is_selected(13));
-        assert!(!sel.is_selected(0), "dropped rows lose their stamp");
-        let mut got = Vec::new();
-        sel.for_each(|i| got.push(i));
+        let got = selected(&sel);
+        assert_eq!(&got[..2], &[3, 13]);
         assert!(got.windows(2).all(|w| w[0] < w[1]), "ascending");
         assert!(got.iter().all(|&i| keys[i] == 3));
     }
@@ -670,19 +601,19 @@ mod tests {
         let mut sel = SelVec::full(100);
         sel.retain_u64(&keys, |k| k % 2 == 0);
         assert_eq!(sel.len(), 50);
-        assert!(sel.is_selected(0));
+        assert_eq!(selected(&sel)[..2], [0, 2]);
         sel.clear();
-        assert!(
-            !sel.is_selected(0),
-            "clear invalidates freshly written stamps"
-        );
+        assert!(selected(&sel).is_empty(), "clear drops every row");
         sel.reset(80);
         assert!(sel.is_dense());
         assert_eq!(sel.len(), 80);
-        assert!(sel.is_selected(79) && !sel.is_selected(80));
+        assert_eq!(selected(&sel), (0..80).collect::<Vec<_>>());
+        // A sparse retain after the reset sees all 80 rows again.
+        sel.retain_u64(&keys, |k| k >= 78);
+        assert_eq!(selected(&sel), vec![78, 79]);
         sel.clear();
         assert!(sel.is_empty());
-        assert!(!sel.is_selected(0));
+        assert!(selected(&sel).is_empty());
     }
 
     #[test]

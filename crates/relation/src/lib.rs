@@ -18,7 +18,8 @@
 //!   selection-vector [`semijoin_program`] executor used by the cached
 //!   engine;
 //! * [`joinup`] — the flat join-up executor ([`join_up_with`]) the cached
-//!   engine answers through, over the reduced subtree that spans `X`;
+//!   engine answers through, over the reduced subtree that spans `X`, and
+//!   the bucket-chain join [`Relation::natural_join`] runs on;
 //! * [`kernels`] — the columnar kernel layer: gather projection, chunked
 //!   branchless key-probe kernels over [`SelVec`] selection vectors, the
 //!   generation-stamped [`kernels::StampTable`], and packed row sorting.
@@ -33,8 +34,8 @@
 //! projection, hash join, semijoin, union, the batched mask executor —
 //! both reads and writes flat buffers, so **no operator allocates per
 //! row**. The buffer is `Arc`-shared: cloning a relation is O(1), and
-//! clones share the storage *and* the lazily built derivation caches
-//! (column positions, hash-join build tables, packed key columns).
+//! clones share the storage *and* the lazily built derivation cache
+//! (packed key columns).
 //!
 //! Nested tuple vectors appear in exactly two places, both boundaries: the
 //! ergonomic constructor [`Relation::new`] (input conversion) and the test
@@ -48,10 +49,10 @@
 //! On top of the flat layout sits the [`kernels`] layer: projection moves
 //! values in column-strided blocks ([`kernels::ColumnarView::gather_into`]),
 //! join outputs are assembled column-at-a-time over a matched-pair list,
-//! and semijoin filtering — both the one-shot operator and whole compiled
-//! programs — runs through reusable [`SelVec`] **selection vectors**
-//! (`u32` survivor indices plus a generation-stamped bitset) probed in
-//! fixed-size chunks with branchless mask accumulation. The
+//! and semijoin filtering — both the one-shot operator, which is a
+//! one-step program, and whole compiled programs — runs through reusable
+//! [`SelVec`] **selection vectors** (ascending `u32` survivor indices)
+//! probed in fixed-size chunks with branchless mask accumulation. The
 //! [`semijoin_program`] executor threads one `SelVec` per relation slot
 //! through an entire full-reducer program: no intermediate relation is
 //! materialized and, with a caller-owned [`exec::ExecScratch`]
@@ -77,30 +78,36 @@
 //! hashes-then-compares wider ones.
 //!
 //! Row-at-a-time execution remains in exactly the places where a column
-//! decomposition has nothing to offer: hash-*building* (`KeyIndex`
-//! construction and the join-up bucket chains walk rows once), the probe
-//! halves of `natural_join` and of the join-up joins (match fan-out is
-//! data-dependent), the join-up's projection dedup, normalization of rows
-//! whose values are too wide to pack into `u64`/`u128` scalars
-//! ([`kernels::sort_dedup_packed`] falls back to an index-permutation
-//! sort), and the `Vec<Vec<u64>>` boundary shims.
+//! decomposition has nothing to offer: hash-*building* (a bucket chain
+//! walks its rows once), the probe half of the join that `natural_join`
+//! and the join-up share (match fan-out is data-dependent), the join-up's
+//! projection dedup, `contains` and `is_subset` (a binary search and a
+//! merge over the sorted rows), normalization of rows whose values are too
+//! wide to pack into `u64`/`u128` scalars ([`kernels::sort_dedup_packed`]
+//! falls back to an index-permutation sort), and the `Vec<Vec<u64>>`
+//! boundary shims.
 //!
 //! Two join-ups run over these operators, deliberately:
 //!
 //! * the **flat executor** ([`join_up_with`]) in the cached engine
 //!   (`TreeifyEngine`, over the subtree of its plan's join tree that spans
-//!   `X`): unsorted duplicate-free intermediates in reused buffers,
-//!   bucket-chain builds, one normalization at the root;
+//!   `X`, and along a path of survivor cores to build `state(W)`):
+//!   unsorted duplicate-free intermediates in reused buffers, bucket-chain
+//!   builds, one normalization at the root;
 //! * the **operator-at-a-time reference** in the per-call routes
 //!   (`solve_tree_query`, `solve_via_treeification`):
 //!   one [`Relation::project`] and one [`Relation::natural_join`] per
 //!   tree edge, every intermediate a normalized `Relation`. The
 //!   differential suite compares the two routes.
 //!
-//! The hot paths are cache-assisted: every [`Relation`] lazily memoizes, per
-//! key attribute set, its column positions and its hash-join build table, so
-//! repeated joins and semijoins against the same relation (or clones of it)
-//! skip the rebuild.
+//! Each relation caches one derivation per key attribute set, and nothing
+//! else: the packed key column that both sides of a semijoin step read. So
+//! repeated reductions over one state pay each extraction once. A join's
+//! bucket chain is not cached: on the `perfbench` workloads at most 1% of
+//! one-shot joins build on a relation they have built on before. The
+//! one-shot join reserves its chain's head map for every row up front, so
+//! a cold join allocates a bounded count whatever the number of distinct
+//! keys.
 //!
 //! Values are plain `u64`; the library's semantic oracles only need equality
 //! on values, never arithmetic or ordering semantics.

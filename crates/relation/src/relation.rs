@@ -20,7 +20,13 @@
 //!
 //! The buffer sits behind an `Arc`, so cloning a relation is O(1) and all
 //! clones share both the tuple storage and the lazily built derivation
-//! caches (column positions, hash-join build tables, flat key columns).
+//! cache: per key attribute set, the packed key column the semijoin kernel
+//! reads.
+//!
+//! Each operator has one kernel. `natural_join` is the join-up's join
+//! ([`crate::joinup`]) over two relations, building a bucket chain on the
+//! smaller side, and `semijoin` is a one-step [`semijoin_program`]. Both
+//! share their code with the engines' executors.
 //!
 //! The only nested-vector conversions left are **boundaries**:
 //! [`Relation::new`] accepts nested vectors for ergonomic construction, and
@@ -33,6 +39,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
 
+use crate::exec::{semijoin_program, SemijoinStep};
+use crate::joinup;
 use crate::kernels::{self, ColumnarView, SelVec};
 
 /// Packs a width-2 key into one scalar. The first column lands in the high
@@ -78,62 +86,8 @@ fn unpack2(p: u128) -> (u64, u64) {
     ((p >> 64) as u64, p as u64)
 }
 
-/// A hash index over one key-attribute set: key values (in [`AttrSet`]
-/// column order) → indices of the tuples carrying them. Keys of width ≤ 2
-/// pack exactly into scalars, so building and probing never allocates per
-/// row; wider keys are boxed once per *distinct* key, never per tuple.
-#[derive(Debug)]
-pub(crate) enum KeyIndex {
-    /// Width-0 key: every one of the relation's rows (their count here)
-    /// carries the empty key.
-    Empty(usize),
-    /// Width-1 key.
-    One(FxHashMap<u64, Vec<usize>>),
-    /// Width-2 key, packed into one `u128`.
-    Two(FxHashMap<u128, Vec<usize>>),
-    /// Width ≥ 3 (rare in tree schemas).
-    Wide(FxHashMap<Box<[u64]>, Vec<usize>>),
-}
-
-impl KeyIndex {
-    fn build(rel: &Relation, pos: &[usize]) -> Self {
-        match *pos {
-            [] => KeyIndex::Empty(rel.len),
-            [p] => {
-                let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-                for (i, t) in rel.rows().enumerate() {
-                    map.entry(t[p]).or_default().push(i);
-                }
-                KeyIndex::One(map)
-            }
-            [p, q] => {
-                let mut map: FxHashMap<u128, Vec<usize>> = FxHashMap::default();
-                for (i, t) in rel.rows().enumerate() {
-                    map.entry(pack2(t[p], t[q])).or_default().push(i);
-                }
-                KeyIndex::Two(map)
-            }
-            _ => {
-                let mut map: FxHashMap<Box<[u64]>, Vec<usize>> = FxHashMap::default();
-                let mut scratch: Vec<u64> = Vec::with_capacity(pos.len());
-                for (i, t) in rel.rows().enumerate() {
-                    scratch.clear();
-                    scratch.extend(pos.iter().map(|&p| t[p]));
-                    if let Some(bucket) = map.get_mut(scratch.as_slice()) {
-                        bucket.push(i);
-                    } else {
-                        map.insert(scratch.clone().into_boxed_slice(), vec![i]);
-                    }
-                }
-                KeyIndex::Wide(map)
-            }
-        }
-    }
-}
-
 /// Lazily built per-relation derivations, keyed by the [`AttrSet`] they were
-/// derived for: column positions (for projections and semijoin probes) and
-/// hash-join build tables (for `⋈`/`⋉` against this relation).
+/// derived for: packed key columns (for `⋉` on either side).
 ///
 /// A [`Relation`]'s attribute set and tuples never change after
 /// construction, so cached derivations stay valid for the relation's whole
@@ -146,8 +100,6 @@ struct RelCache {
 
 #[derive(Default)]
 struct CacheInner {
-    positions: FxHashMap<AttrSet, Arc<Vec<usize>>>,
-    builds: FxHashMap<AttrSet, Arc<KeyIndex>>,
     columns: FxHashMap<AttrSet, Arc<KeyColumn>>,
 }
 
@@ -579,27 +531,14 @@ impl Relation {
         self.len == 0
     }
 
-    /// Membership test (`tuple` in column order). When the full-attribute
-    /// `KeyIndex` is already cached — built by [`Relation::is_subset`] and
-    /// other assert-heavy repeated-probe paths — the probe is one O(1)
-    /// hash lookup (the key positions are the identity map, so the tuple
-    /// *is* the probe key); a cold one-shot call falls back to the
-    /// allocation-free binary search over the sorted rows rather than
-    /// paying an O(n) index build it would never amortize.
+    /// Membership test (`tuple` in column order): a binary search over the
+    /// sorted rows.
     pub fn contains(&self, tuple: &[u64]) -> bool {
-        if self.arity == 0 {
-            return tuple.is_empty() && self.len > 0;
-        }
         if tuple.len() != self.arity {
             return false; // a tuple of the wrong width is never a member
         }
-        if let Some(index) = self.key_index_if_cached(&self.attrs) {
-            return match &*index {
-                KeyIndex::Empty(rows) => *rows > 0,
-                KeyIndex::One(map) => map.contains_key(&tuple[0]),
-                KeyIndex::Two(map) => map.contains_key(&pack2(tuple[0], tuple[1])),
-                KeyIndex::Wide(map) => map.contains_key(tuple),
-            };
+        if self.arity == 0 {
+            return self.len > 0;
         }
         let (mut lo, mut hi) = (0usize, self.len);
         while lo < hi {
@@ -628,44 +567,6 @@ impl Relation {
                     .expect("attribute not in relation schema")
             })
             .collect()
-    }
-
-    /// Cached [`Self::positions_of`]: the first call per `attrs` derives the
-    /// positions, later calls (including on clones) return the shared copy.
-    pub(crate) fn positions_cached(&self, attrs: &AttrSet) -> Arc<Vec<usize>> {
-        let mut inner = lock_cache(self.cache.inner());
-        if let Some(pos) = inner.positions.get(attrs) {
-            return Arc::clone(pos);
-        }
-        let pos = Arc::new(self.positions_of(attrs));
-        inner.positions.insert(attrs.clone(), Arc::clone(&pos));
-        pos
-    }
-
-    /// The already-cached build table over `key`, if any — no build is
-    /// triggered. Lets cold paths choose a cheaper strategy instead of
-    /// paying an index build they would not amortize.
-    pub(crate) fn key_index_if_cached(&self, key: &AttrSet) -> Option<Arc<KeyIndex>> {
-        lock_cache(self.cache.inner()).builds.get(key).cloned()
-    }
-
-    /// The hash-join build table over `key ⊆ attrs(self)` (see
-    /// [`KeyIndex`]). Built once per key set and cached, so repeated
-    /// joins/semijoins against this relation (or clones of it) reuse the
-    /// build.
-    pub(crate) fn key_index(&self, key: &AttrSet) -> Arc<KeyIndex> {
-        if let Some(table) = lock_cache(self.cache.inner()).builds.get(key) {
-            return Arc::clone(table);
-        }
-        // Build outside the lock: the derivation is pure, so a racing
-        // builder at worst duplicates work.
-        let pos = self.positions_of(key);
-        let table = Arc::new(KeyIndex::build(self, &pos));
-        lock_cache(self.cache.inner())
-            .builds
-            .entry(key.clone())
-            .or_insert_with(|| Arc::clone(&table))
-            .clone()
     }
 
     /// The flat key column over `key ⊆ attrs(self)` (see [`KeyColumn`]),
@@ -706,8 +607,8 @@ impl Relation {
     }
 
     /// Projection `π_X(self)`, via the gather kernel: the column-index map
-    /// is computed once (and cached per `AttrSet`), then values move in
-    /// column-strided blocks — no per-row scatter loop.
+    /// is computed once, then values move in column-strided blocks — no
+    /// per-row scatter loop.
     ///
     /// # Panics
     ///
@@ -720,202 +621,31 @@ impl Relation {
         if *x == self.attrs {
             return self.clone();
         }
-        let pos = self.positions_cached(x);
+        let pos = self.positions_of(x);
         let mut data = Vec::with_capacity(self.len * pos.len());
         self.columns_view().gather_into(&pos, &mut data);
         Relation::from_row_major(x.clone(), self.len, data)
     }
 
     /// Natural join `self ⋈ other` (a cross product when the schemas are
-    /// disjoint). Hash join on the shared attributes, building on the
-    /// smaller side. The probe phase collects matching `(probe, build)` row
-    /// pairs; the output buffer is then assembled **column-at-a-time** over
-    /// the pair list (one tight gather loop per output column) instead of a
-    /// per-value scatter inside the probe loop.
+    /// disjoint): the join-up's bucket-chain join. The smaller side is the
+    /// build side, chained on the shared attributes; the other side probes
+    /// it in row order, and the output is normalized once. On a tie `self`
+    /// probes, so a left-deep `acc.natural_join(r)` whose columns come first
+    /// hands over output that is already sorted.
     pub fn natural_join(&self, other: &Relation) -> Relation {
-        let (build, probe) = if self.len <= other.len {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let shared = build.attrs.intersect(&probe.attrs);
-        let out_attrs = build.attrs.union(&probe.attrs);
-        let out_arity = out_attrs.len();
-
-        // Output column map: each output column reads either from the probe
-        // side or from the build side, at a fixed position.
-        let mut probe_cols: Vec<(usize, usize)> = Vec::new(); // (out col, probe pos)
-        let mut build_cols: Vec<(usize, usize)> = Vec::new(); // (out col, build pos)
-        for (j, a) in out_attrs.iter().enumerate() {
-            match probe.attrs.as_slice().binary_search(&a) {
-                Ok(p) => probe_cols.push((j, p)),
-                Err(_) => build_cols.push((
-                    j,
-                    build
-                        .attrs
-                        .as_slice()
-                        .binary_search(&a)
-                        .expect("output attr comes from one side"),
-                )),
-            }
-        }
-
-        let table = build.key_index(&shared);
-        let probe_key = probe.positions_cached(&shared);
-
-        // Probe phase: stream matching row pairs into a bounded block
-        // buffer, flushing each full block through the column-at-a-time
-        // assembly kernel. Probe keys are read straight off the row slices
-        // (one streaming pass; the index-shape dispatch is hoisted out of
-        // the loop) — extracting a key column here would cost an extra
-        // pass over the probe side, which one-shot joins never earn back.
-        // The block bound keeps huge join outputs from materializing a
-        // full pair list before assembly.
-        let mut data: Vec<u64> = Vec::new();
-        let mut rows = 0usize;
-        assert!(
-            probe.len <= u32::MAX as usize && build.len <= u32::MAX as usize,
-            "natural_join: pair indices are u32, but the inputs hold {} and {} rows",
-            probe.len,
-            build.len
-        );
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(kernels::PAIR_FLUSH);
-        let mut emit = |pairs: &mut Vec<(u32, u32)>, data: &mut Vec<u64>, force: bool| {
-            if force || pairs.len() >= kernels::PAIR_FLUSH {
-                rows += pairs.len();
-                kernels::gather_pairs(
-                    &probe.data,
-                    probe.arity,
-                    &build.data,
-                    build.arity,
-                    &probe_cols,
-                    &build_cols,
-                    pairs,
-                    out_arity,
-                    data,
-                );
-                pairs.clear();
-            }
-        };
-        macro_rules! probe_loop {
-            ($iter:expr, $map:expr) => {
-                for (pi, k) in $iter {
-                    if let Some(matches) = $map.get(&k) {
-                        for &bi in matches {
-                            pairs.push((pi as u32, bi as u32));
-                        }
-                        emit(&mut pairs, &mut data, false);
-                    }
-                }
-            };
-        }
-        match &*table {
-            &KeyIndex::Empty(rows) => {
-                // Disjoint schemas: cross product.
-                for pi in 0..probe.len {
-                    for bi in 0..rows {
-                        pairs.push((pi as u32, bi as u32));
-                    }
-                    emit(&mut pairs, &mut data, false);
-                }
-            }
-            KeyIndex::One(map) => {
-                let p = probe_key[0];
-                probe_loop!(probe.rows().enumerate().map(|(pi, t)| (pi, t[p])), map)
-            }
-            KeyIndex::Two(map) => {
-                let (p, q) = (probe_key[0], probe_key[1]);
-                probe_loop!(
-                    probe
-                        .rows()
-                        .enumerate()
-                        .map(|(pi, t)| (pi, pack2(t[p], t[q]))),
-                    map
-                )
-            }
-            KeyIndex::Wide(map) => {
-                let mut scratch: Vec<u64> = Vec::with_capacity(probe_key.len());
-                for (pi, t) in probe.rows().enumerate() {
-                    scratch.clear();
-                    scratch.extend(probe_key.iter().map(|&p| t[p]));
-                    if let Some(matches) = map.get(scratch.as_slice()) {
-                        for &bi in matches {
-                            pairs.push((pi as u32, bi as u32));
-                        }
-                        emit(&mut pairs, &mut data, false);
-                    }
-                }
-            }
-        }
-        emit(&mut pairs, &mut data, true);
-        debug_assert_eq!(data.len(), rows * out_arity);
-        Relation::from_row_major(out_attrs, rows, data)
+        joinup::join_once(self, other)
     }
 
-    /// Natural semijoin `self ⋉ other = π_self(self ⋈ other)`, computed
-    /// directly by filtering (no join materialization). The build over
-    /// `other`'s key columns comes from its cache, so repeated semijoins
-    /// against the same relation reuse it.
+    /// Natural semijoin `self ⋉ other = π_self(self ⋈ other)`: a one-step
+    /// [`semijoin_program`], so it runs the engines' semijoin kernel over
+    /// both sides' cached key columns.
     pub fn semijoin(&self, other: &Relation) -> Relation {
-        let shared = self.attrs.intersect(&other.attrs);
-        let my_key = self.positions_cached(&shared);
-        let index = other.key_index(&shared);
-        self.semijoin_filtered(&my_key, &index)
-    }
-
-    /// The probe half of a semijoin: one streaming pass keeps the tuples
-    /// whose `my_key` columns hit `index`, written contiguously into one
-    /// pre-sized flat buffer (filtering preserves normalization). The
-    /// index-shape dispatch is hoisted out of the row loop; this stays
-    /// row-at-a-time deliberately — a one-shot filter earns nothing from a
-    /// selection vector (that is the *program* executor's tool, where
-    /// selections thread across many steps without materializing).
-    pub(crate) fn semijoin_filtered(&self, my_key: &[usize], index: &KeyIndex) -> Relation {
-        if self.len == 0 {
-            return self.clone();
-        }
-        // The output is bounded by the input; reserving the bound up front
-        // avoids doubling reallocations, and a highly selective filter
-        // gives the excess back.
-        let mut data: Vec<u64> = Vec::with_capacity(self.len * self.arity);
-        let mut kept = 0usize;
-        macro_rules! filter_rows {
-            ($keep:expr) => {
-                for t in self.rows() {
-                    #[allow(clippy::redundant_closure_call)]
-                    if $keep(t) {
-                        data.extend_from_slice(t);
-                        kept += 1;
-                    }
-                }
-            };
-        }
-        match (index, my_key) {
-            (&KeyIndex::Empty(rows), _) => {
-                return if rows == 0 {
-                    Relation::empty(self.attrs.clone())
-                } else {
-                    self.clone()
-                };
-            }
-            (KeyIndex::One(map), &[p]) => filter_rows!(|t: &[u64]| map.contains_key(&t[p])),
-            (KeyIndex::Two(map), &[p, q]) => {
-                filter_rows!(|t: &[u64]| map.contains_key(&pack2(t[p], t[q])))
-            }
-            (KeyIndex::Wide(map), _) => {
-                let mut scratch: Vec<u64> = Vec::with_capacity(my_key.len());
-                filter_rows!(|t: &[u64]| {
-                    scratch.clear();
-                    scratch.extend(my_key.iter().map(|&p| t[p]));
-                    map.contains_key(scratch.as_slice())
-                })
-            }
-            _ => unreachable!("key width matches the index shape"),
-        }
-        if data.capacity() > 2 * data.len() {
-            data.shrink_to_fit();
-        }
-        Relation::from_normalized(self.attrs.clone(), kept, data)
+        let schemas = [self.attrs.clone(), other.attrs.clone()];
+        let mut rels = [self.clone(), other.clone()];
+        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        let [filtered, _] = rels;
+        filtered
     }
 
     /// Set union of two relations over the same attribute set, computed as
@@ -951,23 +681,15 @@ impl Relation {
         Relation::from_normalized(self.attrs.clone(), rows, data)
     }
 
-    /// Whether `self ⊆ other` as tuple sets (same attribute set required).
-    /// Builds (or reuses) `other`'s full-attribute `KeyIndex` once and
-    /// probes it directly per row: this is the assert-heavy repeated-probe
-    /// pattern the cached index exists for — one hash lookup per tuple,
-    /// one cache-lock for the whole check.
+    /// Whether `self ⊆ other` as tuple sets (same attribute set required):
+    /// one merge over the two sorted buffers.
     pub fn is_subset(&self, other: &Relation) -> bool {
         assert_eq!(self.attrs, other.attrs, "comparison requires equal schemas");
-        if self.arity == 0 || self.is_empty() {
-            return self.is_empty() || other.len > 0;
+        if self.len > other.len {
+            return false;
         }
-        let index = other.key_index(&other.attrs);
-        match &*index {
-            KeyIndex::Empty(rows) => *rows > 0,
-            KeyIndex::One(map) => self.rows().all(|t| map.contains_key(&t[0])),
-            KeyIndex::Two(map) => self.rows().all(|t| map.contains_key(&pack2(t[0], t[1]))),
-            KeyIndex::Wide(map) => self.rows().all(|t| map.contains_key(t)),
-        }
+        let mut theirs = other.rows();
+        self.rows().all(|t| theirs.find(|u| *u >= t) == Some(t))
     }
 
     /// Renders a small relation as an ASCII table for diagnostics.
@@ -1246,16 +968,12 @@ mod tests {
     fn clones_share_storage_and_derivation_caches() {
         let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
         let key = attrs(&[1]);
-        let idx = r.key_index(&key);
+        let col = r.key_column(&key);
         let clone = r.clone();
         assert!(
-            Arc::ptr_eq(&idx, &clone.key_index(&key)),
+            Arc::ptr_eq(&col, &clone.key_column(&key)),
             "clone reuses the build"
         );
-        assert!(Arc::ptr_eq(
-            &r.positions_cached(&key),
-            &clone.positions_cached(&key)
-        ));
         assert_eq!(clone.data(), r.data(), "clones share the flat buffer");
     }
 
@@ -1263,7 +981,7 @@ mod tests {
     fn equality_ignores_caches() {
         let a = Relation::new(attrs(&[0, 1]), vec![vec![1, 2]]);
         let b = Relation::new(attrs(&[0, 1]), vec![vec![1, 2]]);
-        let _ = a.key_index(&attrs(&[0]));
+        let _ = a.key_column(&attrs(&[0]));
         assert_eq!(a, b);
         assert_eq!(b, a);
     }
@@ -1273,7 +991,7 @@ mod tests {
         let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
         let hub = Relation::new(attrs(&[1, 2]), vec![vec![10, 5], vec![30, 6]]);
         let first = r.semijoin(&hub);
-        let second = r.semijoin(&hub); // hits hub's cached key index
+        let second = r.semijoin(&hub); // hits hub's cached key column
         assert_eq!(first, second);
         assert_eq!(first.to_vecs(), vec![vec![1, 10]]);
     }

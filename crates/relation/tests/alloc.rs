@@ -6,32 +6,47 @@
 //! membership path is covered: width-1 stamp and hash, packed `u128` keys,
 //! the pack-or-reject mixed pairs, and the spine for keys too wide to pack.
 //!
-//! The file installs a counting global allocator, so it contains exactly
-//! one `#[test]` (parallel tests would pollute the counter).
+//! The one-shot operators are pinned too: a cold `natural_join`,
+//! `semijoin` or `is_subset` allocates a bounded count, whatever the number
+//! of distinct keys — no allocation per key.
+//!
+//! The file installs a counting global allocator that counts per thread,
+//! so each test sees only its own allocations — not those of tests running
+//! beside it, nor the harness reporting their results.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use gyo_relation::{semijoin_program_with, ExecScratch, Relation, SemijoinStep};
 use gyo_schema::AttrSet;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A `const`-initialized `Cell` needs
+    /// no lazy set-up and no destructor, so the allocator can touch it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is torn down; those
+    // allocations are nobody's to count.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -43,9 +58,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
+
+/// Heap allocations made by `f`.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocs();
+    let out = f();
+    (allocs() - before, out)
+}
+
+/// A scenario of the program test: its label, slot schemas, and the map
+/// applied to every cell value.
+type Scenario = (&'static str, Vec<AttrSet>, Box<dyn Fn(u64) -> u64>);
 
 /// A globally consistent (UR) state for `schemas`: every relation is a
 /// projection of one universal relation, so a full reducer drops nothing
@@ -93,7 +120,7 @@ fn warm_program_steps_allocate_nothing() {
     // fallback (huge key range), width-2 packed set, width-3 keys packed
     // into the same u128 set, and width-3 keys with every value ≥ 2^42
     // (too wide for the 42-bit fields), which take the hash spine.
-    let scenarios: Vec<(&str, Vec<AttrSet>, Box<dyn Fn(u64) -> u64>)> = vec![
+    let scenarios: Vec<Scenario> = vec![
         (
             "width-1 stamp",
             wide_chain_schemas(6, 2, 1),
@@ -207,4 +234,58 @@ fn warm_program_steps_allocate_nothing() {
          changed slot, got {} allocations",
         after - before
     );
+}
+
+/// 1000 rows over `attrs`, row `i` built by `row(i, i mod keys)`.
+fn keyed(attrs: &[u32], keys: u64, row: impl Fn(u64, u64) -> Vec<u64>) -> Relation {
+    let data: Vec<u64> = (0..1000).flat_map(|i| row(i, i % keys)).collect();
+    Relation::from_row_major(AttrSet::from_raw(attrs), 1000, data)
+}
+
+#[test]
+fn one_shot_operators_allocate_a_bounded_count_whatever_the_key_count() {
+    // At most this many allocations per cold call. A cache build that
+    // allocates per distinct key (one bucket per key) needs 1000+ here.
+    const BOUND: u64 = 32;
+    for keys in [10u64, 1000] {
+        // Every relation is built fresh, so each call starts cold: no key
+        // column or chain is cached yet.
+        // R(a, b) has 1000 distinct b; S(b, c) has `keys` distinct b, each
+        // matching one row of R, so the join keeps 1000 rows either way.
+        let r = || keyed(&[0, 1], keys, |i, _| vec![i, i]);
+        let s = || keyed(&[1, 2], keys, |i, k| vec![k, i]);
+        // Width-3 key (1, 2, 3); S4 holds only the even keys.
+        let r4 = || keyed(&[0, 1, 2, 3], keys, |i, k| vec![i, k, 2 * k, 3 * k]);
+        let s4 = || {
+            keyed(&[1, 2, 3, 4], keys, |i, k| {
+                vec![k & !1, 2 * (k & !1), 3 * (k & !1), i]
+            })
+        };
+
+        let (rel_r, rel_s) = (r(), s());
+        let (n, joined) = counted(|| rel_r.natural_join(&rel_s));
+        assert_eq!(joined.len(), 1000);
+        assert!(n <= BOUND, "{keys} keys: natural_join made {n} allocations");
+
+        let (rel_r, rel_s) = (r(), s());
+        let (n, kept) = counted(|| rel_r.semijoin(&rel_s));
+        assert_eq!(kept.len(), keys as usize);
+        assert!(
+            n <= BOUND,
+            "{keys} keys: width-1 semijoin made {n} allocations"
+        );
+
+        let (rel_r4, rel_s4) = (r4(), s4());
+        let (n, kept) = counted(|| rel_r4.semijoin(&rel_s4));
+        assert_eq!(kept.len(), 1000 / keys as usize * keys.div_ceil(2) as usize);
+        assert!(
+            n <= BOUND,
+            "{keys} keys: width-3 semijoin made {n} allocations"
+        );
+
+        let (rel_r, same) = (r(), r());
+        let (n, subset) = counted(|| rel_r.is_subset(&same));
+        assert!(subset);
+        assert_eq!(n, 0, "{keys} keys: is_subset allocates nothing");
+    }
 }

@@ -197,35 +197,11 @@ proptest! {
         let proj = r.project(&onto);
         prop_assert_eq!(proj.to_vecs(), expect_proj.into_iter().collect::<Vec<_>>());
 
-        // natural-join reference: nested loops over the shim rows
-        let shared = r.attrs().intersect(s.attrs());
-        let rp: Vec<usize> = shared.iter().map(|a| r.attrs().iter().position(|b| b == a).unwrap()).collect();
-        let sp: Vec<usize> = shared.iter().map(|a| s.attrs().iter().position(|b| b == a).unwrap()).collect();
-        let out_attrs = r.attrs().union(s.attrs());
-        let mut expect_join: BTreeSet<Vec<u64>> = BTreeSet::new();
-        for tr in r.rows() {
-            for ts in s.rows() {
-                if rp.iter().zip(&sp).all(|(&p, &q)| tr[p] == ts[q]) {
-                    let out: Vec<u64> = out_attrs.iter().map(|a| {
-                        match r.attrs().iter().position(|b| b == a) {
-                            Some(p) => tr[p],
-                            None => ts[s.attrs().iter().position(|b| b == a).unwrap()],
-                        }
-                    }).collect();
-                    expect_join.insert(out);
-                }
-            }
-        }
+        // natural-join and semijoin references: nested loops over the rows
         let j = r.natural_join(&s);
-        prop_assert_eq!(j.attrs(), &out_attrs);
-        prop_assert_eq!(j.to_vecs(), expect_join.into_iter().collect::<Vec<_>>());
-
-        // semijoin reference
-        let expect_semi: Vec<Vec<u64>> = r.rows()
-            .filter(|tr| s.rows().any(|ts| rp.iter().zip(&sp).all(|(&p, &q)| tr[p] == ts[q])))
-            .map(<[u64]>::to_vec)
-            .collect();
-        prop_assert_eq!(r.semijoin(&s).to_vecs(), expect_semi);
+        prop_assert_eq!(j.attrs(), &r.attrs().union(s.attrs()));
+        prop_assert_eq!(j.to_vecs(), reference_join(&r, &s));
+        prop_assert_eq!(r.semijoin(&s).to_vecs(), reference_semijoin(&r, &s));
 
         // union reference (same-schema only)
         if r.attrs() == s.attrs() {
@@ -235,24 +211,43 @@ proptest! {
     }
 }
 
+/// Whether rows `tr` of `r` and `ts` of `s` agree on every shared
+/// attribute.
+fn rows_agree(r: &Relation, tr: &[u64], s: &Relation, ts: &[u64]) -> bool {
+    let col = |rel: &Relation, a| rel.attrs().iter().position(|b| b == a).unwrap();
+    r.attrs()
+        .intersect(s.attrs())
+        .iter()
+        .all(|a| tr[col(r, a)] == ts[col(s, a)])
+}
+
 /// Per-row reference semijoin: `r ⋉ s` by nested loops over the shim rows.
 fn reference_semijoin(r: &Relation, s: &Relation) -> Vec<Vec<u64>> {
-    let shared = r.attrs().intersect(s.attrs());
-    let rp: Vec<usize> = shared
-        .iter()
-        .map(|a| r.attrs().iter().position(|b| b == a).unwrap())
-        .collect();
-    let sp: Vec<usize> = shared
-        .iter()
-        .map(|a| s.attrs().iter().position(|b| b == a).unwrap())
-        .collect();
     r.rows()
-        .filter(|tr| {
-            s.rows()
-                .any(|ts| rp.iter().zip(&sp).all(|(&p, &q)| tr[p] == ts[q]))
-        })
+        .filter(|tr| s.rows().any(|ts| rows_agree(r, tr, s, ts)))
         .map(<[u64]>::to_vec)
         .collect()
+}
+
+/// Per-row reference join: `r ⋈ s` by nested loops over the shim rows,
+/// sorted and deduplicated.
+fn reference_join(r: &Relation, s: &Relation) -> Vec<Vec<u64>> {
+    let out_attrs = r.attrs().union(s.attrs());
+    let mut out: BTreeSet<Vec<u64>> = BTreeSet::new();
+    for tr in r.rows() {
+        for ts in s.rows().filter(|ts| rows_agree(r, tr, s, ts)) {
+            out.insert(
+                out_attrs
+                    .iter()
+                    .map(|a| match r.attrs().iter().position(|b| b == a) {
+                        Some(p) => tr[p],
+                        None => ts[s.attrs().iter().position(|b| b == a).unwrap()],
+                    })
+                    .collect(),
+            );
+        }
+    }
+    out.into_iter().collect()
 }
 
 /// Schemas whose pairwise overlaps hit every key-width class: width-1
@@ -304,8 +299,8 @@ proptest! {
     }
 
     /// Selection-vector program execution (`semijoin_program`, fresh and
-    /// warm-scratch) agrees with the naive sequence of per-call semijoin
-    /// operators on random programs over the width-mixed schema pool.
+    /// warm-scratch) agrees with a nested-loop semijoin per step on random
+    /// programs over the width-mixed schema pool.
     #[test]
     fn selvec_program_matches_sequential_semijoins(
         rels0 in proptest::collection::vec(
@@ -314,6 +309,79 @@ proptest! {
         reuse in any::<bool>(),
     ) {
         check_program(&rels0, &raw_steps, reuse);
+    }
+
+    /// The bucket-chain `natural_join` agrees with nested loops on every
+    /// pair of the width-mixed schema pool — join keys of width 0 to 4 —
+    /// on small and pack-defeating values, in both argument orders.
+    #[test]
+    fn natural_join_matches_nested_loops_for_all_key_widths(
+        ra in proptest::sample::select(kernel_schemas()).prop_flat_map(relation_over),
+        rb in proptest::sample::select(kernel_schemas()).prop_flat_map(relation_over),
+    ) {
+        for (r, s) in [(&ra, &rb), (&rb, &ra)] {
+            let j = r.natural_join(s);
+            prop_assert_eq!(j.attrs(), &r.attrs().union(s.attrs()));
+            prop_assert_eq!(j.to_vecs(), reference_join(r, s));
+        }
+    }
+
+    /// `is_subset` (a merge of sorted buffers) and `contains` (a binary
+    /// search) agree with a `BTreeSet` reference on pairs over one schema
+    /// of the pool, `∅` included: unrelated pairs, a sub-relation of unequal
+    /// length, and a union.
+    #[test]
+    fn subset_and_membership_match_a_btreeset_reference(
+        pair in proptest::sample::select(kernel_schemas()).prop_flat_map(|attrs| (
+            relation_over(attrs.clone()),
+            relation_over(attrs),
+            proptest::collection::vec(any::<bool>(), 12),
+        )),
+    ) {
+        let (a, b, mask) = pair;
+        check_subset_and_membership(&a, &b, &mask);
+    }
+}
+
+/// [`subset_and_membership_match_a_btreeset_reference`]'s body, plus the
+/// `{}`/`{()}` edge cases.
+fn check_subset_and_membership(a: &Relation, b: &Relation, mask: &[bool]) {
+    let nothing = Relation::empty(AttrSet::empty());
+    let unit = Relation::identity();
+    prop_assert!(nothing.is_subset(&unit), "{{}} ⊆ {{()}}");
+    prop_assert!(!unit.is_subset(&nothing), "{{()}} ⊄ {{}}");
+    prop_assert!(nothing.is_subset(&nothing) && unit.is_subset(&unit));
+
+    let set = |r: &Relation| -> BTreeSet<Vec<u64>> { r.rows().map(<[u64]>::to_vec).collect() };
+    let sub = Relation::new(
+        a.attrs().clone(),
+        a.rows()
+            .zip(mask)
+            .filter(|&(_, &m)| m)
+            .map(|(t, _)| t.to_vec())
+            .collect(),
+    );
+    let union = a.union(b);
+    for (x, y) in [
+        (a, b),
+        (b, a),
+        (&sub, a),
+        (a, &sub),
+        (a, &union),
+        (&union, b),
+    ] {
+        prop_assert_eq!(
+            x.is_subset(y),
+            set(x).is_subset(&set(y)),
+            "{:?} ⊆ {:?}",
+            x.to_vecs(),
+            y.to_vecs()
+        );
+    }
+    let members = set(a);
+    for t in a.rows().chain(b.rows()).chain(union.rows()) {
+        prop_assert_eq!(a.contains(t), members.contains(t), "{:?}", t);
+        prop_assert!(!a.contains(&[t, &[0]].concat()), "wrong width");
     }
 }
 
@@ -334,7 +402,7 @@ fn check_semijoin(ra: &Relation, rb: &Relation) {
 
 /// Runs the program `raw_steps` (slot indices taken modulo the slot count)
 /// over `rels0` with a fresh scratch, or with a warmed one when `reuse`,
-/// against one semijoin operator per step.
+/// against one nested-loop semijoin per step.
 fn check_program(rels0: &[Relation], raw_steps: &[(usize, usize)], reuse: bool) {
     let schemas: Vec<AttrSet> = rels0.iter().map(|r| r.attrs().clone()).collect();
     let steps: Vec<SemijoinStep> = raw_steps
@@ -342,10 +410,11 @@ fn check_program(rels0: &[Relation], raw_steps: &[(usize, usize)], reuse: bool) 
         .map(|&(t, s)| SemijoinStep::new(&schemas, t % rels0.len(), s % rels0.len()))
         .collect();
 
-    // Reference: one semijoin operator per step, in order.
+    // Reference: one nested-loop semijoin per step, in order.
     let mut expect = rels0.to_vec();
     for st in &steps {
-        expect[st.target()] = expect[st.target()].semijoin(&expect[st.source()].clone());
+        let kept = reference_semijoin(&expect[st.target()], &expect[st.source()]);
+        expect[st.target()] = Relation::new(schemas[st.target()].clone(), kept);
     }
 
     let mut got = rels0.to_vec();
