@@ -24,7 +24,7 @@
 //! | lossless joins (§5, Thm 5.1, Cor. 5.2) | [`query`]: [`implies_lossless`] |
 //! | γ-acyclicity (§5.2, Thm 5.3) | [`gamma`]: [`is_gamma_acyclic`], [`find_weak_gamma_cycle`] |
 //! | programs, `P(D)` (§6) | [`query`]: [`Program`] |
-//! | full reducers, tree queries (§4 "tree case") | [`query`]: [`full_reduce`], [`solve_tree_query`], [`FullReducerPlan`] |
+//! | full reducers, tree queries (§4 "tree case") | [`query`]: [`full_reduce`], [`solve_tree_query`], [`TreeifyPlan`] |
 //! | query engines; cyclic schemas via treeification (§4, Thm 3.2(ii), Cor. 3.2) | [`query`]: [`Engine`], [`NaiveEngine`], [`TreeifyEngine`], [`solve_via_treeification`] |
 //! | cyclicity diagnostics (stuck GYO residue) | [`query`]: [`EngineError`] |
 //! | tree projections (§3.2, Thms 6.1–6.4) | [`treeproj`], [`query`]: [`solve_with_tree_projection`] |
@@ -69,8 +69,7 @@ pub use gyo_gamma::{
 pub use gyo_query::{
     full_reduce, implies_lossless, joins_only_solvable, prune_irrelevant, reduce_via_treeification,
     solve_tree_query, solve_via_treeification, solve_with_tree_projection, weakly_equivalent,
-    Engine, EngineError, FullReducerPlan, JoinQuery, NaiveEngine, Program, TreeifyEngine,
-    TreeifyPlan,
+    Engine, EngineError, JoinQuery, NaiveEngine, Program, TreeifyEngine, TreeifyPlan,
 };
 pub use gyo_reduce::{
     aclique, aring, classify, find_cyclic_core, gr, gyo_reduce, is_subtree, is_tree_schema,

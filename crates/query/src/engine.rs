@@ -1,5 +1,5 @@
 //! Query/reduction engines behind one trait: the naive oracle, and the
-//! planned engine with its full-reducer plans.
+//! planned engine with its one plan type, [`TreeifyPlan`].
 //!
 //! A full reducer — `2·(n−1)` semijoins along a join tree — makes a tree
 //! schema's state globally consistent, after which `(D, X)` is answered by
@@ -11,13 +11,14 @@
 //!   It is the ground truth and the foil the planned engine is measured
 //!   against.
 //! * [`TreeifyEngine`] — the planned engine. Its one cache maps a schema's
-//!   exact relation list to the plan one GYO reduction compiles (see
-//!   [`crate::treeify_engine`]). `reduce` and `answer` run one pipeline:
-//!   look the plan up once; copy the state, pushing `state(W)` when the
-//!   plan is cyclic (built on the flat join-up executor,
-//!   [`join_up_with`]); run semijoin steps of the plan on the selection-vector
-//!   executor ([`semijoin_program_with`]); finish. `reduce` runs all
-//!   `2·(n−1)` steps and truncates back to `D`.
+//!   exact relation list to the [`TreeifyPlan`] one GYO reduction compiles,
+//!   with `W = ∅` for a tree schema (see [`crate::treeify_engine`]).
+//!   `reduce` and `answer` run one pipeline on one locked scratch: look the
+//!   plan up once; copy the state, pushing `state(W)` when the plan is
+//!   cyclic (built on the flat join-up executor, [`join_up_with`]); run
+//!   semijoin steps of the plan on the selection-vector executor
+//!   ([`semijoin_program_with`]); finish. `reduce` runs all `2·(n−1)` steps
+//!   and truncates back to `D`.
 //!
 //! `answer` reads only the **kept subtree**: the nodes of the plan's rooted
 //! join tree whose relations `π_X(⋈D)` needs. With the compile-time root,
@@ -50,11 +51,9 @@ use gyo_relation::{
     join_up_with, lock_cache, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
     SemijoinStep,
 };
-use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, RootedTree};
+use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap};
 
-use crate::program::Program;
-use crate::treeify_engine::{Plan, TreeifyPlan};
-use crate::yannakakis::full_reducer_program_on_tree;
+use crate::treeify_engine::TreeifyPlan;
 
 /// Why an engine (or any tree-only entry point of this crate) could not
 /// serve a schema or a query.
@@ -268,104 +267,6 @@ impl Engine for NaiveEngine {
     }
 }
 
-/// A compiled full-reducer plan for one tree schema: the rooted join tree
-/// plus the `2·(n−1)` precompiled semijoin steps.
-#[derive(Clone, Debug)]
-pub struct FullReducerPlan {
-    rooted: RootedTree,
-    steps: Vec<SemijoinStep>,
-}
-
-impl FullReducerPlan {
-    /// The plan along an already-rooted join tree of `d`.
-    pub(crate) fn on_tree(d: &DbSchema, rooted: RootedTree) -> Self {
-        let schemas = d.rels();
-        let mut steps = Vec::with_capacity(2 * d.len().saturating_sub(1));
-        for &v in &rooted.post_order {
-            if v != rooted.root {
-                steps.push(SemijoinStep::new(schemas, rooted.parent[v], v));
-            }
-        }
-        for &v in rooted.post_order.iter().rev() {
-            if v != rooted.root {
-                steps.push(SemijoinStep::new(schemas, v, rooted.parent[v]));
-            }
-        }
-        Self { rooted, steps }
-    }
-
-    /// The compiled semijoin steps, upward pass then downward pass.
-    pub fn steps(&self) -> &[SemijoinStep] {
-        &self.steps
-    }
-
-    /// Fills `kept` with the nodes an answer `π_X` reads: the root, and
-    /// each non-root `v` with `X ∩ U(subtree(v)) ⊄ R_parent(v)`. `schemas`
-    /// are the relation schemas the plan was compiled for.
-    ///
-    /// On a join tree that condition says some node of `v`'s subtree is the
-    /// topmost holder of an attribute of `X`: an attribute held both below
-    /// `v` and by `v`'s parent is held by every node in between. So one
-    /// post-order pass marks each topmost holder and its ancestors, with no
-    /// per-node attribute set.
-    pub(crate) fn kept_nodes(&self, schemas: &[AttrSet], x: &AttrSet, kept: &mut Vec<bool>) {
-        let rooted = &self.rooted;
-        kept.clear();
-        kept.resize(rooted.parent.len(), false);
-        for &v in &rooted.post_order {
-            let p = rooted.parent[v];
-            // A kept child has already marked `v`.
-            kept[v] = kept[v]
-                || v == rooted.root
-                || schemas[v]
-                    .iter()
-                    .any(|a| x.contains(a) && !schemas[p].contains(a));
-            if kept[v] {
-                kept[p] = true;
-            }
-        }
-    }
-
-    /// The steps of an answer over the `kept` nodes: the whole upward pass,
-    /// which leaves the root fully reduced, then the downward steps into
-    /// kept nodes. The downward pass visits parents first, so each kept
-    /// node is semijoined with a fully reduced parent and ends fully
-    /// reduced; the other nodes are never read.
-    pub(crate) fn answer_steps<'a>(
-        &'a self,
-        kept: &'a [bool],
-    ) -> impl Iterator<Item = &'a SemijoinStep> + 'a {
-        let (up, down) = self.steps.split_at(self.steps.len() / 2);
-        up.iter()
-            .chain(down.iter().filter(move |step| kept[step.target()]))
-    }
-
-    /// The plan as a §6 semijoin [`Program`] (new-relation semantics) over
-    /// `d`, the schema the plan was compiled for. Built on each call from
-    /// the rooted tree; compiling a plan never builds one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` has another number of relations than the plan.
-    pub fn program(&self, d: &DbSchema) -> Program {
-        assert_eq!(
-            d.len(),
-            self.rooted.parent.len(),
-            "a plan's program is over the schema it was compiled for"
-        );
-        full_reducer_program_on_tree(d, &self.rooted)
-    }
-
-    /// The rooted join tree the plan reduces along.
-    ///
-    /// For the **empty schema** the tree has no nodes: `parent` and
-    /// `post_order` are empty and `root` is a placeholder `0` that must
-    /// not be used as an index.
-    pub fn rooted(&self) -> &RootedTree {
-        &self.rooted
-    }
-}
-
 /// Runs `f` on the reusable scratch behind `lock`, locked without waiting.
 /// A poisoned lock is recovered: every use of a scratch resets what it
 /// reads first, so one left mid-use by a panic is still valid. When another
@@ -382,10 +283,12 @@ fn with_scratch<T: Default, R>(lock: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> 
     }
 }
 
-/// Reusable join state: the join-up scratch (answers and `state(W)`) and
+/// The engine's reusable execution state: the selection-vector scratch of
+/// the semijoin steps, the join-up scratch (answers and `state(W)`), and
 /// the kept-node mask (answers).
 #[derive(Debug, Default)]
-struct AnswerScratch {
+struct Scratch {
+    exec: ExecScratch,
     joinup: JoinUpScratch,
     kept: Vec<bool>,
 }
@@ -403,18 +306,15 @@ struct AnswerScratch {
 /// for the plans and their correctness argument.
 #[derive(Debug, Default)]
 pub struct TreeifyEngine {
-    plans: Mutex<FxHashMap<Vec<AttrSet>, Plan>>,
-    /// Reusable selection-vector execution state: after the first reduction
-    /// at a given shape, program steps run with zero heap allocation (the
-    /// `crates/relation/tests/alloc.rs` counter pins this down). Contended
-    /// callers fall back to a per-call scratch rather than serialize; a
-    /// poisoned lock is recovered, not bypassed.
-    scratch: Mutex<ExecScratch>,
-    /// Reusable join state (the kept-node mask, and the join-up bucket
-    /// chains, pair buffer, dedup sets and intermediate row buffers) for
-    /// answers and for building `state(W)`, with the same contention
-    /// fallback and poison recovery.
-    answer: Mutex<AnswerScratch>,
+    plans: Mutex<FxHashMap<Vec<AttrSet>, Arc<TreeifyPlan>>>,
+    /// Reusable execution state: after the first call at a given shape,
+    /// program steps run with zero heap allocation (the
+    /// `crates/relation/tests/alloc.rs` counter pins this down), and the
+    /// join-up reuses its bucket chains, pair buffer, dedup sets and
+    /// intermediate row buffers. Contended callers fall back to a per-call
+    /// scratch rather than serialize; a poisoned lock is recovered, not
+    /// bypassed.
+    scratch: Mutex<Scratch>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -435,43 +335,33 @@ impl TreeifyEngine {
     }
 
     /// The cached plan for `d`, compiled on first sight.
-    fn lookup(&self, d: &DbSchema) -> Plan {
+    fn lookup(&self, d: &DbSchema) -> Arc<TreeifyPlan> {
         if let Some(plan) = lock_cache(&self.plans).get(d.rels()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return plan.clone();
+            return Arc::clone(plan);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Plan::compile(d);
-        lock_cache(&self.plans).insert(d.rels().to_vec(), plan.clone());
+        let plan = Arc::new(TreeifyPlan::compile(d));
+        lock_cache(&self.plans).insert(d.rels().to_vec(), Arc::clone(&plan));
         plan
     }
 
-    /// The cached full-reducer plan of the tree schema `d`, compiled on
-    /// first sight; [`EngineError::Cyclic`] with the stuck residue when `d`
-    /// is cyclic (its treeified plan is cached all the same).
-    pub fn plan(&self, d: &DbSchema) -> Result<Arc<FullReducerPlan>, EngineError> {
-        match self.lookup(d) {
-            Plan::Tree(plan) => Ok(plan),
-            Plan::Cyclic(plan) => Err(plan.error()),
-        }
+    /// The cached plan of the tree schema `d`, compiled on first sight;
+    /// [`EngineError::Cyclic`] with the stuck residue when `d` is cyclic
+    /// (its treeified plan is cached all the same).
+    pub fn plan(&self, d: &DbSchema) -> Result<Arc<TreeifyPlan>, EngineError> {
+        let plan = self.lookup(d);
+        plan.check_tree()?;
+        Ok(plan)
     }
 
-    /// The cached treeify plan of the cyclic schema `d`, compiled on first
-    /// sight. `err` is the verdict [`plan`](Self::plan) returned for `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `err` is not [`EngineError::Cyclic`] or `d` is a tree
-    /// schema.
-    pub fn treeified_plan(&self, d: &DbSchema, err: &EngineError) -> Arc<TreeifyPlan> {
-        assert!(
-            err.residue().is_some(),
-            "treeification needs a cyclic verdict, got: {err}"
-        );
-        match self.lookup(d) {
-            Plan::Cyclic(plan) => plan,
-            Plan::Tree(_) => panic!("treeification needs a cyclic schema"),
-        }
+    /// The cached plan of `d`, tree or cyclic, compiled on first sight.
+    /// `err` is ignored. It is kept so that callers written against the
+    /// former split, which passed the cyclic verdict of
+    /// [`plan`](Self::plan) here (the `perfbench` harness does), still
+    /// compile unchanged.
+    pub fn treeified_plan(&self, d: &DbSchema, _err: &EngineError) -> Arc<TreeifyPlan> {
+        self.lookup(d)
     }
 
     /// Drops every cached plan (the cache never *needs* manual
@@ -490,7 +380,7 @@ impl TreeifyEngine {
     pub fn cached_treeified_count(&self) -> usize {
         lock_cache(&self.plans)
             .values()
-            .filter(|plan| matches!(plan, Plan::Cyclic(_)))
+            .filter(|plan| plan.is_cyclic())
             .count()
     }
 
@@ -501,26 +391,24 @@ impl TreeifyEngine {
             self.misses.load(Ordering::Relaxed),
         )
     }
+}
 
-    /// Copies the state (pushing `state(W)` for a cyclic plan, built on
-    /// `joinup`) and runs `steps` of the plan through the engine's reusable
-    /// scratch. Returns the relations, `D`'s first and `W` last.
-    fn reduced<'a>(
-        &self,
-        plan: &Plan,
-        state: &DbState,
-        steps: impl IntoIterator<Item = &'a SemijoinStep>,
-        joinup: &mut JoinUpScratch,
-    ) -> Vec<Relation> {
-        let mut rels = state.rels().to_vec();
-        if let Plan::Cyclic(treeify) = plan {
-            rels.push(treeify.materialize_w(state, joinup));
-        }
-        with_scratch(&self.scratch, |scratch| {
-            semijoin_program_with(&mut rels, steps, scratch)
-        });
-        rels
+/// Copies the state (pushing `state(W)` for a cyclic plan, built on
+/// `joinup`) and runs `steps` of the plan on `exec`. Returns the relations,
+/// `D`'s first and `W` last.
+fn reduced<'a>(
+    plan: &TreeifyPlan,
+    state: &DbState,
+    steps: impl IntoIterator<Item = &'a SemijoinStep>,
+    joinup: &mut JoinUpScratch,
+    exec: &mut ExecScratch,
+) -> Vec<Relation> {
+    let mut rels = state.rels().to_vec();
+    if plan.is_cyclic() {
+        rels.push(plan.materialize_w(state, joinup));
     }
+    semijoin_program_with(&mut rels, steps, exec);
+    rels
 }
 
 impl Engine for TreeifyEngine {
@@ -531,8 +419,8 @@ impl Engine for TreeifyEngine {
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
         EngineError::check_state(d, state)?;
         let plan = self.lookup(d);
-        let mut rels = with_scratch(&self.answer, |scratch| {
-            self.reduced(&plan, state, plan.tree().steps(), &mut scratch.joinup)
+        let mut rels = with_scratch(&self.scratch, |s| {
+            reduced(&plan, state, plan.steps(), &mut s.joinup, &mut s.exec)
         });
         rels.truncate(d.len());
         Ok(DbState::new(d, rels))
@@ -542,13 +430,12 @@ impl Engine for TreeifyEngine {
         EngineError::check_target(d, x)?;
         EngineError::check_state(d, state)?;
         let plan = self.lookup(d);
-        let tree = plan.tree();
         Ok(with_scratch(
-            &self.answer,
-            |AnswerScratch { joinup, kept }| {
-                tree.kept_nodes(plan.schemas(d), x, kept);
-                let rels = self.reduced(&plan, state, tree.answer_steps(kept), joinup);
-                join_up_with(&rels, tree.rooted(), kept, x, joinup)
+            &self.scratch,
+            |Scratch { exec, joinup, kept }| {
+                plan.kept_nodes(d, x, kept);
+                let rels = reduced(&plan, state, plan.answer_steps(kept), joinup, exec);
+                join_up_with(&rels, plan.rooted(), kept, x, joinup)
             },
         ))
     }
@@ -671,7 +558,7 @@ pub(crate) mod tests {
         let e = TreeifyEngine::new();
         let ring = db("ab, bc, cd, da, ax", &mut cat);
         let err = e.plan(&ring).unwrap_err();
-        let extended = e.treeified_plan(&ring, &err).extended().clone();
+        let extended = ring.with_rel(e.treeified_plan(&ring, &err).w().clone());
         assert_eq!(e.cached_plan_count(), 1, "the extension takes no entry");
         assert!(e.plan(&extended).is_ok(), "D ∪ (W) is a tree schema");
         assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (2, 1));
@@ -747,9 +634,9 @@ pub(crate) mod tests {
     }
 
     /// The nodes `plan` keeps for an answer on `x`.
-    pub(crate) fn kept_of(plan: &Plan, d: &DbSchema, x: &AttrSet) -> Vec<usize> {
+    pub(crate) fn kept_of(plan: &TreeifyPlan, d: &DbSchema, x: &AttrSet) -> Vec<usize> {
         let mut kept = Vec::new();
-        plan.tree().kept_nodes(plan.schemas(d), x, &mut kept);
+        plan.kept_nodes(d, x, &mut kept);
         (0..kept.len()).filter(|&v| kept[v]).collect()
     }
 
@@ -758,8 +645,8 @@ pub(crate) mod tests {
         // star(64) = (A₀A₁, …, A₀A₆₄) joins as a star around its root, node
         // 0; A₁₇ is only in node 16 and A₆₄ only in node 63.
         let d = gyo_workloads::star(64);
-        let plan = Plan::compile(&d);
-        let rooted = plan.tree().rooted();
+        let plan = TreeifyPlan::compile(&d);
+        let rooted = plan.rooted();
         assert_eq!(rooted.root, 0);
         assert!(rooted.parent.iter().all(|&p| p == 0), "a star join tree");
         let x = AttrSet::from_raw(&[17, 64]);
@@ -767,12 +654,8 @@ pub(crate) mod tests {
         // The answer runs the whole upward pass, then only the downward
         // steps into the two kept leaves.
         let mut kept = Vec::new();
-        plan.tree().kept_nodes(plan.schemas(&d), &x, &mut kept);
-        let targets: Vec<usize> = plan
-            .tree()
-            .answer_steps(&kept)
-            .map(SemijoinStep::target)
-            .collect();
+        plan.kept_nodes(&d, &x, &mut kept);
+        let targets: Vec<usize> = plan.answer_steps(&kept).map(SemijoinStep::target).collect();
         assert_eq!(targets.len(), 63 + 2);
         assert_eq!(targets[63..], [63, 16]);
         // The hub attribute is in the root: nothing below is needed.
@@ -782,12 +665,12 @@ pub(crate) mod tests {
     #[test]
     fn a_chain_with_its_end_attributes_keeps_every_node() {
         let d = gyo_workloads::chain(64);
-        let plan = Plan::compile(&d);
+        let plan = TreeifyPlan::compile(&d);
         let x = AttrSet::from_raw(&[0, 64]);
         assert_eq!(kept_of(&plan, &d, &x), (0..64).collect::<Vec<_>>());
         let mut kept = Vec::new();
-        plan.tree().kept_nodes(plan.schemas(&d), &x, &mut kept);
-        assert_eq!(plan.tree().answer_steps(&kept).count(), 2 * 63);
+        plan.kept_nodes(&d, &x, &mut kept);
+        assert_eq!(plan.answer_steps(&kept).count(), 2 * 63);
         // A middle attribute keeps the path from the root down to it.
         let mid = AttrSet::from_raw(&[10]);
         assert_eq!(kept_of(&plan, &d, &mid), (0..10).collect::<Vec<_>>());
@@ -800,8 +683,8 @@ pub(crate) mod tests {
             gyo_workloads::chain(6),
             gyo_workloads::aring_n(5),
         ] {
-            let plan = Plan::compile(&d);
-            let root = plan.tree().rooted().root;
+            let plan = TreeifyPlan::compile(&d);
+            let root = plan.rooted().root;
             assert_eq!(kept_of(&plan, &d, &AttrSet::empty()), vec![root]);
             // The answer is boolean: {()} for a nonempty join, {} if not.
             let state = random_state(&d, 0x0B, 20, 3);
@@ -812,7 +695,7 @@ pub(crate) mod tests {
             );
         }
         let d0 = DbSchema::empty();
-        assert!(kept_of(&Plan::compile(&d0), &d0, &AttrSet::empty()).is_empty());
+        assert!(kept_of(&TreeifyPlan::compile(&d0), &d0, &AttrSet::empty()).is_empty());
     }
 
     #[test]
@@ -981,41 +864,62 @@ pub(crate) mod tests {
         let x = AttrSet::parse("ad", &mut cat).unwrap();
         let e = TreeifyEngine::new();
         let want = e.answer(&d, &state, &x).unwrap();
-        // Another schema's data, so each scratch is left mid-use with
-        // state that does not fit the next call.
+        // Another schema's data, so the scratch is left mid-use with state
+        // that does not fit the next call.
         let other = db("ab, bc, ce, ef", &mut cat);
         let other_state = random_state(&other, 0x93, 40, 4);
         let other_x = AttrSet::parse("af", &mut cat).unwrap();
         let other_plan = e.plan(&other).unwrap();
         let panicked = std::thread::scope(|s| {
-            let semijoin = s.spawn(|| {
+            s.spawn(|| {
                 let mut scratch = e.scratch.lock().unwrap();
+                let Scratch { exec, joinup, kept } = &mut *scratch;
                 let mut rels = other_state.rels().to_vec();
-                semijoin_program_with(&mut rels, other_plan.steps(), &mut scratch);
-                panic!("poison the semijoin scratch");
-            });
-            let answer = s.spawn(|| {
-                let mut scratch = e.answer.lock().unwrap();
-                let AnswerScratch { joinup, kept } = &mut *scratch;
-                other_plan.kept_nodes(other.rels(), &other_x, kept);
-                join_up_with(
-                    other_state.rels(),
-                    other_plan.rooted(),
-                    kept,
-                    &other_x,
-                    joinup,
-                );
-                panic!("poison the answer scratch");
-            });
-            semijoin.join().is_err() && answer.join().is_err()
+                semijoin_program_with(&mut rels, other_plan.steps(), exec);
+                other_plan.kept_nodes(&other, &other_x, kept);
+                join_up_with(&rels, other_plan.rooted(), kept, &other_x, joinup);
+                panic!("poison the scratch");
+            })
+            .join()
+            .is_err()
         });
-        assert!(panicked && e.scratch.is_poisoned() && e.answer.is_poisoned());
+        assert!(panicked && e.scratch.is_poisoned());
         assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
-        assert!(
-            !e.scratch.is_poisoned(),
-            "the semijoin scratch is recovered"
+        assert!(!e.scratch.is_poisoned(), "the scratch is recovered");
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
+        assert_eq!(
+            e.reduce(&d, &state).unwrap(),
+            NaiveEngine.reduce(&d, &state).unwrap()
         );
-        assert!(!e.answer.is_poisoned(), "the answer scratch is recovered");
-        assert_eq!(e.answer(&d, &state, &x).unwrap(), want);
+    }
+
+    #[test]
+    fn a_contended_scratch_falls_back_to_a_fresh_one() {
+        // This thread holds the scratch, so the engine's `try_lock` sees
+        // `WouldBlock` and every call runs on a scratch of its own.
+        let mut cat = Catalog::alphabetic();
+        let e = TreeifyEngine::new();
+        let held = e.scratch.lock().unwrap();
+        assert!(matches!(
+            e.scratch.try_lock(),
+            Err(TryLockError::WouldBlock)
+        ));
+        for (s, xs) in [("ab, bc, cd", "ad"), ("ab, bc, cd, da, ax", "cx")] {
+            let d = db(s, &mut cat);
+            let state = random_state(&d, 0x94, 30, 3);
+            let x = AttrSet::parse(xs, &mut cat).unwrap();
+            assert_eq!(
+                e.reduce(&d, &state).unwrap(),
+                NaiveEngine.reduce(&d, &state).unwrap(),
+                "{s}"
+            );
+            assert_eq!(
+                e.answer(&d, &state, &x).unwrap(),
+                NaiveEngine.answer(&d, &state, &x).unwrap(),
+                "{s}"
+            );
+        }
+        assert!(held.kept.is_empty(), "the held scratch was never used");
+        assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (2, 1));
     }
 }

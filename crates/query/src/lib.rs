@@ -15,14 +15,13 @@
 //!   "tree case" alludes to (semijoin programs à la Bernstein–Chiu);
 //! * [`engine`] — the [`Engine`] trait over the definitional
 //!   [`NaiveEngine`] and the planned, **total** [`TreeifyEngine`] (one
-//!   plan cache for every schema), the compiled [`FullReducerPlan`], and
-//!   the [`EngineError`] diagnostics (the cyclicity one names the stuck GYO
-//!   residue);
+//!   plan cache and one scratch for every schema), and the [`EngineError`]
+//!   diagnostics (the cyclicity one names the stuck GYO residue);
 //! * [`treeify`] — §4's strategy for cyclic schemas, per call: materialize
 //!   `U(GR(D))` (Corollary 3.2), then solve on the resulting tree schema;
-//! * [`treeify_engine`] — the plan one GYO reduction compiles for any
-//!   schema: a [`FullReducerPlan`] for a tree schema, a [`TreeifyPlan`]
-//!   over `D ∪ (W)` for a cyclic one;
+//! * [`treeify_engine`] — the one plan type, [`TreeifyPlan`], that one GYO
+//!   reduction compiles for any schema: a join tree over `D ∪ (W)` with its
+//!   full reducer, where `W = U(GR(D))` is empty exactly on tree schemas;
 //! * [`tp_solve`] — the Theorem 6.1/6.2 construction: augment a program
 //!   holding a tree projection with ≤ 2·|D″| semijoins to solve `(D, X)`.
 
@@ -41,7 +40,7 @@ pub mod ujr;
 pub mod ur_transform;
 pub mod yannakakis;
 
-pub use engine::{Engine, EngineError, FullReducerPlan, NaiveEngine, TreeifyEngine};
+pub use engine::{Engine, EngineError, NaiveEngine, TreeifyEngine};
 pub use equiv::{
     joins_only_solvable, prune_irrelevant, weakly_contained_semantic, weakly_equivalent,
     weakly_equivalent_semantic, PrunedQuery,

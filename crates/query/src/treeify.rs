@@ -58,7 +58,7 @@ use gyo_relation::{DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema};
 
 use crate::engine::EngineError;
-use crate::treeify_engine::Plan;
+use crate::treeify_engine::TreeifyPlan;
 use crate::yannakakis::{full_reduce_along, join_up_tree};
 
 /// Solves `(D, X)` on a cyclic (or tree) schema via treeification:
@@ -78,8 +78,8 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
         x.is_subset(&d.attributes()),
         "target X must be a subset of U(D)"
     );
-    let plan = Plan::compile(d);
-    join_up_tree(&reduced(d, &plan, state), x, plan.tree().rooted())
+    let plan = TreeifyPlan::compile(d);
+    join_up_tree(&reduced(d, &plan, state), x, plan.rooted())
 }
 
 /// Fully reduces a state over **any** schema — cyclic included — via
@@ -98,33 +98,33 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
 ///
 /// Panics if the state does not match `d`.
 pub fn reduce_via_treeification(d: &DbSchema, state: &DbState) -> DbState {
-    let mut rels = reduced(d, &Plan::compile(d), state);
+    let mut rels = reduced(d, &TreeifyPlan::compile(d), state);
     rels.truncate(d.len());
     DbState::new(d, rels)
 }
 
 /// The state's relations, with `state(W)` pushed last when `d`'s `plan` is
-/// cyclic, fully reduced one semijoin at a time along the plan's tree.
+/// cyclic, fully reduced one semijoin at a time along the plan's steps.
 ///
 /// # Panics
 ///
 /// Panics if the state does not match `d`.
-fn reduced(d: &DbSchema, plan: &Plan, state: &DbState) -> Vec<Relation> {
+fn reduced(d: &DbSchema, plan: &TreeifyPlan, state: &DbState) -> Vec<Relation> {
     if let Err(err) = EngineError::check_state(d, state) {
         panic!("{err}");
     }
     let mut rels = state.rels().to_vec();
-    if let Plan::Cyclic(treeify) = plan {
+    if plan.is_cyclic() {
         // Join the survivors' whole states, then project onto W once.
-        let joined = treeify
+        let joined = plan
             .survivors()
             .iter()
             .fold(Relation::identity(), |acc, &i| {
                 acc.natural_join(state.rel(i))
             });
-        rels.push(joined.project(treeify.w()));
+        rels.push(joined.project(plan.w()));
     }
-    full_reduce_along(&mut rels, plan.tree().rooted());
+    full_reduce_along(&mut rels, plan.steps());
     rels
 }
 

@@ -1,17 +1,21 @@
 //! The plan one GYO reduction of `D` compiles to — the unit of
-//! [`TreeifyEngine`](crate::TreeifyEngine)'s plan cache and of the per-call
-//! [`solve_via_treeification`](crate::solve_via_treeification).
+//! [`TreeifyEngine`](crate::TreeifyEngine)'s plan cache, of the per-call
+//! [`solve_via_treeification`](crate::solve_via_treeification), and of the
+//! tree-only [`full_reduce`](crate::full_reduce) and
+//! [`solve_tree_query`](crate::solve_tree_query).
 //!
 //! Adding the single relation `W = U(GR(D))`, the attributes of the stuck
 //! GYO residue, turns any schema into a tree schema (Theorem 3.2(ii)), and
-//! no smaller relation does (Corollary 3.2); for a tree schema `W = ∅`. So a
-//! tree schema's plan is the [`FullReducerPlan`] along the join tree its
-//! reduction spells (Theorem 3.1), and a cyclic schema's is a
-//! [`TreeifyPlan`]: `W`, a join order over the GYO survivors, the residue
-//! for [`EngineError::Cyclic`], and the [`FullReducerPlan`] of `D ∪ (W)`,
-//! built from the same reduction's trace — `D ∪ (W)` is never reduced. The
-//! one data-dependent step cyclicity adds is
-//! `state(W) = π_W(⋈ of the survivors' states)`.
+//! no smaller relation does (Corollary 3.2); `W = ∅` exactly when `D` is a
+//! tree schema. So every schema gets one [`TreeifyPlan`]: a rooted join
+//! tree, its `2·(n−1)` semijoin steps and, for a cyclic schema, `W`, a join
+//! order over the GYO survivors and the residue for
+//! [`EngineError::Cyclic`]. A tree schema's plan is the `W = ∅` case: the
+//! join tree its reduction spells (Theorem 3.1), rooted at node 0, with no
+//! added node and an empty join order and residue. A cyclic schema's tree
+//! is over `D ∪ (W)`, with `W` as node `d.len()`, built from the same
+//! reduction's trace — `D ∪ (W)` is never reduced. The one data-dependent
+//! step cyclicity adds is `state(W) = π_W(⋈ of the survivors' states)`.
 //!
 //! The tree of `D ∪ (W)` is rooted at `W`. An answer joins up only the
 //! subtree that spans `X` (see [`crate::engine`]), so a target `X ⊆ W`
@@ -51,68 +55,43 @@
 //!
 //! // One treeified plan was compiled and cached; repeats hit it.
 //! let err = engine.plan(&ring).unwrap_err();
-//! assert_eq!(engine.treeified_plan(&ring, &err).w().to_notation(&cat), "abcd");
+//! let plan = engine.treeified_plan(&ring, &err);
+//! assert!(plan.is_cyclic());
+//! assert_eq!(plan.w().to_notation(&cat), "abcd");
 //! engine.answer(&ring, &state, &x).unwrap();
 //! assert_eq!(engine.cached_treeified_count(), 1);
 //! assert_eq!(engine.cache_stats(), (3, 1), "one miss, then hits");
+//!
+//! // A tree schema's plan is the W = ∅ case.
+//! let chain = DbSchema::parse("ab, bc, cd", &mut cat).unwrap();
+//! let plan = engine.plan(&chain).unwrap();
+//! assert!(!plan.is_cyclic() && plan.w().is_empty());
+//! assert_eq!(plan.steps().len(), 2 * (3 - 1));
 //! ```
 
-use std::sync::Arc;
-
-use gyo_reduce::Reduction;
-use gyo_relation::{join_up_with, DbState, JoinUpScratch, Relation};
+use gyo_reduce::gyo_reduce;
+use gyo_relation::{join_up_with, DbState, JoinUpScratch, Relation, SemijoinStep};
 use gyo_schema::{AttrSet, DbSchema, JoinTree, QualGraph, RootedTree};
 
-use crate::engine::{EngineError, FullReducerPlan};
-use crate::yannakakis::compile_tree;
+use crate::engine::EngineError;
+use crate::program::Program;
+use crate::yannakakis::full_reducer_program_on_tree;
 
-/// A compiled plan as the cache keeps it: what one GYO reduction of `D`
-/// yields.
-#[derive(Clone, Debug)]
-pub(crate) enum Plan {
-    /// `D` is a tree schema: its full-reducer plan.
-    Tree(Arc<FullReducerPlan>),
-    /// `D` is cyclic: the plan over `D ∪ (W)`.
-    Cyclic(Arc<TreeifyPlan>),
-}
-
-impl Plan {
-    /// The plan for `d`, from one GYO reduction of `d` and none of
-    /// `D ∪ (W)`.
-    pub(crate) fn compile(d: &DbSchema) -> Self {
-        match compile_tree(d) {
-            Ok(rooted) => Plan::Tree(Arc::new(FullReducerPlan::on_tree(d, rooted))),
-            Err(red) => Plan::Cyclic(Arc::new(TreeifyPlan::compile(d, red))),
-        }
-    }
-
-    /// The full-reducer plan the pipeline runs: over `D` for a tree
-    /// schema, over `D ∪ (W)` for a cyclic one.
-    pub(crate) fn tree(&self) -> &FullReducerPlan {
-        match self {
-            Plan::Tree(plan) => plan,
-            Plan::Cyclic(plan) => &plan.tree,
-        }
-    }
-
-    /// The relation schemas of [`tree`](Self::tree)'s nodes: `d`'s for a
-    /// tree schema, those of `D ∪ (W)` for a cyclic one.
-    pub(crate) fn schemas<'a>(&'a self, d: &'a DbSchema) -> &'a [AttrSet] {
-        match self {
-            Plan::Tree(_) => d.rels(),
-            Plan::Cyclic(plan) => plan.extended.rels(),
-        }
-    }
-}
-
-/// A compiled treeification plan for one **cyclic** schema: everything
-/// about `D ∪ (U(GR(D)))` that does not depend on data, compiled from the
-/// stuck GYO reduction of `D` alone.
+/// The compiled plan for one schema `D`, tree or cyclic: everything about
+/// `D ∪ (U(GR(D)))` that does not depend on data, compiled from one GYO
+/// reduction of `D`. Node `v` of the join tree has schema `d.rel(v)`, or
+/// `W` for node `d.len()` of a cyclic plan.
 #[derive(Clone, Debug)]
 pub struct TreeifyPlan {
-    /// The extended tree schema `D ∪ (W)`; `W = U(GR(D))`, the treeifying
-    /// relation (Corollary 3.2), is the last relation.
-    extended: DbSchema,
+    /// `W = U(GR(D))`, the treeifying relation (Corollary 3.2); `∅` for a
+    /// tree schema.
+    w: AttrSet,
+    /// The join tree the plan reduces along: of `D` rooted at node 0 for a
+    /// tree schema, of `D ∪ (W)` rooted at `W` for a cyclic one.
+    rooted: RootedTree,
+    /// The full reducer along `rooted`: the upward pass, then the
+    /// downward pass.
+    steps: Vec<SemijoinStep>,
     /// GYO-survivor indices in a connectivity-greedy join order (each
     /// next survivor shares attributes with the already-joined prefix
     /// whenever the residue permits, so `state(W)` materializes without
@@ -122,37 +101,84 @@ pub struct TreeifyPlan {
     /// an attribute shared by two survivors can never be GYO-deleted
     /// (deletion requires isolation), so every non-`W` attribute is
     /// private to one survivor and contributes nothing to `π_W` — it
-    /// would only inflate the join's intermediates.
+    /// would only inflate the join's intermediates. Empty for a tree
+    /// schema.
     join_order: Vec<(usize, Option<AttrSet>)>,
     /// The join order as a path for [`join_up_with`]: node `k` is the
     /// `k`-th survivor and the child of node `k + 1`, and the last node is
     /// the root. Joining up this path is the left-deep join in that order.
     w_path: RootedTree,
-    /// The compiled full-reducer plan for `extended`.
-    tree: FullReducerPlan,
     /// `GR(D)`, the stuck residue, and its members' indices into `D`, in
-    /// GYO order: the [`EngineError::Cyclic`] diagnostic.
+    /// GYO order: the [`EngineError::Cyclic`] diagnostic. Both empty for a
+    /// tree schema.
     residue: DbSchema,
     survivors: Vec<usize>,
 }
 
 impl TreeifyPlan {
-    /// Compiles the plan from the stuck reduction of `d`, with no second
-    /// GYO reduction: the residue gives `W` and the survivors, and the
-    /// reduction's own trace gives the join tree of `D ∪ (W)`.
+    /// Compiles the plan from one GYO reduction of `d`, with no second
+    /// reduction: the reduction's own trace gives the join tree, and when
+    /// it is stuck, the residue gives `W` and the survivors.
     ///
-    /// That tree is the proof of Theorem 3.2(ii). Every step of `D`'s trace
-    /// stays legal in `D ∪ (W)`: a deleted attribute was isolated when
-    /// deleted, so it is in no survivor and not in `W`, and `W` changes no
-    /// holder count. After those steps every survivor is a subset of `W`,
-    /// so eliminating each into `W` makes the reduction total, and by
-    /// Theorem 3.1 its subset eliminations — the trace's edges plus one
-    /// `(survivor, W)` edge per survivor — form a join tree. The edges
-    /// still pass [`JoinTree::try_new`]'s hard check. The tree is rooted at
-    /// `W`.
-    fn compile(d: &DbSchema, red: Reduction) -> Self {
-        let w = red.result.attributes();
-        let join_order: Vec<_> = connected_order(d, &red.survivors)
+    /// A total reduction's subset eliminations form a join tree of `D`
+    /// (Theorem 3.1). A stuck one's trace plus one `(survivor, W)` edge per
+    /// survivor form one of `D ∪ (W)`, the proof of Theorem 3.2(ii): every
+    /// step of `D`'s trace stays legal in `D ∪ (W)`, since a deleted
+    /// attribute was isolated when deleted, so it is in no survivor and not
+    /// in `W`, and `W` changes no holder count. After those steps every
+    /// survivor is a subset of `W`, so eliminating each into `W` makes the
+    /// reduction total. Either way the edges still pass
+    /// [`JoinTree::try_new`]'s hard check.
+    pub(crate) fn compile(d: &DbSchema) -> Self {
+        let red = gyo_reduce(d, &AttrSet::empty());
+        let cyclic = !red.is_total();
+        let w = if cyclic {
+            red.result.attributes()
+        } else {
+            AttrSet::empty()
+        };
+        let extended;
+        let schema = if cyclic {
+            extended = d.with_rel(w.clone());
+            &extended
+        } else {
+            d
+        };
+        // A total reduction may end at one empty survivor: no W edge.
+        let w_node = d.len();
+        let w_children: &[usize] = if cyclic { &red.survivors } else { &[] };
+        let edges = red
+            .elimination_edges()
+            .chain(w_children.iter().map(|&s| (s, w_node)));
+        let tree = JoinTree::try_new(QualGraph::new(schema.len(), edges), schema)
+            .expect("Theorems 3.1 and 3.2(ii): the trace (plus the W edges) is a join tree");
+        let rooted = if schema.is_empty() {
+            RootedTree {
+                root: 0,
+                parent: Vec::new(),
+                post_order: Vec::new(),
+            }
+        } else {
+            tree.rooted_at(if cyclic { w_node } else { 0 })
+        };
+        let schemas = schema.rels();
+        let mut steps = Vec::with_capacity(2 * schemas.len().saturating_sub(1));
+        for &v in &rooted.post_order {
+            if v != rooted.root {
+                steps.push(SemijoinStep::new(schemas, rooted.parent[v], v));
+            }
+        }
+        for &v in rooted.post_order.iter().rev() {
+            if v != rooted.root {
+                steps.push(SemijoinStep::new(schemas, v, rooted.parent[v]));
+            }
+        }
+        let (residue, survivors) = if cyclic {
+            (red.result, red.survivors)
+        } else {
+            Default::default()
+        };
+        let join_order: Vec<_> = connected_order(d, &survivors)
             .into_iter()
             .map(|i| {
                 let core = d.rel(i).intersect(&w);
@@ -166,56 +192,144 @@ impl TreeifyPlan {
             parent: (0..k).map(|v| (v + 1).min(k - 1)).collect(),
             post_order: (0..k).collect(),
         };
-        let extended = d.with_rel(w);
-        let w_node = d.len();
-        let edges = red
-            .elimination_edges()
-            .chain(red.survivors.iter().map(|&s| (s, w_node)));
-        let tree = JoinTree::try_new(QualGraph::new(extended.len(), edges), &extended)
-            .expect("Theorem 3.2(ii): the trace plus the W edges is a join tree of D ∪ (W)");
-        let tree = FullReducerPlan::on_tree(&extended, tree.rooted_at(w_node));
         Self {
-            extended,
+            w,
+            rooted,
+            steps,
             join_order,
             w_path,
-            tree,
-            residue: red.result,
-            survivors: red.survivors,
+            residue,
+            survivors,
         }
     }
 
-    /// The treeifying relation `W = U(GR(D))`.
-    pub fn w(&self) -> &AttrSet {
-        self.extended.rels().last().expect("W is the last relation")
+    /// Whether `D` is cyclic, so the plan runs over `D ∪ (W)`.
+    pub fn is_cyclic(&self) -> bool {
+        !self.survivors.is_empty()
     }
 
-    /// The extended tree schema `D ∪ (W)` the plan reduces over.
-    pub fn extended(&self) -> &DbSchema {
-        &self.extended
+    /// The treeifying relation `W = U(GR(D))`; empty for a tree schema.
+    pub fn w(&self) -> &AttrSet {
+        &self.w
     }
 
     /// Survivor indices in the order their states are joined into
-    /// `state(W)`.
+    /// `state(W)`; empty for a tree schema.
     pub fn join_order(&self) -> Vec<usize> {
         self.join_order.iter().map(|&(i, _)| i).collect()
     }
 
-    /// The compiled full-reducer plan for the extended schema.
-    pub fn tree_plan(&self) -> &FullReducerPlan {
-        &self.tree
+    /// The plan itself. Kept so that callers written against the former
+    /// split into a treeify plan and the full-reducer plan it wrapped (the
+    /// `perfbench` harness calls `tree_plan().steps()`) still compile
+    /// unchanged.
+    #[doc(hidden)]
+    pub fn tree_plan(&self) -> &Self {
+        self
     }
 
-    /// The GYO survivors' indices into `D`, in GYO order.
+    /// The compiled semijoin steps, upward pass then downward pass: the
+    /// full reducer of `D`, or of `D ∪ (W)` for a cyclic plan.
+    pub fn steps(&self) -> &[SemijoinStep] {
+        &self.steps
+    }
+
+    /// The rooted join tree the plan reduces along: of `D` rooted at node
+    /// 0, or of `D ∪ (W)` rooted at `W` (node `d.len()`) for a cyclic plan.
+    ///
+    /// For the **empty schema** the tree has no nodes: `parent` and
+    /// `post_order` are empty and `root` is a placeholder `0` that must
+    /// not be used as an index.
+    pub fn rooted(&self) -> &RootedTree {
+        &self.rooted
+    }
+
+    /// The plan as a §6 semijoin [`Program`] (new-relation semantics) over
+    /// `d`, the schema the plan was compiled for — over `D ∪ (W)` when the
+    /// plan is cyclic. Built on each call from the rooted tree; compiling
+    /// a plan never builds one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` has another number of relations than the plan's `D`.
+    pub fn program(&self, d: &DbSchema) -> Program {
+        assert_eq!(
+            d.len() + usize::from(self.is_cyclic()),
+            self.rooted.parent.len(),
+            "a plan's program is over the schema it was compiled for"
+        );
+        if self.is_cyclic() {
+            full_reducer_program_on_tree(&d.with_rel(self.w.clone()), &self.rooted)
+        } else {
+            full_reducer_program_on_tree(d, &self.rooted)
+        }
+    }
+
+    /// The GYO survivors' indices into `D`, in GYO order; empty for a tree
+    /// schema.
     pub(crate) fn survivors(&self) -> &[usize] {
         &self.survivors
     }
 
-    /// The cyclicity diagnostic the tree-only entry points report for `D`.
-    pub(crate) fn error(&self) -> EngineError {
-        EngineError::Cyclic {
-            residue: self.residue.clone(),
-            survivors: self.survivors.clone(),
+    /// [`EngineError::Cyclic`], the diagnostic the tree-only entry points
+    /// report, when the plan is cyclic.
+    pub(crate) fn check_tree(&self) -> Result<(), EngineError> {
+        if self.is_cyclic() {
+            Err(EngineError::Cyclic {
+                residue: self.residue.clone(),
+                survivors: self.survivors.clone(),
+            })
+        } else {
+            Ok(())
         }
+    }
+
+    /// The schema of node `v`: `d.rel(v)`, or `W` for node `d.len()`.
+    fn node_schema<'a>(&'a self, d: &'a DbSchema, v: usize) -> &'a AttrSet {
+        d.rels().get(v).unwrap_or(&self.w)
+    }
+
+    /// Fills `kept` with the nodes an answer `π_X` reads: the root, and
+    /// each non-root `v` with `X ∩ U(subtree(v)) ⊄ R_parent(v)`. `d` is the
+    /// schema the plan was compiled for.
+    ///
+    /// On a join tree that condition says some node of `v`'s subtree is the
+    /// topmost holder of an attribute of `X`: an attribute held both below
+    /// `v` and by `v`'s parent is held by every node in between. So one
+    /// post-order pass marks each topmost holder and its ancestors, with no
+    /// per-node attribute set.
+    pub(crate) fn kept_nodes(&self, d: &DbSchema, x: &AttrSet, kept: &mut Vec<bool>) {
+        let rooted = &self.rooted;
+        kept.clear();
+        kept.resize(rooted.parent.len(), false);
+        for &v in &rooted.post_order {
+            let p = rooted.parent[v];
+            let parent = self.node_schema(d, p);
+            // A kept child has already marked `v`.
+            kept[v] = kept[v]
+                || v == rooted.root
+                || self
+                    .node_schema(d, v)
+                    .iter()
+                    .any(|a| x.contains(a) && !parent.contains(a));
+            if kept[v] {
+                kept[p] = true;
+            }
+        }
+    }
+
+    /// The steps of an answer over the `kept` nodes: the whole upward pass,
+    /// which leaves the root fully reduced, then the downward steps into
+    /// kept nodes. The downward pass visits parents first, so each kept
+    /// node is semijoined with a fully reduced parent and ends fully
+    /// reduced; the other nodes are never read.
+    pub(crate) fn answer_steps<'a>(
+        &'a self,
+        kept: &'a [bool],
+    ) -> impl Iterator<Item = &'a SemijoinStep> + 'a {
+        let (up, down) = self.steps.split_at(self.steps.len() / 2);
+        up.iter()
+            .chain(down.iter().filter(move |step| kept[step.target()]))
     }
 
     /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
@@ -235,7 +349,7 @@ impl TreeifyPlan {
             })
             .collect();
         let kept = vec![true; cores.len()];
-        join_up_with(&cores, &self.w_path, &kept, self.w(), scratch)
+        join_up_with(&cores, &self.w_path, &kept, &self.w, scratch)
     }
 }
 
@@ -262,9 +376,66 @@ fn connected_order(d: &DbSchema, survivors: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::engine::tests::{db, kept_of, poison_plan_cache, random_state};
     use crate::{Engine, NaiveEngine, TreeifyEngine};
     use gyo_schema::Catalog;
+    use gyo_workloads::{aring_n, engine_families, grid, random_cyclic_schema, tpch_like_cyclic};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn w_is_empty_exactly_on_tree_schemas() {
+        // Every engine family (tree and cyclic) at three scales, more
+        // rings, grids and random cyclic draws, and degenerate tree
+        // schemas: one relation, disconnected, duplicated, and empty.
+        let mut rng = StdRng::seed_from_u64(0x13);
+        let mut schemas: Vec<DbSchema> = [3, 8, 16]
+            .into_iter()
+            .flat_map(|scale| engine_families(&mut rng, scale))
+            .map(|family| family.schema)
+            .collect();
+        schemas.extend([aring_n(3), aring_n(7), grid(2, 3), grid(3, 3)]);
+        schemas.push(tpch_like_cyclic());
+        schemas.extend((0..4).map(|_| random_cyclic_schema(&mut rng, 5, 6, 3, 20)));
+        let mut cat = Catalog::alphabetic();
+        schemas.extend(["abc", "ab, cd", "ab, ab, bc"].map(|s| db(s, &mut cat)));
+        schemas.push(DbSchema::empty());
+
+        let engine = TreeifyEngine::new();
+        let (mut trees, mut cyclic) = (0, 0);
+        for d in &schemas {
+            let verdict = engine.plan(d);
+            let plan = match &verdict {
+                Ok(tree) => {
+                    // `err` is ignored: a tree schema's plan comes back.
+                    let ignored = EngineError::StateMismatch { index: 0 };
+                    let plan = engine.treeified_plan(d, &ignored);
+                    assert!(Arc::ptr_eq(&plan, tree), "{d:?}");
+                    trees += 1;
+                    plan
+                }
+                Err(err) => {
+                    cyclic += 1;
+                    engine.treeified_plan(d, err)
+                }
+            };
+            // An independent GR computation.
+            assert_eq!(plan.w(), &gyo_reduce::treeifying_relation(d), "{d:?}");
+            assert_eq!(plan.w().is_empty(), !plan.is_cyclic(), "{d:?}");
+            assert_eq!(plan.is_cyclic(), verdict.is_err(), "{d:?}");
+            assert_eq!(plan.is_cyclic(), !gyo_reduce::is_tree_schema(d), "{d:?}");
+            assert_eq!(plan.join_order().is_empty(), !plan.is_cyclic(), "{d:?}");
+            let nodes = d.len() + usize::from(plan.is_cyclic());
+            assert_eq!(plan.rooted().parent.len(), nodes, "{d:?}");
+            assert_eq!(plan.steps().len(), 2 * nodes.saturating_sub(1), "{d:?}");
+        }
+        assert!(
+            trees >= 10 && cyclic >= 10,
+            "{trees} trees, {cyclic} cyclic"
+        );
+    }
 
     #[test]
     fn agrees_with_naive_on_cyclic_schemas() {
@@ -319,7 +490,13 @@ mod tests {
         let err = engine.plan(&d).unwrap_err();
         let plan = engine.treeified_plan(&d, &err);
         assert_eq!(plan.w().to_notation(&cat), "abcd");
-        assert_eq!(plan.extended().len(), d.len() + 1);
+        assert!(plan.is_cyclic());
+        let extended = d.with_rel(plan.w().clone());
+        assert!(
+            gyo_reduce::is_tree_schema(&extended),
+            "D ∪ (W) is a tree schema"
+        );
+        assert_eq!(plan.rooted().parent.len(), extended.len());
         // The join order covers exactly the survivors, connectedly.
         let mut sorted = plan.join_order();
         sorted.sort_unstable();
@@ -335,7 +512,8 @@ mod tests {
             seen = seen.union(d.rel(i));
         }
         // 2·(n−1) steps for the extended schema's full reducer.
-        assert_eq!(plan.tree_plan().steps().len(), 2 * (d.len() + 1 - 1));
+        assert_eq!(plan.steps().len(), 2 * (extended.len() - 1));
+        assert_eq!(plan.program(&d).len(), plan.steps().len());
     }
 
     #[test]
@@ -550,9 +728,9 @@ mod tests {
         // and a target reaching the pendants keeps the pendants too.
         let mut cat = Catalog::alphabetic();
         let d = db("ab, bc, cd, da, ax, cy", &mut cat);
-        let plan = Plan::compile(&d);
+        let plan = TreeifyPlan::compile(&d);
         let w_node = d.len();
-        assert_eq!(plan.tree().rooted().root, w_node, "rooted at W");
+        assert_eq!(plan.rooted().root, w_node, "rooted at W");
         for (xs, want) in [("ac", vec![w_node]), ("", vec![w_node])] {
             let x = AttrSet::parse(xs, &mut cat).unwrap();
             assert_eq!(kept_of(&plan, &d, &x), want, "X = {xs}");

@@ -26,12 +26,12 @@
 //!   normalization at the root. An answer reduces and joins up only the
 //!   subtree of the join tree that spans `X`.
 
-use gyo_reduce::{gyo_reduce, join_tree_from_trace, Reduction};
-use gyo_relation::{DbState, Relation};
+use gyo_relation::{DbState, Relation, SemijoinStep};
 use gyo_schema::{AttrSet, DbSchema, RootedTree};
 
 use crate::engine::EngineError;
 use crate::program::Program;
+use crate::treeify_engine::TreeifyPlan;
 
 /// Builds a full-reducer semijoin [`Program`] for a tree schema: child→
 /// parent semijoins in post-order, then parent→child in reverse. Returns
@@ -43,38 +43,9 @@ use crate::program::Program;
 /// final statements leave the root's and every node's reduced state as the
 /// most recent versions.
 pub fn full_reducer_program(d: &DbSchema) -> Result<Program, EngineError> {
-    Ok(full_reducer_program_on_tree(d, &derive_rooted_tree(d)?))
-}
-
-/// The one GYO reduction behind every plan — the cached plans and the
-/// per-call solvers alike: the join tree of `d` that the reduction's subset
-/// eliminations spell (Theorem 3.1), rooted at node 0; the stuck reduction
-/// when `d` is cyclic. For the empty schema, a tree with no nodes and the
-/// placeholder root `0`.
-pub(crate) fn compile_tree(d: &DbSchema) -> Result<RootedTree, Reduction> {
-    let red = gyo_reduce(d, &AttrSet::empty());
-    if !red.is_total() {
-        return Err(red);
-    }
-    let tree = join_tree_from_trace(d, &red).expect("total GYO reduction yields a join tree");
-    Ok(if d.is_empty() {
-        RootedTree {
-            root: 0,
-            parent: Vec::new(),
-            post_order: Vec::new(),
-        }
-    } else {
-        tree.rooted_at(0)
-    })
-}
-
-/// [`compile_tree`] with the public diagnostic; the decline path of the
-/// tree-only solvers.
-pub(crate) fn derive_rooted_tree(d: &DbSchema) -> Result<RootedTree, EngineError> {
-    compile_tree(d).map_err(|red| EngineError::Cyclic {
-        residue: red.result,
-        survivors: red.survivors,
-    })
+    let plan = TreeifyPlan::compile(d);
+    plan.check_tree()?;
+    Ok(plan.program(d))
 }
 
 /// The full-reducer [`Program`] along an already-rooted join tree.
@@ -107,26 +78,18 @@ pub(crate) fn full_reducer_program_on_tree(d: &DbSchema, rooted: &RootedTree) ->
 /// [`EngineError::Cyclic`] when `d` is cyclic.
 pub fn full_reduce(d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
     EngineError::check_state(d, state)?;
-    let rooted = derive_rooted_tree(d)?;
+    let plan = TreeifyPlan::compile(d);
+    plan.check_tree()?;
     let mut rels = state.rels().to_vec();
-    full_reduce_along(&mut rels, &rooted);
+    full_reduce_along(&mut rels, plan.steps());
     Ok(DbState::new(d, rels))
 }
 
-/// Full reduction of `rels` in place, one `Relation::semijoin` per step,
-/// along an already-rooted join tree of their schemas.
-pub(crate) fn full_reduce_along(rels: &mut [Relation], rooted: &RootedTree) {
-    for &v in &rooted.post_order {
-        if v != rooted.root {
-            let parent = rooted.parent[v];
-            rels[parent] = rels[parent].semijoin(&rels[v]);
-        }
-    }
-    for &v in rooted.post_order.iter().rev() {
-        if v != rooted.root {
-            let parent = rooted.parent[v];
-            rels[v] = rels[v].semijoin(&rels[parent]);
-        }
+/// Full reduction of `rels` in place along a plan's compiled `steps`, one
+/// `Relation::semijoin` per step, each output a normalized relation.
+pub(crate) fn full_reduce_along(rels: &mut [Relation], steps: &[SemijoinStep]) {
+    for step in steps {
+        rels[step.target()] = rels[step.target()].semijoin(&rels[step.source()]);
     }
 }
 
@@ -143,10 +106,11 @@ pub fn solve_tree_query(
 ) -> Result<Relation, EngineError> {
     EngineError::check_target(d, x)?;
     EngineError::check_state(d, state)?;
-    let rooted = derive_rooted_tree(d)?;
+    let plan = TreeifyPlan::compile(d);
+    plan.check_tree()?;
     let mut rels = state.rels().to_vec();
-    full_reduce_along(&mut rels, &rooted);
-    Ok(join_up_tree(&rels, x, &rooted))
+    full_reduce_along(&mut rels, plan.steps());
+    Ok(join_up_tree(&rels, x, plan.rooted()))
 }
 
 /// The join phase of the Yannakakis solver: joins **fully reduced**

@@ -48,12 +48,10 @@
 //! clones), repeated executions over the same state — the plan-cache usage
 //! pattern of the cached engine — pay the column extraction only once.
 
-use std::hash::{Hash, Hasher};
-
-use gyo_schema::{AttrSet, FxHashSet, FxHasher};
+use gyo_schema::{AttrSet, FxHashSet};
 
 use crate::kernels::{SelVec, StampTable};
-use crate::relation::{pack_key, pack_shift, KeyColumn, Relation};
+use crate::relation::{hash_key, pack_key, pack_shift, KeyColumn, Relation};
 
 /// One precompiled semijoin statement
 /// `rels[target] := rels[target] ⋉ rels[source]`, with the shared (key)
@@ -155,13 +153,6 @@ fn fill_packed<'a>(
         }
     });
     set
-}
-
-#[inline]
-fn hash_wide(key: &[u64]) -> u64 {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    h.finish()
 }
 
 /// Executes a compiled semijoin program in place:
@@ -314,11 +305,12 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
             let w = *width;
             scratch.wide.clear();
             let spine = &mut scratch.wide;
-            ssel.for_each(|i| spine.push((hash_wide(&skeys[i * w..(i + 1) * w]), i as u32)));
+            let hash = |key: &[u64]| hash_key(key.iter().copied());
+            ssel.for_each(|i| spine.push((hash(&skeys[i * w..(i + 1) * w]), i as u32)));
             spine.sort_unstable_by_key(|&(h, _)| h);
             let spine = &scratch.wide;
             tsel.retain_wide(tkeys, w, |key| {
-                let h = hash_wide(key);
+                let h = hash(key);
                 let mut at = spine.partition_point(|&(sh, _)| sh < h);
                 // Collisions re-compare the actual key slices (chunked
                 // memcmp under slice ==), so a hash match never lies.

@@ -50,12 +50,10 @@
 //! loop over the same nodes — every node, and random root subtrees — on
 //! random rooted trees with every key width.
 
-use std::hash::Hasher;
-
-use gyo_schema::{AttrSet, FxHashMap, FxHashSet, FxHasher, RootedTree};
+use gyo_schema::{AttrSet, FxHashMap, FxHashSet, RootedTree};
 
 use crate::kernels::{self, ColumnarView, PAIR_FLUSH};
-use crate::relation::{pack2, Relation};
+use crate::relation::{hash_key, pack2, Relation};
 
 /// End of a bucket chain. Row indices are `u32`, so a build side must hold
 /// fewer than `u32::MAX` rows.
@@ -231,14 +229,6 @@ fn positions_into(sub: &AttrSet, sup: &AttrSet, out: &mut Vec<usize>) {
         cols.binary_search(&a)
             .expect("attribute belongs to the intermediate")
     }));
-}
-
-/// FxHash of a wide key, value by value.
-#[inline]
-fn hash_key(key: impl Iterator<Item = u64>) -> u64 {
-    let mut h = FxHasher::default();
-    key.for_each(|v| h.write_u64(v));
-    h.finish()
 }
 
 /// Joins the `kept` nodes of `rels` up the rooted tree with early

@@ -35,9 +35,10 @@
 //! buffer.
 
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
+use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap, FxHasher};
 
 use crate::exec::{semijoin_program, SemijoinStep};
 use crate::joinup;
@@ -78,6 +79,15 @@ pub(crate) fn pack_key(vals: impl IntoIterator<Item = u64>, shift: u32) -> Optio
         acc = acc << shift | v as u128;
     }
     Some(acc)
+}
+
+/// FxHash of a wide key, value by value: the hash of the join-up's wide
+/// bucket chains and of the semijoin spine for keys that do not pack.
+#[inline]
+pub(crate) fn hash_key(key: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = FxHasher::default();
+    key.into_iter().for_each(|v| h.write_u64(v));
+    h.finish()
 }
 
 /// Inverse of [`pack2`].

@@ -79,10 +79,12 @@ fn search(
 ) {
     // pick the unassigned row with the fewest matching tuples
     let mut best: Option<(usize, Vec<usize>)> = None;
-    for row in 0..t.row_count() {
-        if assigned[row] != usize::MAX {
-            continue;
-        }
+    // `assigned` holds one slot per tableau row.
+    for (row, _) in assigned
+        .iter()
+        .enumerate()
+        .filter(|(_, &u)| u == usize::MAX)
+    {
         let matches: Vec<usize> = (0..universal.len())
             .filter(|&u| row_matches(t, row, universal.row(u), binding))
             .collect();
