@@ -75,7 +75,6 @@ use gyo_schema::{AttrSet, DbSchema, JoinTree, QualGraph, RootedTree};
 
 use crate::engine::EngineError;
 use crate::program::Program;
-use crate::yannakakis::full_reducer_program_on_tree;
 
 /// The compiled plan for one schema `D`, tree or cyclic: everything about
 /// `D ∪ (U(GR(D)))` that does not depend on data, compiled from one GYO
@@ -246,8 +245,8 @@ impl TreeifyPlan {
 
     /// The plan as a §6 semijoin [`Program`] (new-relation semantics) over
     /// `d`, the schema the plan was compiled for — over `D ∪ (W)` when the
-    /// plan is cyclic. Built on each call from the rooted tree; compiling
-    /// a plan never builds one.
+    /// plan is cyclic. Built on each call from [`TreeifyPlan::steps`], one
+    /// statement per step; compiling a plan never builds one.
     ///
     /// # Panics
     ///
@@ -258,11 +257,18 @@ impl TreeifyPlan {
             self.rooted.parent.len(),
             "a plan's program is over the schema it was compiled for"
         );
-        if self.is_cyclic() {
-            full_reducer_program_on_tree(&d.with_rel(self.w.clone()), &self.rooted)
+        let base = if self.is_cyclic() {
+            d.with_rel(self.w.clone())
         } else {
-            full_reducer_program_on_tree(d, &self.rooted)
+            d.clone()
+        };
+        // current[v] = the latest program relation holding node v's state.
+        let mut current: Vec<usize> = (0..base.len()).collect();
+        let mut p = Program::new(base);
+        for step in &self.steps {
+            current[step.target()] = p.semijoin(current[step.target()], current[step.source()]);
         }
+        p
     }
 
     /// The GYO survivors' indices into `D`, in GYO order; empty for a tree

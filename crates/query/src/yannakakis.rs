@@ -48,30 +48,6 @@ pub fn full_reducer_program(d: &DbSchema) -> Result<Program, EngineError> {
     Ok(plan.program(d))
 }
 
-/// The full-reducer [`Program`] along an already-rooted join tree.
-pub(crate) fn full_reducer_program_on_tree(d: &DbSchema, rooted: &RootedTree) -> Program {
-    let mut p = Program::new(d.clone());
-    // current[v] = latest program relation holding node v's state
-    let mut current: Vec<usize> = (0..d.len()).collect();
-    // Upward pass: children before parents.
-    for &v in &rooted.post_order {
-        if v == rooted.root {
-            continue;
-        }
-        let parent = rooted.parent[v];
-        current[parent] = p.semijoin(current[parent], current[v]);
-    }
-    // Downward pass: parents before children.
-    for &v in rooted.post_order.iter().rev() {
-        if v == rooted.root {
-            continue;
-        }
-        let parent = rooted.parent[v];
-        current[v] = p.semijoin(current[v], current[parent]);
-    }
-    p
-}
-
 /// Fully reduces a state over a tree schema (returns the reduced state):
 /// after this, `state[i] = π_{Rᵢ}(⋈ D)` for every `i`. Returns
 /// [`EngineError::StateMismatch`] for a state not built for `d`, and

@@ -6,10 +6,10 @@
 //! [`SemijoinStep`] precompiles the shared attribute set once per schema,
 //! and [`semijoin_program`] executes a whole step sequence without
 //! materializing intermediate relations: semijoins only ever *remove*
-//! tuples, so the executor tracks one reusable [`SelVec`] per slot (the
-//! surviving row indices) and runs every step over the relations' cached
-//! flat key columns. [`Relation::semijoin`] is a one-step program, so the
-//! one-shot operator and the engines share this kernel.
+//! tuples, so the executor tracks one reusable selection vector per slot
+//! (the surviving row indices) and runs every step over the relations'
+//! cached flat key columns. [`Relation::semijoin`] is a one-step program,
+//! so the one-shot operator and the engines share this kernel.
 //!
 //! Keys of every width `w ≥ 2` share one scalar encoding: when all of a
 //! column's values fit in `s = ⌊128/w⌋` bits, the cached column holds one
@@ -21,12 +21,12 @@
 //! Every step is two columnar kernels:
 //!
 //! 1. **Build** a membership structure over the *selected* source keys —
-//!    a [`StampTable`] (direct-map, one store per key) when the width-1
-//!    key range is small, and a reused hash set otherwise: `u64` for
-//!    width 1, `u128` for packed keys of every wider width.
-//! 2. **Probe** the target's key column through the selection-vector
-//!    retain kernels ([`SelVec::retain_u64`]&c.): fixed-size chunks,
-//!    branchless mask accumulation, no per-row branching.
+//!    a generation-stamped direct-map table (one store per key) when the
+//!    width-1 key range is small, and otherwise one reused `u128` hash set
+//!    that holds width-1 keys as they are and wider keys packed.
+//! 2. **Probe** the target's key column through the selection vector's
+//!    retain loop: fixed-size chunks, branchless mask accumulation, no
+//!    per-row branching.
 //!
 //! Two fallbacks cover values too wide to pack. When only one side of a
 //! step holds such a value, the step stays on the `u128` set by
@@ -99,9 +99,9 @@ impl SemijoinStep {
 }
 
 /// Reusable execution state for [`semijoin_program_with`]: one selection
-/// vector per slot plus the per-step membership scratch (stamp table, the
-/// `u64` and packed `u128` hash sets, the wide-key hash spine). Everything
-/// is grow-only — steps after warm-up allocate nothing.
+/// vector per slot plus the per-step membership scratch (stamp table,
+/// `u128` hash set, wide-key hash spine). Everything is grow-only — steps
+/// after warm-up allocate nothing.
 ///
 /// Every use resets what it reads before reading it: a run resets the
 /// selection vector of each slot it uses, and each step re-arms the stamp
@@ -113,9 +113,8 @@ pub struct ExecScratch {
     sel: Vec<SelVec>,
     /// Direct-map membership for small-range width-1 keys.
     stamp: StampTable,
-    /// Hash-set fallback for width-1 keys with a large value range.
-    one: FxHashSet<u64>,
-    /// Membership for packed (`u128`) keys of every width ≥ 2.
+    /// Membership for width-1 keys with a large value range and for packed
+    /// keys of every width ≥ 2.
     packed: FxHashSet<u128>,
     /// Membership spine for keys too wide to pack on both sides:
     /// `(fxhash(key), source row)`, sorted by hash; probes binary-search
@@ -236,7 +235,7 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
     };
 
     // Build membership over the *selected* source keys, then probe the
-    // target's key column through the chunked retain kernels.
+    // target's key column through the chunked retain loop.
     match (&*source_col, &*target_col) {
         (
             KeyColumn::One {
@@ -253,16 +252,10 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 let stamp = &mut scratch.stamp;
                 ssel.for_each(|i| stamp.insert(svals[i]));
                 let stamp = &scratch.stamp;
-                tsel.retain_u64(tvals, |k| stamp.contains(k));
+                tsel.retain(|i| stamp.contains(tvals[i]));
             } else {
-                scratch.one.clear();
-                scratch.one.reserve(ssel.len());
-                let set = &mut scratch.one;
-                ssel.for_each(|i| {
-                    set.insert(svals[i]);
-                });
-                let set = &scratch.one;
-                tsel.retain_u64(tvals, |k| set.contains(&k));
+                let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i].into()));
+                tsel.retain(|i| set.contains(&u128::from(tvals[i])));
             }
         }
         (
@@ -274,16 +267,17 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         ) => {
             debug_assert_eq!(width, twidth, "key widths match across a step");
             let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i]));
-            tsel.retain_u128(tvals, |k| set.contains(&k));
+            tsel.retain(|i| set.contains(&tvals[i]));
         }
         // Mixed pairs, by pack-or-reject: a key with a value too wide to
         // pack cannot equal any key of an all-fit side, so it is rejected
         // (target) or skipped (source) instead of compared.
         (KeyColumn::Packed { keys: svals, .. }, KeyColumn::Wide { width, keys: tkeys }) => {
-            let shift = pack_shift(*width);
+            let (w, shift) = (*width, pack_shift(*width));
             let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i]));
-            tsel.retain_wide(tkeys, *width, |key| {
-                pack_key(key.iter().copied(), shift).is_some_and(|k| set.contains(&k))
+            tsel.retain(|i| {
+                pack_key(tkeys[i * w..(i + 1) * w].iter().copied(), shift)
+                    .is_some_and(|k| set.contains(&k))
             });
         }
         (KeyColumn::Wide { width, keys: skeys }, KeyColumn::Packed { keys: tvals, .. }) => {
@@ -291,7 +285,7 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
             let set = fill_packed(&mut scratch.packed, ssel, |i| {
                 pack_key(skeys[i * w..(i + 1) * w].iter().copied(), shift)
             });
-            tsel.retain_u128(tvals, |k| set.contains(&k));
+            tsel.retain(|i| set.contains(&tvals[i]));
         }
         // Both sides hold unfit values: the sorted hash spine.
         (
@@ -309,7 +303,8 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
             ssel.for_each(|i| spine.push((hash(&skeys[i * w..(i + 1) * w]), i as u32)));
             spine.sort_unstable_by_key(|&(h, _)| h);
             let spine = &scratch.wide;
-            tsel.retain_wide(tkeys, w, |key| {
+            tsel.retain(|i| {
+                let key = &tkeys[i * w..(i + 1) * w];
                 let h = hash(key);
                 let mut at = spine.partition_point(|&(sh, _)| sh < h);
                 // Collisions re-compare the actual key slices (chunked
@@ -507,7 +502,7 @@ mod tests {
     #[test]
     fn large_key_range_uses_the_hash_fallback() {
         // Keys straddling the whole u64 range exceed StampTable::MAX_RANGE,
-        // forcing the hash-set membership path; semantics must not move.
+        // forcing the u128 hash set; semantics must not move.
         let schemas = vec![attrs(&[0, 1]), attrs(&[1, 2])];
         let huge = u64::MAX - 3;
         let mut rels = vec![
@@ -519,6 +514,44 @@ mod tests {
         ];
         semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
         assert_eq!(rels[0].to_vecs(), vec![vec![1, 0], vec![2, huge]]);
+    }
+
+    #[test]
+    fn stamp_range_boundary_matches_nested_loops() {
+        // Width-1 source keys spanning max − min = MAX_RANGE − 1 still fit
+        // the stamp table; one more and they go into the u128 set. Either
+        // way the step is the nested-loop semijoin.
+        let schemas = vec![attrs(&[0, 1]), attrs(&[1, 2])];
+        let lo = 1000;
+        for (span, stamped) in [
+            (StampTable::MAX_RANGE - 1, true),
+            (StampTable::MAX_RANGE, false),
+        ] {
+            let hi = lo + span;
+            let target = Relation::new(
+                schemas[0].clone(),
+                [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &b)| vec![a as u64, b])
+                    .collect(),
+            );
+            let source = Relation::new(
+                schemas[1].clone(),
+                vec![vec![lo, 0], vec![lo + 1, 0], vec![hi, 0]],
+            );
+            let expected = nested_semijoin(&target, &source);
+            assert_eq!(expected.len(), 3, "span {span}");
+            let mut rels = vec![target, source];
+            let mut scratch = ExecScratch::new();
+            semijoin_program_with(
+                &mut rels,
+                &[SemijoinStep::new(&schemas, 0, 1)],
+                &mut scratch,
+            );
+            assert_eq!(rels[0], expected, "span {span}");
+            assert_eq!(scratch.packed.is_empty(), stamped, "span {span}");
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   — `head: key → first row`, `next[row] → the next row with the same
 //!   key` — so a build allocates nothing per key. Chains list their rows
 //!   in ascending order. A width-0 key is a cross product. Output rows are
-//!   assembled by [`kernels::gather_pairs`]. A join of two duplicate-free
-//!   inputs is duplicate-free, so nothing is sorted between edges.
+//!   assembled in one pass over the matched row pairs. A join of two
+//!   duplicate-free inputs is duplicate-free, so nothing is sorted between
+//!   edges.
 //! * Only the final `π_X` goes through [`Relation::from_row_major`], which
 //!   normalizes once.
 //!
@@ -52,7 +53,7 @@
 
 use gyo_schema::{AttrSet, FxHashMap, FxHashSet, RootedTree};
 
-use crate::kernels::{self, ColumnarView, PAIR_FLUSH};
+use crate::kernels::{self, PAIR_FLUSH};
 use crate::relation::{hash_key, pack2, Relation};
 
 /// End of a bucket chain. Row indices are `u32`, so a build side must hold
@@ -378,7 +379,7 @@ fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut JoinUpScratch) 
 /// `a ⋈ b` for duplicate-free inputs, as a flat buffer not yet normalized:
 /// a bucket-chain build on the smaller side (`b` on a tie) into the
 /// scratch's index, then a probe that walks the other side in row order
-/// and assembles the matched pairs column-at-a-time. Chains list their rows
+/// and assembles the output row of each matched pair. Chains list their rows
 /// in ascending order, so a normalized probe side whose columns come first
 /// in the output yields sorted output rows.
 fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usize, Vec<u64>) {
@@ -528,8 +529,8 @@ fn finish(root: Acc<'_>, x: &AttrSet, scratch: &mut JoinUpScratch) -> Relation {
         Acc::Flat { attrs, len, data } if attrs == *x => Relation::from_row_major(attrs, len, data),
         Acc::Flat { attrs, len, data } => {
             positions_into(x, &attrs, &mut scratch.keep_pos);
-            let mut out = Vec::with_capacity(len * x.len());
-            ColumnarView::new(&data, attrs.len(), len).gather_into(&scratch.keep_pos, &mut out);
+            let mut out = Vec::new();
+            kernels::gather(&data, attrs.len(), &scratch.keep_pos, &mut out);
             scratch.pool.push(data);
             Relation::from_row_major(x.clone(), len, out)
         }

@@ -1,164 +1,60 @@
-//! Columnar kernels over the flat row-major buffer.
+//! Columnar kernels over the flat row-major buffer, private to the crate.
 //!
-//! PR 3 made [`Relation`](crate::Relation) flat row-major precisely so that
-//! column-at-a-time execution becomes possible; this module is that layer.
-//! Everything here operates on raw `&[u64]` buffers (stride = arity) and
-//! never allocates per row:
+//! Every kernel works on raw `&[u64]` buffers (stride = arity), is one loop,
+//! and never allocates per row:
 //!
-//! * [`ColumnarView`] — a column-oriented window over a flat buffer, with
-//!   the **gather projection** kernel ([`ColumnarView::gather_into`]): the
-//!   column-index map is computed once and values are copied in
-//!   column-strided blocks (or, when the projected columns form one
-//!   contiguous window, as per-row `memcpy`s) instead of a per-row scatter
-//!   loop.
+//! * [`gather`] — **gather projection**: the column-index map is computed
+//!   once by the caller, then one pre-sized pass copies each row's
+//!   projected columns.
+//! * [`gather_pairs`] — join-output assembly: one pass over the matched
+//!   `(probe, build)` row pairs, each output row filled from both sides'
+//!   column maps.
 //! * [`SelVec`] — a reusable **selection vector**: the surviving row
-//!   indices (`u32`, ascending), resettable in O(1) to "every row". The
-//!   [`SelVec::retain_u64`]/[`SelVec::retain_u128`]/[`SelVec::retain_wide`]
-//!   kernels drive semijoin probes: keys are tested in fixed-size chunks of
-//!   [`CHUNK`] lanes with **branchless mask accumulation** (one `u64`
-//!   survivor mask per chunk, compacted by iterating its set bits), which
-//!   keeps the inner loop free of per-row branches and friendly to the
-//!   autovectorizer — no nightly `std::simd` involved.
-//! * [`StampTable`] — generation-stamped direct-map membership for packed
-//!   `u64` keys from a small value range: insert is one store, the probe is
-//!   one load + compare (the fastest possible key comparison). The batched
-//!   executor uses it whenever the alive key range fits
-//!   [`StampTable::MAX_RANGE`] and falls back to hashing otherwise.
+//!   indices (`u32`, ascending), resettable in O(1) to "every row". Its one
+//!   [`SelVec::retain`] loop drives semijoin probes: rows are tested in
+//!   fixed-size chunks of [`CHUNK`] lanes with **branchless mask
+//!   accumulation** (one `u64` survivor mask per chunk, compacted by
+//!   iterating its set bits), which keeps the inner loop free of per-row
+//!   branches.
+//! * [`StampTable`] — generation-stamped direct-map membership for width-1
+//!   keys from a small value range: insert is one store, the probe is one
+//!   load + compare. The semijoin executor uses it whenever the key range
+//!   fits [`StampTable::MAX_RANGE`] and hashes otherwise.
 //! * [`gather_rows`] — materializes the rows a [`SelVec`] selected into a
-//!   fresh flat buffer (selection preserves row order, so the output is
-//!   already normalized).
+//!   flat buffer (selection preserves row order, so the output is already
+//!   normalized).
 //! * [`sort_dedup_packed`] — normalization support: rows of arity ≥ 3 whose
 //!   values fit `arity · bits ≤ 128` are packed into `u64`/`u128` scalars,
-//!   sorted as scalars, deduplicated, and unpacked — columnar pack/unpack
-//!   loops plus a scalar sort instead of an index-permutation sort with
-//!   per-comparison slice walks. Falls back (returns the buffer unchanged)
-//!   for genuinely wide values, where the permutation sort remains the
-//!   row-at-a-time fallback.
+//!   sorted as scalars, deduplicated, and unpacked. Genuinely wide values
+//!   are handed back for the caller's index-permutation sort.
 //!
-//! The kernels are semantically invisible: every one of them agrees with a
-//! naive per-row reference implementation (see `tests/prop.rs`), and the
-//! engine differential suite holds the rewired operators to the same
-//! answers as the definitional engine.
+//! The kernels are semantically invisible: the operators built on them are
+//! held to naive per-row references (see `tests/prop.rs`), and the engine
+//! differential suite holds the engines to the definitional engine.
 
 /// Number of lanes per probe chunk: one `u64` survivor mask's worth.
-pub const CHUNK: usize = 64;
+pub(crate) const CHUNK: usize = 64;
 
 /// Matched row pairs a join buffers before one [`gather_pairs`] pass:
 /// bounds the pair list on huge join outputs.
 pub(crate) const PAIR_FLUSH: usize = CHUNK * 16;
 
-/// Value budget per block in column-at-a-time gather loops: each per-column
-/// pass re-sweeps the block, so the block must stay cache-resident. The
-/// row count per block is derived from this budget and the row width
-/// ([`gather_block_rows`]) — a fixed row count would balloon to megabytes
-/// on wide rows (the naive engine's accumulator reaches arity > 100) and
-/// pay the whole block out of L2/L3 once per column.
-const GATHER_BLOCK_VALUES: usize = 4096;
-
-/// Rows per gather block for rows of `width` values: the [`GATHER_BLOCK_VALUES`]
-/// budget divided by the width, floored at 16 rows (narrow rows cap at the
-/// budget itself).
-#[inline]
-fn gather_block_rows(width: usize) -> usize {
-    (GATHER_BLOCK_VALUES / width.max(1)).max(16)
-}
-
-/// A column-oriented view over a flat row-major buffer (`len` rows of
-/// `arity` values each; row `i` at `data[i·arity..(i+1)·arity]`).
-///
-/// The view borrows the buffer; it is how kernels and operators talk about
-/// "the columns of this relation" without committing to a second storage
-/// format — the flat row-major buffer *is* the storage, the view only
-/// changes the iteration order.
-#[derive(Clone, Copy, Debug)]
-pub struct ColumnarView<'a> {
-    data: &'a [u64],
-    arity: usize,
-    len: usize,
-}
-
-impl<'a> ColumnarView<'a> {
-    /// Wraps a flat buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != len * arity`.
-    pub fn new(data: &'a [u64], arity: usize, len: usize) -> Self {
-        assert_eq!(data.len(), len * arity, "buffer/shape mismatch");
-        Self { data, arity, len }
+/// **Gather projection**: appends, row-major, the columns `pos` of every
+/// row of `data` (stride `arity`) to `out`. `pos` may repeat or reorder
+/// columns.
+pub(crate) fn gather(data: &[u64], arity: usize, pos: &[usize], out: &mut Vec<u64>) {
+    let w = pos.len();
+    if w == 0 {
+        return;
     }
-
-    /// Number of rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the view holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The stride (tuple width).
-    #[inline]
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// **Gather projection**: appends, row-major, the columns `pos` of every
-    /// row to `out`. `pos` is the precomputed column-index map (projection
-    /// target positions in this view's column order); it may repeat or
-    /// reorder columns.
-    ///
-    /// Strategy: if `pos` is one contiguous ascending window the kernel
-    /// degenerates to a per-row `copy_from_slice` (a straight memcpy of the
-    /// window); otherwise it gathers **column-at-a-time** over cache-sized
-    /// row blocks — for each output column one tight constant-stride loop,
-    /// with the block bounding the working set.
-    pub fn gather_into(&self, pos: &[usize], out: &mut Vec<u64>) {
-        let w = pos.len();
-        if w == 0 || self.len == 0 {
-            return;
-        }
-        let arity = self.arity;
-        // Contiguous-window fast path: pos = [p, p+1, …, p+w-1]. One
-        // pre-size, then per-row fixed-length copies with no capacity
-        // checks in the loop.
-        if pos.windows(2).all(|ab| ab[1] == ab[0] + 1) {
-            let p = pos[0];
-            if w == arity {
-                out.extend_from_slice(self.data);
-                return;
-            }
-            let start = out.len();
-            out.resize(start + self.len * w, 0);
-            for (d, s) in out[start..]
-                .chunks_exact_mut(w)
-                .zip(self.data.chunks_exact(arity))
-            {
-                d.copy_from_slice(&s[p..p + w]);
-            }
-            return;
-        }
-        // Column-at-a-time gather, blocked.
-        let start = out.len();
-        out.resize(start + self.len * w, 0);
-        let dst_all = &mut out[start..];
-        let block = gather_block_rows(arity.max(w));
-        let mut row0 = 0usize;
-        while row0 < self.len {
-            let rows = block.min(self.len - row0);
-            let src = &self.data[row0 * arity..(row0 + rows) * arity];
-            let dst = &mut dst_all[row0 * w..(row0 + rows) * w];
-            for (j, &p) in pos.iter().enumerate() {
-                // One constant-stride pass per output column; chunks_exact
-                // lets the compiler drop the per-element bounds checks.
-                for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks_exact(arity)) {
-                    d[j] = s[p];
-                }
-            }
-            row0 += rows;
+    let start = out.len();
+    out.resize(start + data.len() / arity * w, 0);
+    for (d, s) in out[start..]
+        .chunks_exact_mut(w)
+        .zip(data.chunks_exact(arity))
+    {
+        for (d, &p) in d.iter_mut().zip(pos) {
+            *d = s[p];
         }
     }
 }
@@ -166,13 +62,13 @@ impl<'a> ColumnarView<'a> {
 /// A reusable selection vector: which rows of a relation survive, stored as
 /// ascending `u32` indices.
 ///
-/// A fresh/reset `SelVec` is **dense** — every row `0..len` is selected and
-/// no index storage is touched. The `retain_*` kernels switch it to sparse
-/// on the first filtering step. Resetting costs O(1) (mark dense); the
-/// index buffer is reused across program runs, which is what makes
+/// A reset `SelVec` is **dense** — every row `0..len` is selected and no
+/// index storage is touched. [`SelVec::retain`] switches it to sparse on
+/// the first filtering step. Resetting costs O(1) (mark dense); the index
+/// buffer is reused across program runs, which is what makes
 /// whole-program execution allocation-free after warm-up.
 #[derive(Debug, Default)]
-pub struct SelVec {
+pub(crate) struct SelVec {
     /// Selected row indices, ascending; valid in `idx[..n]` when sparse.
     idx: Vec<u32>,
     /// Selected count (dense: the row count itself).
@@ -182,16 +78,9 @@ pub struct SelVec {
 }
 
 impl SelVec {
-    /// A fresh selection over `len` rows (dense: everything selected).
-    pub fn full(len: usize) -> Self {
-        let mut s = Self::default();
-        s.reset(len);
-        s
-    }
-
     /// Re-aims the selection at a relation of `len` rows, selecting all of
     /// them. O(1): no buffer is cleared.
-    pub fn reset(&mut self, len: usize) {
+    pub(crate) fn reset(&mut self, len: usize) {
         assert!(len <= u32::MAX as usize, "row count exceeds u32 indices");
         self.n = len;
         self.dense = true;
@@ -199,25 +88,25 @@ impl SelVec {
 
     /// Number of selected rows.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
     /// Whether nothing is selected.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.n == 0
     }
 
     /// Whether no filtering step has dropped a row yet.
     #[inline]
-    pub fn is_dense(&self) -> bool {
+    pub(crate) fn is_dense(&self) -> bool {
         self.dense
     }
 
     /// Calls `f` with each selected row index, ascending.
     #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(usize)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize)) {
         if self.dense {
             (0..self.n).for_each(&mut f);
         } else {
@@ -226,46 +115,16 @@ impl SelVec {
     }
 
     /// Drops every row from the selection.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.n = 0;
         self.dense = false;
     }
 
-    /// Semijoin probe kernel over packed `u64` key columns: keeps exactly
-    /// the selected rows whose key passes `test`. `keys[i]` is row `i`'s
-    /// key. Keys are tested in chunks of [`CHUNK`] lanes with branchless
-    /// mask accumulation; surviving indices are compacted by iterating the
-    /// chunk mask's set bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some selected index is out of `keys`' range.
-    pub fn retain_u64(&mut self, keys: &[u64], mut test: impl FnMut(u64) -> bool) {
-        self.retain_by_index(|i| test(keys[i]));
-    }
-
-    /// [`SelVec::retain_u64`] for packed `u128` key columns (every key
-    /// width ≥ 2 whose values fit the fixed-shift encoding).
-    pub fn retain_u128(&mut self, keys: &[u128], mut test: impl FnMut(u128) -> bool) {
-        self.retain_by_index(|i| test(keys[i]));
-    }
-
-    /// [`SelVec::retain_u64`] for keys too wide to pack, stored row-major
-    /// in one flat buffer (`keys[i·width..(i+1)·width]` is row `i`'s
-    /// key). The `test` closure compares whole key slices (a chunked
-    /// memcmp under `==`).
-    pub fn retain_wide(
-        &mut self,
-        keys: &[u64],
-        width: usize,
-        mut test: impl FnMut(&[u64]) -> bool,
-    ) {
-        assert!(width > 0, "wide keys have width >= 3");
-        self.retain_by_index(|i| test(&keys[i * width..(i + 1) * width]));
-    }
-
-    /// The shared chunked retain loop: `keep(i)` decides row `i`'s fate.
-    fn retain_by_index(&mut self, mut keep: impl FnMut(usize) -> bool) {
+    /// The semijoin probe kernel: keeps exactly the selected rows `i` with
+    /// `keep(i)`. Rows are tested in chunks of [`CHUNK`] lanes with
+    /// branchless mask accumulation; surviving indices are compacted by
+    /// iterating the chunk mask's set bits.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
         let total = self.n;
         if self.dense && self.idx.len() < total {
             // Grow-only warm-up: after the first filter at this row count
@@ -315,15 +174,15 @@ impl SelVec {
     }
 }
 
-/// Generation-stamped direct-map membership over packed `u64` keys from a
+/// Generation-stamped direct-map membership over width-1 keys from a
 /// bounded value range: `contains` is one load + compare — the cheapest key
-/// comparison there is, and branch-free inside the probe kernels.
+/// comparison there is, and branch-free inside the probe kernel.
 ///
 /// [`StampTable::begin`] re-arms the table for a new key set in O(1) (bump
 /// the generation); the slot buffer grows to the largest range ever seen
 /// and is then reused forever — no allocation after warm-up.
 #[derive(Debug, Default)]
-pub struct StampTable {
+pub(crate) struct StampTable {
     base: u64,
     stamps: Vec<u32>,
     gen: u32,
@@ -334,12 +193,12 @@ impl StampTable {
     /// callers fall back to hashing. 2²² slots = 16 MiB of `u32` stamps at
     /// the very worst — normally far less, since the buffer only ever grows
     /// to the largest range actually seen.
-    pub const MAX_RANGE: u64 = 1 << 22;
+    pub(crate) const MAX_RANGE: u64 = 1 << 22;
 
     /// Re-arms the table for keys in `[min, max]`. Returns `false` (table
     /// unusable for this key set) when the range exceeds
     /// [`StampTable::MAX_RANGE`].
-    pub fn begin(&mut self, min: u64, max: u64) -> bool {
+    pub(crate) fn begin(&mut self, min: u64, max: u64) -> bool {
         debug_assert!(min <= max);
         // Compare spans before adding 1: `max - min + 1` overflows when the
         // keys straddle the whole u64 range (e.g. 0 and u64::MAX mixed).
@@ -361,47 +220,25 @@ impl StampTable {
 
     /// Marks `k` present (must lie inside the `begin` range).
     #[inline]
-    pub fn insert(&mut self, k: u64) {
+    pub(crate) fn insert(&mut self, k: u64) {
         self.stamps[(k - self.base) as usize] = self.gen;
     }
 
     /// Whether `k` was inserted since the last `begin`. Keys outside the
     /// armed range are simply absent.
     #[inline]
-    pub fn contains(&self, k: u64) -> bool {
+    pub(crate) fn contains(&self, k: u64) -> bool {
         self.stamps
             .get(k.wrapping_sub(self.base) as usize)
             .is_some_and(|&s| s == self.gen)
     }
 }
 
-/// Compresses a `(out_col, src_pos)` column map into maximal runs where
-/// both sides advance by 1 — each run is one contiguous `memcpy`.
-fn column_runs(cols: &[(usize, usize)]) -> Vec<(usize, usize, usize)> {
-    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-    for &(j, p) in cols {
-        match runs.last_mut() {
-            Some((j0, p0, len)) if j == *j0 + *len && p == *p0 + *len => *len += 1,
-            _ => runs.push((j, p, 1)),
-        }
-    }
-    runs
-}
-
 /// Join-output assembly: materializes one output row per `(probe, build)`
 /// row pair. Each `(out_col, src_pos)` entry of `probe_cols`/`build_cols`
 /// names one output column and where it reads from on that side.
-///
-/// Two gather strategies, chosen by shape:
-///
-/// * **Run copies** when the column maps compress into few contiguous runs
-///   (the common join layout — each side contributes long aligned spans):
-///   one pass over the pairs, a `copy_from_slice` per run per row.
-/// * **Column-at-a-time within blocks** otherwise: per output column one
-///   tight gather loop, with cache-sized row blocks so the per-column
-///   passes never re-sweep a block out of cache on huge join results.
 #[allow(clippy::too_many_arguments)]
-pub fn gather_pairs(
+pub(crate) fn gather_pairs(
     probe_data: &[u64],
     probe_arity: usize,
     build_data: &[u64],
@@ -418,49 +255,22 @@ pub fn gather_pairs(
     }
     let start = out.len();
     out.resize(start + pairs.len() * out_arity, 0);
-    let dst_all = &mut out[start..];
-
-    let probe_runs = column_runs(probe_cols);
-    let build_runs = column_runs(build_cols);
-    if (probe_runs.len() + build_runs.len()) * 4 <= out_arity {
-        // Long contiguous spans: copy runs row-at-a-time.
-        for (row, &(pi, bi)) in dst_all.chunks_exact_mut(out_arity).zip(pairs) {
-            let prow = &probe_data[pi as usize * probe_arity..][..probe_arity];
-            let brow = &build_data[bi as usize * build_arity..][..build_arity];
-            for &(j, p, len) in &probe_runs {
-                row[j..j + len].copy_from_slice(&prow[p..p + len]);
-            }
-            for &(j, p, len) in &build_runs {
-                row[j..j + len].copy_from_slice(&brow[p..p + len]);
-            }
-        }
-        return;
-    }
-
-    let block = gather_block_rows(out_arity);
-    let mut p0 = 0usize;
-    while p0 < pairs.len() {
-        let n = block.min(pairs.len() - p0);
-        let block_pairs = &pairs[p0..p0 + n];
-        let dst = &mut dst_all[p0 * out_arity..(p0 + n) * out_arity];
+    for (row, &(pi, bi)) in out[start..].chunks_exact_mut(out_arity).zip(pairs) {
+        let prow = &probe_data[pi as usize * probe_arity..][..probe_arity];
+        let brow = &build_data[bi as usize * build_arity..][..build_arity];
         for &(j, p) in probe_cols {
-            for (row, &(pi, _)) in dst.chunks_exact_mut(out_arity).zip(block_pairs) {
-                row[j] = probe_data[pi as usize * probe_arity + p];
-            }
+            row[j] = prow[p];
         }
         for &(j, p) in build_cols {
-            for (row, &(_, bi)) in dst.chunks_exact_mut(out_arity).zip(block_pairs) {
-                row[j] = build_data[bi as usize * build_arity + p];
-            }
+            row[j] = brow[p];
         }
-        p0 += n;
     }
 }
 
 /// Materializes the selected rows into `out` (row-major, same stride).
 /// Selection order is ascending, so if `data` was normalized the gathered
 /// buffer is normalized too.
-pub fn gather_rows(data: &[u64], arity: usize, sel: &SelVec, out: &mut Vec<u64>) {
+pub(crate) fn gather_rows(data: &[u64], arity: usize, sel: &SelVec, out: &mut Vec<u64>) {
     if arity == 0 {
         return;
     }
@@ -483,7 +293,7 @@ pub fn gather_rows(data: &[u64], arity: usize, sel: &SelVec, out: &mut Vec<u64>)
 ///
 /// Pack, sort, dedup, and unpack are all columnar tight loops; the sort
 /// compares machine scalars instead of walking row slices.
-pub fn sort_dedup_packed(
+pub(crate) fn sort_dedup_packed(
     arity: usize,
     rows: usize,
     mut data: Vec<u64>,
@@ -541,33 +351,53 @@ mod tests {
     fn gather_contiguous_and_scattered() {
         // 3 rows of arity 4
         let data: Vec<u64> = vec![0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23];
-        let v = ColumnarView::new(&data, 4, 3);
         let mut out = Vec::new();
-        v.gather_into(&[1, 2], &mut out); // contiguous window
+        gather(&data, 4, &[1, 2], &mut out); // contiguous window
         assert_eq!(out, vec![1, 2, 11, 12, 21, 22]);
         out.clear();
-        v.gather_into(&[3, 0], &mut out); // scattered + reordered
+        gather(&data, 4, &[3, 0], &mut out); // scattered + reordered
         assert_eq!(out, vec![3, 0, 13, 10, 23, 20]);
         out.clear();
-        v.gather_into(&[0, 1, 2, 3], &mut out); // identity
+        gather(&data, 4, &[0, 1, 2, 3], &mut out); // identity
         assert_eq!(out, data);
+        out.clear();
+        gather(&data, 4, &[2, 2], &mut out); // repeated
+        assert_eq!(out, vec![2, 2, 12, 12, 22, 22]);
+        gather(&data, 4, &[], &mut out); // empty projection appends nothing
+        assert_eq!(out, vec![2, 2, 12, 12, 22, 22]);
     }
 
     #[test]
     fn gather_blocked_matches_per_row() {
-        // More rows than one gather block, scattered columns.
-        let rows = 2 * GATHER_BLOCK_VALUES + 17;
-        let arity = 5;
+        // Many rows of arity 5, against a per-row reference; `gather`
+        // appends to what `out` already holds.
+        let (rows, arity) = (300, 5);
         let data: Vec<u64> = (0..rows * arity).map(|i| (i * 7 % 1000) as u64).collect();
-        let v = ColumnarView::new(&data, arity, rows);
-        let pos = [4usize, 0, 2];
-        let mut out = Vec::new();
-        v.gather_into(&pos, &mut out);
-        let expect: Vec<u64> = data
-            .chunks_exact(arity)
-            .flat_map(|row| pos.iter().map(|&p| row[p]))
-            .collect();
-        assert_eq!(out, expect);
+        let cases: [&[usize]; 5] = [
+            &[1, 2, 3],
+            &[0, 1, 2, 3, 4],
+            &[0, 2, 4],
+            &[4, 0, 2],
+            &[3, 3, 1, 3],
+        ];
+        for pos in cases {
+            let mut out = vec![42];
+            gather(&data, arity, pos, &mut out);
+            let expect: Vec<u64> = std::iter::once(42)
+                .chain(
+                    data.chunks_exact(arity)
+                        .flat_map(|row| pos.iter().map(|&p| row[p])),
+                )
+                .collect();
+            assert_eq!(out, expect, "{pos:?}");
+        }
+    }
+
+    /// A selection over `len` rows with every row selected.
+    fn full(len: usize) -> SelVec {
+        let mut sel = SelVec::default();
+        sel.reset(len);
+        sel
     }
 
     fn selected(sel: &SelVec) -> Vec<usize> {
@@ -579,15 +409,15 @@ mod tests {
     #[test]
     fn selvec_dense_then_sparse_retain() {
         let keys: Vec<u64> = (0..200).map(|i| i % 10).collect();
-        let mut sel = SelVec::full(200);
+        let mut sel = full(200);
         assert!(sel.is_dense());
-        sel.retain_u64(&keys, |k| k < 5);
+        sel.retain(|i| keys[i] < 5);
         assert_eq!(sel.len(), 100);
         assert!(!sel.is_dense());
         let got = selected(&sel);
         assert_eq!(&got[..6], &[0, 1, 2, 3, 4, 10]);
         // Second (sparse) retain narrows further.
-        sel.retain_u64(&keys, |k| k == 3);
+        sel.retain(|i| keys[i] == 3);
         assert_eq!(sel.len(), 20);
         let got = selected(&sel);
         assert_eq!(&got[..2], &[3, 13]);
@@ -598,8 +428,8 @@ mod tests {
     #[test]
     fn selvec_reset_reuses_buffers() {
         let keys: Vec<u64> = (0..100).collect();
-        let mut sel = SelVec::full(100);
-        sel.retain_u64(&keys, |k| k % 2 == 0);
+        let mut sel = full(100);
+        sel.retain(|i| keys[i].is_multiple_of(2));
         assert_eq!(sel.len(), 50);
         assert_eq!(selected(&sel)[..2], [0, 2]);
         sel.clear();
@@ -609,7 +439,7 @@ mod tests {
         assert_eq!(sel.len(), 80);
         assert_eq!(selected(&sel), (0..80).collect::<Vec<_>>());
         // A sparse retain after the reset sees all 80 rows again.
-        sel.retain_u64(&keys, |k| k >= 78);
+        sel.retain(|i| keys[i] >= 78);
         assert_eq!(selected(&sel), vec![78, 79]);
         sel.clear();
         assert!(sel.is_empty());
@@ -621,8 +451,8 @@ mod tests {
         // Lengths straddling the 64-lane chunk boundary.
         for len in [0usize, 1, 63, 64, 65, 127, 128, 129] {
             let keys: Vec<u64> = (0..len as u64).collect();
-            let mut sel = SelVec::full(len);
-            sel.retain_u64(&keys, |k| k % 3 != 0);
+            let mut sel = full(len);
+            sel.retain(|i| !keys[i].is_multiple_of(3));
             let expect: Vec<usize> = (0..len).filter(|i| i % 3 != 0).collect();
             let mut got = Vec::new();
             sel.for_each(|i| got.push(i));
@@ -649,11 +479,11 @@ mod tests {
     #[test]
     fn gather_rows_dense_and_sparse() {
         let data: Vec<u64> = vec![1, 2, 3, 4, 5, 6];
-        let mut sel = SelVec::full(3);
+        let mut sel = full(3);
         let mut out = Vec::new();
         gather_rows(&data, 2, &sel, &mut out);
         assert_eq!(out, data);
-        sel.retain_u64(&[9, 7, 9], |k| k == 9);
+        sel.retain(|i| [9, 7, 9][i] == 9);
         out.clear();
         gather_rows(&data, 2, &sel, &mut out);
         assert_eq!(out, vec![1, 2, 5, 6]);

@@ -19,10 +19,12 @@
 //!   engine;
 //! * [`joinup`] — the flat join-up executor ([`join_up_with`]) the cached
 //!   engine answers through, over the reduced subtree that spans `X`, and
-//!   the bucket-chain join [`Relation::natural_join`] runs on;
-//! * [`kernels`] — the columnar kernel layer: gather projection, chunked
-//!   branchless key-probe kernels over [`SelVec`] selection vectors, the
-//!   generation-stamped [`kernels::StampTable`], and packed row sorting.
+//!   the bucket-chain join [`Relation::natural_join`] runs on.
+//!
+//! A private `kernels` module holds the loops these operators share:
+//! gather projection, join-output assembly, the chunked selection-vector
+//! retain, a generation-stamped direct-map key table, and packed row
+//! sorting.
 //!
 //! # Flat row-major storage
 //!
@@ -44,18 +46,17 @@
 //! forms are acceptable only in tests, doc examples, and one-off input
 //! conversion — never inside operators, engines, or generators.
 //!
-//! # Columnar kernels and the SelVec execution model
+//! # Selection-vector execution
 //!
-//! On top of the flat layout sits the [`kernels`] layer: projection moves
-//! values in column-strided blocks ([`kernels::ColumnarView::gather_into`]),
-//! join outputs are assembled column-at-a-time over a matched-pair list,
-//! and semijoin filtering — both the one-shot operator, which is a
-//! one-step program, and whole compiled programs — runs through reusable
-//! [`SelVec`] **selection vectors** (ascending `u32` survivor indices)
-//! probed in fixed-size chunks with branchless mask accumulation. The
-//! [`semijoin_program`] executor threads one `SelVec` per relation slot
-//! through an entire full-reducer program: no intermediate relation is
-//! materialized and, with a caller-owned [`exec::ExecScratch`]
+//! Projection copies each row's projected columns in one pre-sized pass,
+//! join outputs are assembled in one pass over a matched-pair list, and
+//! semijoin filtering — both the one-shot operator, which is a one-step
+//! program, and whole compiled programs — runs through reusable
+//! **selection vectors** (ascending `u32` survivor indices) probed in
+//! fixed-size chunks with branchless mask accumulation. The
+//! [`semijoin_program`] executor threads one selection vector per relation
+//! slot through an entire full-reducer program: no intermediate relation
+//! is materialized and, with a caller-owned [`exec::ExecScratch`]
 //! ([`exec::semijoin_program_with`]), no step allocates after warm-up.
 //!
 //! # One key encoding
@@ -68,6 +69,8 @@
 //! pack alike without consulting each other, and a key with a value
 //! `≥ 2^s` can never equal one that fits. So the fallbacks are narrow:
 //!
+//! * a width-1 key range too large for the direct-map table goes into the
+//!   same `u128` hash set as the packed keys;
 //! * when one side of a semijoin step holds an unfit value, its unfit keys
 //!   are rejected (as targets) or skipped (as sources), and the step stays
 //!   on the `u128` hash set (*pack-or-reject*);
@@ -76,16 +79,6 @@
 //!
 //! The join-up executor packs width-1 and width-2 keys the same way and
 //! hashes-then-compares wider ones.
-//!
-//! Row-at-a-time execution remains in exactly the places where a column
-//! decomposition has nothing to offer: hash-*building* (a bucket chain
-//! walks its rows once), the probe half of the join that `natural_join`
-//! and the join-up share (match fan-out is data-dependent), the join-up's
-//! projection dedup, `contains` and `is_subset` (a binary search and a
-//! merge over the sorted rows), normalization of rows whose values are too
-//! wide to pack into `u64`/`u128` scalars ([`kernels::sort_dedup_packed`]
-//! falls back to an index-permutation sort), and the `Vec<Vec<u64>>`
-//! boundary shims.
 //!
 //! Two join-ups run over these operators, deliberately:
 //!
@@ -117,13 +110,12 @@
 pub mod database;
 pub mod exec;
 pub mod joinup;
-pub mod kernels;
+mod kernels;
 pub mod relation;
 pub mod universal;
 
 pub use database::DbState;
 pub use exec::{semijoin_program, semijoin_program_with, ExecScratch, SemijoinStep};
 pub use joinup::{join_up_with, JoinUpScratch};
-pub use kernels::{ColumnarView, SelVec};
 pub use relation::{lock_cache, Relation};
 pub use universal::{join_of_projections, satisfies_jd};

@@ -42,7 +42,7 @@ use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap, FxHasher};
 
 use crate::exec::{semijoin_program, SemijoinStep};
 use crate::joinup;
-use crate::kernels::{self, ColumnarView, SelVec};
+use crate::kernels::{self, SelVec};
 
 /// Packs a width-2 key into one scalar. The first column lands in the high
 /// half, so `u128` ordering equals lexicographic row ordering — every
@@ -595,13 +595,6 @@ impl Relation {
             .clone()
     }
 
-    /// A columnar view of the flat buffer (the kernel layer's window onto
-    /// this relation's storage).
-    #[inline]
-    pub fn columns_view(&self) -> ColumnarView<'_> {
-        ColumnarView::new(&self.data, self.arity, self.len)
-    }
-
     /// The relation restricted to the rows a [`SelVec`] selected. Returns a
     /// plain clone when everything survives. Surviving rows are gathered
     /// contiguously (selection order is ascending), so no re-normalization
@@ -617,8 +610,8 @@ impl Relation {
     }
 
     /// Projection `π_X(self)`, via the gather kernel: the column-index map
-    /// is computed once, then values move in column-strided blocks — no
-    /// per-row scatter loop.
+    /// is computed once, then one pre-sized pass copies each row's
+    /// projected columns.
     ///
     /// # Panics
     ///
@@ -632,8 +625,8 @@ impl Relation {
             return self.clone();
         }
         let pos = self.positions_of(x);
-        let mut data = Vec::with_capacity(self.len * pos.len());
-        self.columns_view().gather_into(&pos, &mut data);
+        let mut data = Vec::new();
+        kernels::gather(&self.data, self.arity, &pos, &mut data);
         Relation::from_row_major(x.clone(), self.len, data)
     }
 

@@ -1,10 +1,14 @@
 //! Allocation accounting for the selection-vector executor: after a warm-up
 //! run, executing a whole semijoin program must perform **zero heap
-//! allocation per step** — the SelVecs, the stamp table, the hash-set
-//! fallbacks, and the wide-key spine are all reused from the
+//! allocation per step** — the selection vectors, the stamp table, the
+//! `u128` hash set and the wide-key spine are all reused from the
 //! [`ExecScratch`], and key columns are cached on the relations. Every
-//! membership path is covered: width-1 stamp and hash, packed `u128` keys,
-//! the pack-or-reject mixed pairs, and the spine for keys too wide to pack.
+//! membership path is covered: the width-1 stamp table, width-1 keys too
+//! far apart for it (which share the `u128` set), packed `u128` keys, the
+//! pack-or-reject mixed pairs, and the spine for keys too wide to pack.
+//!
+//! A warm join-up along a path of cores, as a cyclic plan builds
+//! `state(W)`, allocates a bounded count per edge plus its output.
 //!
 //! The one-shot operators are pinned too: a cold `natural_join`,
 //! `semijoin` or `is_subset` allocates a bounded count, whatever the number
@@ -17,7 +21,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gyo_relation::{semijoin_program_with, ExecScratch, Relation, SemijoinStep};
+use gyo_relation::{
+    join_up_with, semijoin_program_with, ExecScratch, JoinUpScratch, Relation, SemijoinStep,
+};
 use gyo_schema::AttrSet;
 
 struct CountingAlloc;
@@ -116,8 +122,8 @@ fn wide_chain_schemas(n: usize, arity: u32, overlap: u32) -> Vec<AttrSet> {
 
 #[test]
 fn warm_program_steps_allocate_nothing() {
-    // One scenario per membership path: width-1 stamp table, width-1 hash
-    // fallback (huge key range), width-2 packed set, width-3 keys packed
+    // One scenario per membership path: width-1 stamp table, width-1 keys
+    // in the u128 set (huge key range), width-2 packed set, width-3 keys packed
     // into the same u128 set, and width-3 keys with every value ≥ 2^42
     // (too wide for the 42-bit fields), which take the hash spine.
     let scenarios: Vec<Scenario> = vec![
@@ -127,7 +133,7 @@ fn warm_program_steps_allocate_nothing() {
             Box::new(|v| v),
         ),
         (
-            "width-1 hash fallback",
+            "width-1 u128 set",
             wide_chain_schemas(6, 2, 1),
             Box::new(|v| v.wrapping_mul(1 << 40)),
         ),
@@ -287,5 +293,57 @@ fn one_shot_operators_allocate_a_bounded_count_whatever_the_key_count() {
         let (n, subset) = counted(|| rel_r.is_subset(&same));
         assert!(subset);
         assert_eq!(n, 0, "{keys} keys: is_subset allocates nothing");
+    }
+}
+
+/// The cores of a cyclic residue's survivors as `state(W)` joins them: a
+/// ring of `k` binary relations `Rᵢ(aᵢ, aᵢ₊₁ mod k)`, each holding the
+/// value pairs `(x, y)` with `y − x mod m ∈ {0, 1}`. Returns the cores,
+/// the path `0 → 1 → … → k−1` (node `i` the child of node `i + 1`, the
+/// last node the root) and `W`, every ring attribute. Every edge keys on
+/// one attribute except the one into the root, which closes the ring on
+/// two.
+fn ring_cores(k: u32, m: u64) -> (Vec<Relation>, gyo_schema::RootedTree, AttrSet) {
+    let pairs: Vec<u64> = (0..m).flat_map(|x| [x, x, x, (x + 1) % m]).collect();
+    let cores = (0..k)
+        .map(|i| {
+            let attrs = AttrSet::from_raw(&[i, (i + 1) % k]);
+            Relation::from_row_major(attrs, 2 * m as usize, pairs.clone())
+        })
+        .collect();
+    let k = k as usize;
+    let path = gyo_schema::RootedTree {
+        root: k - 1,
+        parent: (0..k).map(|v| (v + 1).min(k - 1)).collect(),
+        post_order: (0..k).collect(),
+    };
+    let w = AttrSet::from_raw(&(0..k as u32).collect::<Vec<_>>());
+    (cores, path, w)
+}
+
+#[test]
+fn warm_join_up_allocates_a_bounded_count_per_edge() {
+    // Per edge: the intermediate's schemas and the regrowth of a pooled
+    // buffer. The output takes its row buffer out of the pool, so the next
+    // call regrows one buffer: at most one allocation per doubling of the
+    // output's values, plus the relation itself. Assembling the output
+    // rows of a join allocates nothing per flush of its pair list.
+    const PER_EDGE: u64 = 5;
+    const OUTPUT: u64 = 3;
+    for k in [3u32, 8] {
+        for m in [16u64, 1024] {
+            let (cores, path, w) = ring_cores(k, m);
+            let kept = vec![true; cores.len()];
+            let mut scratch = JoinUpScratch::new();
+            let cold = join_up_with(&cores, &path, &kept, &w, &mut scratch);
+            let (n, warm) = counted(|| join_up_with(&cores, &path, &kept, &w, &mut scratch));
+            assert_eq!(warm, cold, "k {k}, m {m}: a warm scratch changes nothing");
+            let edges = u64::from(k - 1);
+            let bound = PER_EDGE * edges + OUTPUT + warm.data().len().ilog2() as u64;
+            assert!(
+                n <= bound,
+                "k {k}, m {m}: a warm join-up made {n} allocations, bound {bound}"
+            );
+        }
     }
 }
