@@ -161,28 +161,24 @@ impl Program {
     ///
     /// Panics if `state` does not match the base schema.
     pub fn execute(&self, state: &DbState) -> Vec<Relation> {
-        assert_eq!(state.len(), self.base.len(), "state/schema mismatch");
-        let mut rels: Vec<Relation> = state.rels().to_vec();
-        rels.reserve(self.stmts.len());
-        for stmt in &self.stmts {
-            let next = match stmt {
-                Statement::Join { left, right } => rels[*left].natural_join(&rels[*right]),
-                Statement::Project { src, onto } => rels[*src].project(onto),
-                Statement::Semijoin { left, right } => rels[*left].semijoin(&rels[*right]),
-            };
-            rels.push(next);
-        }
-        rels
+        self.execute_each(state, |_| {})
     }
 
     /// Executes with per-statement cost accounting: tuple counts of the
     /// operands and of the result — the proxy Bernstein–Chiu use for
     /// communication cost when semijoins are shipped between sites.
     pub fn execute_with_stats(&self, state: &DbState) -> (Vec<Relation>, Vec<StatementStats>) {
+        let mut stats = Vec::with_capacity(self.stmts.len());
+        let rels = self.execute_each(state, |s| stats.push(s));
+        (rels, stats)
+    }
+
+    /// The one execution loop: runs every statement in order and hands
+    /// each one's tuple counts to `seen`.
+    fn execute_each(&self, state: &DbState, mut seen: impl FnMut(StatementStats)) -> Vec<Relation> {
         assert_eq!(state.len(), self.base.len(), "state/schema mismatch");
         let mut rels: Vec<Relation> = state.rels().to_vec();
         rels.reserve(self.stmts.len());
-        let mut stats = Vec::with_capacity(self.stmts.len());
         for stmt in &self.stmts {
             let (next, input_tuples) = match stmt {
                 Statement::Join { left, right } => (
@@ -195,13 +191,13 @@ impl Program {
                     rels[*left].len() + rels[*right].len(),
                 ),
             };
-            stats.push(StatementStats {
+            seen(StatementStats {
                 input_tuples,
                 output_tuples: next.len(),
             });
             rels.push(next);
         }
-        (rels, stats)
+        rels
     }
 
     /// Executes and returns the value of the last statement (the program's

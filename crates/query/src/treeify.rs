@@ -59,7 +59,7 @@ use gyo_schema::{AttrSet, DbSchema};
 
 use crate::engine::EngineError;
 use crate::treeify_engine::TreeifyPlan;
-use crate::yannakakis::{full_reduce_along, join_up_tree};
+use crate::yannakakis::join_up_tree;
 
 /// Solves `(D, X)` on a cyclic (or tree) schema via treeification:
 ///
@@ -78,8 +78,9 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
         x.is_subset(&d.attributes()),
         "target X must be a subset of U(D)"
     );
+    assert_state(d, state);
     let plan = TreeifyPlan::compile(d);
-    join_up_tree(&reduced(d, &plan, state), x, plan.rooted())
+    join_up_tree(&reduced(&plan, state), x, plan.rooted())
 }
 
 /// Fully reduces a state over **any** schema — cyclic included — via
@@ -98,21 +99,24 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
 ///
 /// Panics if the state does not match `d`.
 pub fn reduce_via_treeification(d: &DbSchema, state: &DbState) -> DbState {
-    let mut rels = reduced(d, &TreeifyPlan::compile(d), state);
+    assert_state(d, state);
+    let mut rels = reduced(&TreeifyPlan::compile(d), state);
     rels.truncate(d.len());
     DbState::new(d, rels)
 }
 
-/// The state's relations, with `state(W)` pushed last when `d`'s `plan` is
-/// cyclic, fully reduced one semijoin at a time along the plan's steps.
-///
-/// # Panics
-///
-/// Panics if the state does not match `d`.
-fn reduced(d: &DbSchema, plan: &TreeifyPlan, state: &DbState) -> Vec<Relation> {
+/// Panics with the typed error's message if `state` does not match `d`.
+fn assert_state(d: &DbSchema, state: &DbState) {
     if let Err(err) = EngineError::check_state(d, state) {
         panic!("{err}");
     }
+}
+
+/// The per-call pipeline: the state's relations, with `state(W)` pushed
+/// last when `plan` is cyclic, fully reduced one `Relation::semijoin` at a
+/// time along the plan's steps. The caller has checked that `state`
+/// matches the plan's schema.
+pub(crate) fn reduced(plan: &TreeifyPlan, state: &DbState) -> Vec<Relation> {
     let mut rels = state.rels().to_vec();
     if plan.is_cyclic() {
         // Join the survivors' whole states, then project onto W once.
@@ -124,7 +128,9 @@ fn reduced(d: &DbSchema, plan: &TreeifyPlan, state: &DbState) -> Vec<Relation> {
             });
         rels.push(joined.project(plan.w()));
     }
-    full_reduce_along(&mut rels, plan.steps());
+    for step in plan.steps() {
+        rels[step.target()] = rels[step.target()].semijoin(&rels[step.source()]);
+    }
     rels
 }
 

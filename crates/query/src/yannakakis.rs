@@ -26,11 +26,12 @@
 //!   normalization at the root. An answer reduces and joins up only the
 //!   subtree of the join tree that spans `X`.
 
-use gyo_relation::{DbState, Relation, SemijoinStep};
+use gyo_relation::{DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema, RootedTree};
 
 use crate::engine::EngineError;
 use crate::program::Program;
+use crate::treeify::reduced;
 use crate::treeify_engine::TreeifyPlan;
 
 /// Builds a full-reducer semijoin [`Program`] for a tree schema: child→
@@ -56,17 +57,7 @@ pub fn full_reduce(d: &DbSchema, state: &DbState) -> Result<DbState, EngineError
     EngineError::check_state(d, state)?;
     let plan = TreeifyPlan::compile(d);
     plan.check_tree()?;
-    let mut rels = state.rels().to_vec();
-    full_reduce_along(&mut rels, plan.steps());
-    Ok(DbState::new(d, rels))
-}
-
-/// Full reduction of `rels` in place along a plan's compiled `steps`, one
-/// `Relation::semijoin` per step, each output a normalized relation.
-pub(crate) fn full_reduce_along(rels: &mut [Relation], steps: &[SemijoinStep]) {
-    for step in steps {
-        rels[step.target()] = rels[step.target()].semijoin(&rels[step.source()]);
-    }
+    Ok(DbState::new(d, reduced(&plan, state)))
 }
 
 /// Solves `(D, X)` on a tree schema: full reduction, then joins up the tree
@@ -84,9 +75,7 @@ pub fn solve_tree_query(
     EngineError::check_state(d, state)?;
     let plan = TreeifyPlan::compile(d);
     plan.check_tree()?;
-    let mut rels = state.rels().to_vec();
-    full_reduce_along(&mut rels, plan.steps());
-    Ok(join_up_tree(&rels, x, plan.rooted()))
+    Ok(join_up_tree(&reduced(&plan, state), x, plan.rooted()))
 }
 
 /// The join phase of the Yannakakis solver: joins **fully reduced**

@@ -16,7 +16,7 @@
 //! `u128` per row, value `j` at shift `s·(w−1−j)` (for `w = 2`, the two
 //! 64-bit halves). `s` depends only on `w`, so both sides of a step pack
 //! alike without consulting each other. A column with a value `≥ 2^s`
-//! keeps its keys row-major instead.
+//! caches only that it does not pack.
 //!
 //! Every step is two columnar kernels:
 //!
@@ -28,13 +28,11 @@
 //!    retain loop: fixed-size chunks, branchless mask accumulation, no
 //!    per-row branching.
 //!
-//! Two fallbacks cover values too wide to pack. When only one side of a
-//! step holds such a value, the step stays on the `u128` set by
-//! *pack-or-reject*: an unfit key cannot equal any key of the all-fit side,
-//! so unfit target keys are rejected and unfit source keys skipped. Only
-//! when both sides hold unfit values does the step build a reused sorted
-//! `(hash, row)` spine; its probes re-compare the actual key slices (a
-//! chunked memcmp), so hash collisions cannot lie.
+//! When either side's keys do not pack, the step runs on the bucket chain
+//! the join-up's joins build: the selected source rows are chained on the
+//! hash of their key, and each target row probes it through the same
+//! retain loop, re-comparing the key columns on every hit, so a hash
+//! collision never matches.
 //!
 //! All scratch state lives in an [`ExecScratch`] that is reused across
 //! steps *and* across whole program runs, so after warm-up (first run at a
@@ -50,8 +48,8 @@
 
 use gyo_schema::{AttrSet, FxHashSet};
 
-use crate::kernels::{SelVec, StampTable};
-use crate::relation::{hash_key, pack_key, pack_shift, KeyColumn, Relation};
+use crate::kernels::{ChainIndex, SelVec, StampTable};
+use crate::relation::{positions_into, KeyColumn, Relation};
 
 /// One precompiled semijoin statement
 /// `rels[target] := rels[target] ⋉ rels[source]`, with the shared (key)
@@ -100,12 +98,13 @@ impl SemijoinStep {
 
 /// Reusable execution state for [`semijoin_program_with`]: one selection
 /// vector per slot plus the per-step membership scratch (stamp table,
-/// `u128` hash set, wide-key hash spine). Everything is grow-only — steps
-/// after warm-up allocate nothing.
+/// `u128` hash set, and the bucket chain with the key positions for keys
+/// that do not pack). Everything is grow-only — steps after warm-up
+/// allocate nothing.
 ///
 /// Every use resets what it reads before reading it: a run resets the
 /// selection vector of each slot it uses, and each step re-arms the stamp
-/// table or clears the set or spine it fills. So a scratch left mid-run by
+/// table or clears the set or chain it fills. So a scratch left mid-run by
 /// a panic is still valid for the next run.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
@@ -116,10 +115,13 @@ pub struct ExecScratch {
     /// Membership for width-1 keys with a large value range and for packed
     /// keys of every width ≥ 2.
     packed: FxHashSet<u128>,
-    /// Membership spine for keys too wide to pack on both sides:
-    /// `(fxhash(key), source row)`, sorted by hash; probes binary-search
-    /// the hash then memcmp the key slices.
-    wide: Vec<(u64, u32)>,
+    /// Membership for keys that do not pack: the selected source rows,
+    /// chained on their key's hash.
+    chain: ChainIndex,
+    /// The step key's column positions in the source.
+    source_pos: Vec<usize>,
+    /// The step key's column positions in the target.
+    target_pos: Vec<usize>,
 }
 
 impl ExecScratch {
@@ -136,20 +138,17 @@ impl ExecScratch {
 }
 
 /// Clears `set`, reserves room for every selected source key (so a cold
-/// build allocates the same whatever the key count), inserts the packed
-/// key of every selected source row that has one (`key(i)` is `None` for a
-/// key too wide to pack), and hands the set back for probing.
+/// build allocates the same whatever the key count), inserts the key of
+/// every selected source row, and hands the set back for probing.
 fn fill_packed<'a>(
     set: &'a mut FxHashSet<u128>,
     ssel: &SelVec,
-    mut key: impl FnMut(usize) -> Option<u128>,
+    mut key: impl FnMut(usize) -> u128,
 ) -> &'a FxHashSet<u128> {
     set.clear();
     set.reserve(ssel.len());
     ssel.for_each(|i| {
-        if let Some(k) = key(i) {
-            set.insert(k);
-        }
+        set.insert(key(i));
     });
     set
 }
@@ -254,7 +253,7 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 let stamp = &scratch.stamp;
                 tsel.retain(|i| stamp.contains(tvals[i]));
             } else {
-                let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i].into()));
+                let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i].into());
                 tsel.retain(|i| set.contains(&u128::from(tvals[i])));
             }
         }
@@ -266,63 +265,30 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
             },
         ) => {
             debug_assert_eq!(width, twidth, "key widths match across a step");
-            let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i]));
+            let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i]);
             tsel.retain(|i| set.contains(&tvals[i]));
         }
-        // Mixed pairs, by pack-or-reject: a key with a value too wide to
-        // pack cannot equal any key of an all-fit side, so it is rejected
-        // (target) or skipped (source) instead of compared.
-        (KeyColumn::Packed { keys: svals, .. }, KeyColumn::Wide { width, keys: tkeys }) => {
-            let (w, shift) = (*width, pack_shift(*width));
-            let set = fill_packed(&mut scratch.packed, ssel, |i| Some(svals[i]));
+        // Some side does not pack: chain the selected source rows on their
+        // key's hash, and re-compare the key columns on every hit.
+        _ => {
+            positions_into(&step.shared, source.attrs(), &mut scratch.source_pos);
+            positions_into(&step.shared, target.attrs(), &mut scratch.target_pos);
+            let (spos, tpos) = (&scratch.source_pos, &scratch.target_pos);
+            let chain = &mut scratch.chain;
+            chain.begin_wide(source.len());
+            ssel.for_each(|i| {
+                let s = source.row(i);
+                chain.link_wide(spos.iter().map(|&p| s[p]), i);
+            });
             tsel.retain(|i| {
-                pack_key(tkeys[i * w..(i + 1) * w].iter().copied(), shift)
-                    .is_some_and(|k| set.contains(&k))
+                let t = target.row(i);
+                let same = |j: usize| {
+                    let s = source.row(j);
+                    spos.iter().zip(tpos).all(|(&p, &q)| s[p] == t[q])
+                };
+                chain.rows_wide(tpos.iter().map(|&q| t[q])).any(same)
             });
         }
-        (KeyColumn::Wide { width, keys: skeys }, KeyColumn::Packed { keys: tvals, .. }) => {
-            let (w, shift) = (*width, pack_shift(*width));
-            let set = fill_packed(&mut scratch.packed, ssel, |i| {
-                pack_key(skeys[i * w..(i + 1) * w].iter().copied(), shift)
-            });
-            tsel.retain(|i| set.contains(&tvals[i]));
-        }
-        // Both sides hold unfit values: the sorted hash spine.
-        (
-            KeyColumn::Wide { width, keys: skeys },
-            KeyColumn::Wide {
-                width: twidth,
-                keys: tkeys,
-            },
-        ) => {
-            debug_assert_eq!(width, twidth, "key widths match across a step");
-            let w = *width;
-            scratch.wide.clear();
-            let spine = &mut scratch.wide;
-            let hash = |key: &[u64]| hash_key(key.iter().copied());
-            ssel.for_each(|i| spine.push((hash(&skeys[i * w..(i + 1) * w]), i as u32)));
-            spine.sort_unstable_by_key(|&(h, _)| h);
-            let spine = &scratch.wide;
-            tsel.retain(|i| {
-                let key = &tkeys[i * w..(i + 1) * w];
-                let h = hash(key);
-                let mut at = spine.partition_point(|&(sh, _)| sh < h);
-                // Collisions re-compare the actual key slices (chunked
-                // memcmp under slice ==), so a hash match never lies.
-                while let Some(&(sh, si)) = spine.get(at) {
-                    if sh != h {
-                        break;
-                    }
-                    let si = si as usize;
-                    if &skeys[si * w..(si + 1) * w] == key {
-                        return true;
-                    }
-                    at += 1;
-                }
-                false
-            });
-        }
-        _ => unreachable!("key widths match across a step"),
     }
 }
 
@@ -453,7 +419,9 @@ mod tests {
         // The operator here is the definitional one, by nested loops.
         // Width-3 keys: s = 42. `fit` packs; `unfit` holds 2^42 in a key
         // column, which unchecked packing would carry into (1, 0, 0).
-        let schemas = vec![attrs(&[0, 1, 2, 3]), attrs(&[0, 1, 2, 9])];
+        // Each case runs `1 ⋉ 2`, then `0 ⋉ 1`: slot 2 filters the source
+        // on attribute 9 before the source is read.
+        let schemas = vec![attrs(&[0, 1, 2, 3]), attrs(&[0, 1, 2, 9]), attrs(&[9])];
         let big = 1u64 << 42;
         let fit = |k: usize| {
             Relation::new(
@@ -467,25 +435,54 @@ mod tests {
                 vec![vec![0, big, 0, 5], vec![2, 3, 4, 6], vec![big, big, 1, 5]],
             )
         };
-        let cases = [
-            ("packed x packed", fit(0), fit(1)),
-            ("wide target, packed source", unfit(0), fit(1)),
-            ("packed target, wide source", fit(0), unfit(1)),
-            ("wide x wide", unfit(0), unfit(1)),
+        let nines = |vals: &[u64]| {
+            Relation::new(schemas[2].clone(), vals.iter().map(|&v| vec![v]).collect())
+        };
+        let steps = [
+            SemijoinStep::new(&schemas, 1, 2),
+            SemijoinStep::new(&schemas, 0, 1),
         ];
-        for (label, target, source) in cases {
-            let expected = nested_semijoin(&target, &source);
-            let mut rels = vec![target, source];
-            semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        let cases = [
+            ("packed x packed", fit(0), fit(1), nines(&[5, 6])),
+            (
+                "wide target, packed source",
+                unfit(0),
+                fit(1),
+                nines(&[5, 6]),
+            ),
+            (
+                "packed target, wide source",
+                fit(0),
+                unfit(1),
+                nines(&[5, 6]),
+            ),
+            ("wide x wide", unfit(0), unfit(1), nines(&[5, 6])),
+            // The filter drops the source row (2, 3, 4, 6), whose key is the
+            // target's (2, 3, 4, 5): the chain must hold only selected rows.
+            (
+                "packed target, filtered wide source",
+                fit(0),
+                unfit(1),
+                nines(&[5]),
+            ),
+        ];
+        for (label, target, source, filter) in cases {
+            let expected = nested_semijoin(&target, &nested_semijoin(&source, &filter));
+            let mut rels = vec![target, source, filter];
+            semijoin_program(&mut rels, &steps);
             assert_eq!(rels[0], expected, "{label}");
         }
-        // The mixed pairs keep exactly the shared all-fit key.
+        // The mixed pairs keep exactly the shared all-fit key, unless the
+        // source row holding it was filtered out first.
         let mut rels = vec![unfit(0), fit(1)];
-        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        semijoin_program(&mut rels, &steps[1..]);
         assert_eq!(rels[0].to_vecs(), vec![vec![2, 3, 4, 6]]);
         let mut rels = vec![fit(0), unfit(1)];
-        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        semijoin_program(&mut rels, &steps[1..]);
         assert_eq!(rels[0].to_vecs(), vec![vec![2, 3, 4, 5]]);
+        let mut rels = vec![fit(0), unfit(1), nines(&[5])];
+        semijoin_program(&mut rels, &steps);
+        assert!(rels[0].is_empty());
     }
 
     #[test]

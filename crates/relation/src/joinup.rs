@@ -15,13 +15,14 @@
 //! * Intermediates are flat row-major buffers that are **duplicate-free
 //!   but unsorted**. Leaves borrow the input relations' buffers.
 //! * A projection deduplicates through a hash set on packed keys: `u64`
-//!   for width 1, `u128` for width 2, hash-then-compare for wider rows.
-//!   Join keys are chained the same way. Wider keys are not packed into
-//!   the fixed-shift `u128` encoding of the semijoin key columns (see
-//!   [`crate::exec`]): on the `perfbench` `tree_reuse` families that did
-//!   not make this executor faster.
-//! * A join builds a **bucket chain** (`ChainIndex`) on its smaller side
-//!   — `head: key → first row`, `next[row] → the next row with the same
+//!   for width 1, `u128` for width 2. Wider rows go through the bucket
+//!   chain, keyed by hash, re-comparing the rows on every hit. Wider keys
+//!   are not packed into the fixed-shift `u128` encoding of the semijoin
+//!   key columns (see [`crate::exec`]): on the `perfbench` `tree_reuse`
+//!   families that did not make this executor faster.
+//! * A join builds a **bucket chain** (the kernels' `ChainIndex`, which
+//!   semijoin steps on keys that do not pack share) on its smaller side —
+//!   `head: key → first row`, `next[row] → the next row with the same
 //!   key` — so a build allocates nothing per key. Chains list their rows
 //!   in ascending order. A width-0 key is a cross product. Output rows are
 //!   assembled in one pass over the matched row pairs. A join of two
@@ -51,82 +52,10 @@
 //! loop over the same nodes — every node, and random root subtrees — on
 //! random rooted trees with every key width.
 
-use gyo_schema::{AttrSet, FxHashMap, FxHashSet, RootedTree};
+use gyo_schema::{AttrSet, FxHashSet, RootedTree};
 
-use crate::kernels::{self, PAIR_FLUSH};
-use crate::relation::{hash_key, pack2, Relation};
-
-/// End of a bucket chain. Row indices are `u32`, so a build side must hold
-/// fewer than `u32::MAX` rows.
-const NIL: u32 = u32::MAX;
-
-/// A bucket-chain index over one key of a row-major buffer: `head: key →
-/// first row` and `next[row] → the next row with the same key`, so a build
-/// allocates nothing per key. Width-1 keys chain on their value, width-2
-/// keys on [`pack2`], wider keys on their hash (probes re-compare the key
-/// columns). A width-0 key builds nothing: its join is a cross product.
-///
-/// [`ChainIndex::build`] links rows from the last to the first, so every
-/// chain lists its rows in ascending order.
-#[derive(Debug, Default)]
-struct ChainIndex {
-    /// Chain heads for width-1 keys.
-    head1: FxHashMap<u64, u32>,
-    /// Chain heads for packed width-2 keys.
-    head2: FxHashMap<u128, u32>,
-    /// Chain heads for wider keys, by key hash.
-    head_wide: FxHashMap<u64, u32>,
-    /// `next[row]`: the next row of `row`'s chain, or [`NIL`].
-    next: Vec<u32>,
-}
-
-impl ChainIndex {
-    /// Re-aims the index at the rows of `data` (row-major, `arity` values
-    /// per row), chained on the columns `key`. Only the head map of `key`'s
-    /// width is filled. It grows to the distinct-key count, unless
-    /// `reserve_rows` reserves it for every row up front, so that a cold
-    /// build allocates the same whatever the key count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer holds `u32::MAX` rows or more.
-    fn build(&mut self, data: &[u64], arity: usize, key: &[usize], reserve_rows: bool) {
-        if key.is_empty() {
-            return;
-        }
-        // A nonempty key has columns, so `arity ≥ 1`.
-        let len = data.len() / arity;
-        assert!(
-            len < NIL as usize,
-            "join: row indices are u32, but the build side holds {len} rows"
-        );
-        let next = &mut self.next;
-        next.clear();
-        next.resize(len, NIL);
-        #[allow(clippy::redundant_closure_call)]
-        macro_rules! link {
-            ($head:expr, $key:expr) => {{
-                let head = $head;
-                head.clear();
-                if reserve_rows {
-                    head.reserve(len);
-                }
-                for (row, vals) in data.chunks_exact(arity).enumerate().rev() {
-                    if let Some(prev) = head.insert($key(vals), row as u32) {
-                        next[row] = prev;
-                    }
-                }
-            }};
-        }
-        match *key {
-            [p] => link!(&mut self.head1, |r: &[u64]| r[p]),
-            [p, q] => link!(&mut self.head2, |r: &[u64]| pack2(r[p], r[q])),
-            _ => link!(&mut self.head_wide, |r: &[u64]| hash_key(
-                key.iter().map(|&p| r[p])
-            )),
-        }
-    }
-}
+use crate::kernels::{self, ChainIndex, NIL, PAIR_FLUSH};
+use crate::relation::{pack2, positions_into, Relation};
 
 /// Reusable state for [`join_up_with`]: the bucket-chain index, the
 /// matched-pair buffer, the projection dedup sets, per-edge column maps, and
@@ -142,9 +71,6 @@ pub struct JoinUpScratch {
     /// The build side's bucket chains; projection dedup of wide rows
     /// chains through its wide heads too.
     chain: ChainIndex,
-    /// Whether a chain build reserves its head map for every row: set only
-    /// on the cold scratch of one [`Relation::natural_join`].
-    reserve_chain: bool,
     /// Projection dedup for width-1 rows.
     seen1: FxHashSet<u64>,
     /// Projection dedup for packed width-2 rows.
@@ -220,16 +146,6 @@ impl Acc<'_> {
         let a = self.attrs().len();
         &self.data()[i * a..(i + 1) * a]
     }
-}
-
-/// Positions of `sub`'s attributes within `sup`'s columns (both sorted).
-fn positions_into(sub: &AttrSet, sup: &AttrSet, out: &mut Vec<usize>) {
-    out.clear();
-    let cols = sup.as_slice();
-    out.extend(sub.iter().map(|a| {
-        cols.binary_search(&a)
-            .expect("attribute belongs to the intermediate")
-    }));
 }
 
 /// Joins the `kept` nodes of `rels` up the rooted tree with early
@@ -343,28 +259,22 @@ fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut JoinUpScratch) 
             out.len() / 2
         }
         _ => {
-            // Hash-then-compare: a bucket chain over the kept rows, keyed
-            // by hash, re-comparing the rows themselves on every hit.
-            let (head, next) = (&mut scratch.chain.head_wide, &mut scratch.chain.next);
-            head.clear();
-            next.clear();
+            // A bucket chain over the kept rows, keyed by hash, re-comparing
+            // the rows themselves on every hit.
+            let chain = &mut scratch.chain;
+            chain.begin_wide(acc.len());
             for row in src {
                 let start = out.len();
                 out.extend(pos.iter().map(|&q| row[q]));
-                let h = hash_key(out[start..].iter().copied());
-                let first = head.get(&h).copied().unwrap_or(NIL);
-                let mut b = first;
-                while b != NIL && out[b as usize * w..(b as usize + 1) * w] != out[start..] {
-                    b = next[b as usize];
-                }
-                if b == NIL {
-                    head.insert(h, next.len() as u32);
-                    next.push(first);
-                } else {
+                let key = &out[start..];
+                let seen = |b: usize| out[b * w..(b + 1) * w] == *key;
+                if chain.rows_wide(key.iter().copied()).any(seen) {
                     out.truncate(start);
+                } else {
+                    chain.link_wide(key.iter().copied(), start / w);
                 }
             }
-            next.len()
+            out.len() / w
         }
     };
     scratch.keep_pos = pos;
@@ -410,12 +320,9 @@ fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usiz
     let shared = build.attrs().intersect(probe.attrs());
     positions_into(&shared, build.attrs(), &mut scratch.build_key);
     positions_into(&shared, probe.attrs(), &mut scratch.probe_key);
-    scratch.chain.build(
-        build.data(),
-        build.attrs().len(),
-        &scratch.build_key,
-        scratch.reserve_chain,
-    );
+    scratch
+        .chain
+        .build(build.data(), build.attrs().len(), &scratch.build_key);
 
     let mut out = scratch.take_buf();
     let mut rows = 0usize;
@@ -445,24 +352,18 @@ fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usiz
     };
     pairs.clear();
     if build.len() > 0 {
-        // `$head` maps a probe row's `$pkey` to its chain; `$same`
-        // confirms a chain hit (wide keys chain by hash). A keyed join has
+        // `$rows` lists the build rows chained under a probe row's key;
+        // `$same` confirms a hit (wide keys chain by hash). A keyed join has
         // columns on both sides, so the row slices below are nonempty.
-        let next = &chain.next;
         #[allow(clippy::redundant_closure_call)]
         macro_rules! probe_join {
-            ($head:expr, $pkey:expr, $same:expr) => {{
+            ($rows:expr, $same:expr) => {{
                 let rows = probe.data().chunks_exact(probe.attrs().len());
                 for (pi, prow) in rows.enumerate() {
-                    let Some(&first) = $head.get(&$pkey(prow)) else {
-                        continue;
-                    };
-                    let mut bi = first;
-                    while bi != NIL {
-                        if $same(bi as usize, prow) {
-                            pairs.push((pi as u32, bi));
+                    for bi in $rows(prow) {
+                        if $same(bi, prow) {
+                            pairs.push((pi as u32, bi as u32));
                         }
-                        bi = next[bi as usize];
                     }
                     if pairs.len() >= PAIR_FLUSH {
                         flush(pairs, &mut out);
@@ -481,15 +382,14 @@ fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usiz
                     }
                 }
             }
-            (&[_], &[pp]) => probe_join!(chain.head1, |r: &[u64]| r[pp], exact),
+            (&[_], &[pp]) => probe_join!(|r: &[u64]| chain.rows1(r[pp]), exact),
             (&[_, _], &[pp, pq]) => {
-                probe_join!(chain.head2, |r: &[u64]| pack2(r[pp], r[pq]), exact)
+                probe_join!(|r: &[u64]| chain.rows2(pack2(r[pp], r[pq])), exact)
             }
             // Wide keys chain by hash; every hit re-compares the key
             // columns, so a hash collision never matches.
             (bk, pk) => probe_join!(
-                chain.head_wide,
-                |r: &[u64]| hash_key(pk.iter().map(|&p| r[p])),
+                |r: &[u64]| chain.rows_wide(pk.iter().map(|&p| r[p])),
                 |bi: usize, r: &[u64]| {
                     let b = build.row(bi);
                     bk.iter().zip(pk).all(|(&x, &y)| b[x] == r[y])
@@ -503,18 +403,16 @@ fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usiz
 }
 
 /// `a ⋈ b` on a cold scratch, normalized once: the kernel of
-/// [`Relation::natural_join`]. The chain map is reserved for every build
-/// row, so the join allocates the same whatever the key count.
+/// [`Relation::natural_join`].
 pub(crate) fn join_once(a: &Relation, b: &Relation) -> Relation {
-    let mut scratch = JoinUpScratch {
-        reserve_chain: true,
-        ..JoinUpScratch::default()
-    };
+    let mut scratch = JoinUpScratch::default();
     let (attrs, len, data) = join(&Acc::Leaf(a), &Acc::Leaf(b), &mut scratch);
     Relation::from_row_major(attrs, len, data)
 }
 
-/// `π_X(root)`, normalized once by [`Relation::from_row_major`].
+/// `π_X(root)`, normalized once by [`Relation::from_row_major`]. A flat
+/// root is gathered into a fresh exact-size buffer and its own buffer goes
+/// back to the pool, so no pooled buffer leaves with the answer.
 fn finish(root: Acc<'_>, x: &AttrSet, scratch: &mut JoinUpScratch) -> Relation {
     assert!(
         x.is_subset(root.attrs()),
@@ -526,7 +424,6 @@ fn finish(root: Acc<'_>, x: &AttrSet, scratch: &mut JoinUpScratch) -> Relation {
     }
     match root {
         Acc::Leaf(r) => r.project(x),
-        Acc::Flat { attrs, len, data } if attrs == *x => Relation::from_row_major(attrs, len, data),
         Acc::Flat { attrs, len, data } => {
             positions_into(x, &attrs, &mut scratch.keep_pos);
             let mut out = Vec::new();
@@ -686,42 +583,6 @@ mod tests {
             &attrs(&[0]),
             &mut JoinUpScratch::new(),
         );
-    }
-
-    /// The rows `chain` links under the key of `row`, head first.
-    fn chain_of(chain: &ChainIndex, key: &[usize], row: &[u64]) -> Vec<u32> {
-        let first = match *key {
-            [p] => chain.head1[&row[p]],
-            [p, q] => chain.head2[&pack2(row[p], row[q])],
-            _ => chain.head_wide[&hash_key(key.iter().map(|&p| row[p]))],
-        };
-        let mut rows = vec![first];
-        while let Some(&next) = chain.next.get(*rows.last().unwrap() as usize) {
-            if next == NIL {
-                break;
-            }
-            rows.push(next);
-        }
-        rows
-    }
-
-    #[test]
-    fn chains_visit_each_keys_rows_in_ascending_order() {
-        // 40 rows over (a, b, c, d); the keys repeat with periods 3, 5, 7.
-        let data: Vec<u64> = (0..40u64).flat_map(|i| [i % 3, i % 5, i % 7, i]).collect();
-        let mut chain = ChainIndex::default();
-        for (key, reserve) in [(vec![1], false), (vec![0, 2], true), (vec![0, 1, 2], false)] {
-            chain.build(&data, 4, &key, reserve);
-            for (i, row) in data.chunks_exact(4).enumerate() {
-                let want: Vec<u32> = (0..40u32)
-                    .filter(|&j| {
-                        let other = &data[j as usize * 4..][..4];
-                        key.iter().all(|&p| other[p] == row[p])
-                    })
-                    .collect();
-                assert_eq!(chain_of(&chain, &key, row), want, "key {key:?}, row {i}");
-            }
-        }
     }
 
     #[test]

@@ -27,10 +27,22 @@
 //!   values fit `arity · bits ≤ 128` are packed into `u64`/`u128` scalars,
 //!   sorted as scalars, deduplicated, and unpacked. Genuinely wide values
 //!   are handed back for the caller's index-permutation sort.
+//! * [`ChainIndex`] — the **bucket chain**, the crate's one structure that
+//!   hashes keys and compares them: `head: key → first row` and
+//!   `next[row] → the next row with the same key`. Width-1 and width-2 keys
+//!   chain on their value; wider keys chain on their hash, and every hit
+//!   re-compares the key columns. The join-up's joins and projections and
+//!   the semijoin steps whose keys do not pack all chain through it.
 //!
 //! The kernels are semantically invisible: the operators built on them are
 //! held to naive per-row references (see `tests/prop.rs`), and the engine
 //! differential suite holds the engines to the definitional engine.
+
+use std::hash::{Hash, Hasher};
+
+use gyo_schema::{FxHashMap, FxHasher};
+
+use crate::relation::pack2;
 
 /// Number of lanes per probe chunk: one `u64` survivor mask's worth.
 pub(crate) const CHUNK: usize = 64;
@@ -343,6 +355,150 @@ pub(crate) fn sort_dedup_packed(
     }
 }
 
+/// End of a bucket chain. Row indices are `u32`, so a chained buffer must
+/// hold fewer than `u32::MAX` rows.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// A bucket-chain index over one key of a row-major buffer: `head: key →
+/// first row` and `next[row] → the next row with the same key`, so linking
+/// allocates nothing per key. Width-1 keys chain on their value, width-2
+/// keys on [`pack2`], wider keys on their hash: a wide chain may hold rows
+/// of other keys, so its users re-compare the key columns on every hit.
+///
+/// Every head map is reserved for all the rows it may link, so a cold build
+/// allocates the same whatever the key count, and a warm one nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ChainIndex {
+    /// Chain heads for width-1 keys.
+    head1: FxHashMap<u64, u32>,
+    /// Chain heads for packed width-2 keys.
+    head2: FxHashMap<u128, u32>,
+    /// Chain heads for wider keys, by key hash.
+    head_wide: FxHashMap<u64, u32>,
+    /// `next[row]`: the next row of `row`'s chain, or [`NIL`]. Only linked
+    /// rows are ever read, so a re-aimed index leaves the rest stale.
+    next: Vec<u32>,
+}
+
+/// FxHash of a wide key, value by value.
+#[inline]
+fn hash_key(key: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = FxHasher::default();
+    key.into_iter().for_each(|v| h.write_u64(v));
+    h.finish()
+}
+
+/// Empties `head` and makes room for `len` rows in it and in `next`.
+fn reset<K: Hash + Eq>(head: &mut FxHashMap<K, u32>, next: &mut Vec<u32>, len: usize) {
+    assert!(
+        len < NIL as usize,
+        "chain: row indices are u32, but the buffer holds {len} rows"
+    );
+    head.clear();
+    head.reserve(len);
+    if next.len() < len {
+        next.resize(len, NIL);
+    }
+}
+
+/// Links `row` at the head of `k`'s chain.
+#[inline]
+fn link<K: Hash + Eq>(head: &mut FxHashMap<K, u32>, next: &mut [u32], k: K, row: usize) {
+    next[row] = head.insert(k, row as u32).unwrap_or(NIL);
+}
+
+impl ChainIndex {
+    /// Re-aims the index at every row of `data` (row-major, `arity` values
+    /// per row), chained on the columns `key`. Rows are linked from the last
+    /// to the first, so every chain lists its rows in ascending order. A
+    /// width-0 key builds nothing: its join is a cross product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer holds `u32::MAX` rows or more.
+    pub(crate) fn build(&mut self, data: &[u64], arity: usize, key: &[usize]) {
+        if key.is_empty() {
+            return;
+        }
+        // A nonempty key has columns, so `arity ≥ 1`.
+        let len = data.len() / arity;
+        let rows = data.chunks_exact(arity).enumerate().rev();
+        let next = &mut self.next;
+        match *key {
+            [p] => {
+                reset(&mut self.head1, next, len);
+                rows.for_each(|(i, r)| link(&mut self.head1, next, r[p], i));
+            }
+            [p, q] => {
+                reset(&mut self.head2, next, len);
+                rows.for_each(|(i, r)| link(&mut self.head2, next, pack2(r[p], r[q]), i));
+            }
+            _ => {
+                self.begin_wide(len);
+                rows.for_each(|(i, r)| self.link_wide(key.iter().map(|&p| r[p]), i));
+            }
+        }
+    }
+
+    /// Re-aims the wide chains at a buffer of `len` rows, none linked yet.
+    pub(crate) fn begin_wide(&mut self, len: usize) {
+        reset(&mut self.head_wide, &mut self.next, len);
+    }
+
+    /// Links `row` at the head of the wide chain of `key`'s hash.
+    #[inline]
+    pub(crate) fn link_wide(&mut self, key: impl IntoIterator<Item = u64>, row: usize) {
+        link(&mut self.head_wide, &mut self.next, hash_key(key), row);
+    }
+
+    /// The rows chained under the width-1 key `k`.
+    #[inline]
+    pub(crate) fn rows1(&self, k: u64) -> ChainRows<'_> {
+        self.walk(self.head1.get(&k))
+    }
+
+    /// The rows chained under the packed width-2 key `k`.
+    #[inline]
+    pub(crate) fn rows2(&self, k: u128) -> ChainRows<'_> {
+        self.walk(self.head2.get(&k))
+    }
+
+    /// The rows chained under `key`'s hash: every linked row whose key
+    /// equals `key`, and perhaps rows of other keys.
+    #[inline]
+    pub(crate) fn rows_wide(&self, key: impl IntoIterator<Item = u64>) -> ChainRows<'_> {
+        self.walk(self.head_wide.get(&hash_key(key)))
+    }
+
+    #[inline]
+    fn walk(&self, head: Option<&u32>) -> ChainRows<'_> {
+        ChainRows {
+            next: &self.next,
+            at: head.copied().unwrap_or(NIL),
+        }
+    }
+}
+
+/// The rows of one bucket chain, in chain order (see [`ChainIndex`]).
+pub(crate) struct ChainRows<'a> {
+    next: &'a [u32],
+    at: u32,
+}
+
+impl Iterator for ChainRows<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let row = self.at;
+        if row == NIL {
+            return None;
+        }
+        self.at = self.next[row as usize];
+        Some(row as usize)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,5 +667,27 @@ mod tests {
     fn packed_sort_zero_values() {
         let (kept, out) = sort_dedup_packed(4, 3, vec![0u64; 12]).expect("all zero");
         assert_eq!((kept, out), (1, vec![0, 0, 0, 0]));
+    }
+
+    #[test]
+    fn chains_visit_each_keys_rows_in_ascending_order() {
+        // 40 rows over (a, b, c, d); the keys repeat with periods 3, 5, 7.
+        let data: Vec<u64> = (0..40u64).flat_map(|i| [i % 3, i % 5, i % 7, i]).collect();
+        let mut chain = ChainIndex::default();
+        for key in [vec![1], vec![0, 2], vec![0, 1, 2]] {
+            chain.build(&data, 4, &key);
+            for (i, row) in data.chunks_exact(4).enumerate() {
+                let vals = key.iter().map(|&p| row[p]);
+                let got: Vec<usize> = match *key {
+                    [p] => chain.rows1(row[p]).collect(),
+                    [p, q] => chain.rows2(pack2(row[p], row[q])).collect(),
+                    _ => chain.rows_wide(vals.clone()).collect(),
+                };
+                let want: Vec<usize> = (0..40)
+                    .filter(|&j| key.iter().map(|&p| data[j * 4 + p]).eq(vals.clone()))
+                    .collect();
+                assert_eq!(got, want, "key {key:?}, row {i}");
+            }
+        }
     }
 }

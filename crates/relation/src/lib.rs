@@ -71,14 +71,12 @@
 //!
 //! * a width-1 key range too large for the direct-map table goes into the
 //!   same `u128` hash set as the packed keys;
-//! * when one side of a semijoin step holds an unfit value, its unfit keys
-//!   are rejected (as targets) or skipped (as sources), and the step stays
-//!   on the `u128` hash set (*pack-or-reject*);
-//! * only when both sides hold unfit values does the step compare
-//!   row-major keys behind a sorted `(hash, row)` spine.
+//! * when either side of a semijoin step holds an unfit value, the step
+//!   chains the selected source rows on the bucket chain the join-up's
+//!   joins build, and re-compares the key columns on every hit.
 //!
 //! The join-up executor packs width-1 and width-2 keys the same way and
-//! hashes-then-compares wider ones.
+//! hashes-then-compares wider ones through that one bucket chain.
 //!
 //! Two join-ups run over these operators, deliberately:
 //!
@@ -97,10 +95,9 @@
 //! else: the packed key column that both sides of a semijoin step read. So
 //! repeated reductions over one state pay each extraction once. A join's
 //! bucket chain is not cached: on the `perfbench` workloads at most 1% of
-//! one-shot joins build on a relation they have built on before. The
-//! one-shot join reserves its chain's head map for every row up front, so
-//! a cold join allocates a bounded count whatever the number of distinct
-//! keys.
+//! one-shot joins build on a relation they have built on before. A chain
+//! reserves its head map for every row it links, so a cold join allocates a
+//! bounded count whatever the number of distinct keys.
 //!
 //! Values are plain `u64`; the library's semantic oracles only need equality
 //! on values, never arithmetic or ordering semantics.

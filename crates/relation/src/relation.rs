@@ -35,10 +35,9 @@
 //! buffer.
 
 use std::fmt;
-use std::hash::Hasher;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap, FxHasher};
+use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
 
 use crate::exec::{semijoin_program, SemijoinStep};
 use crate::joinup;
@@ -65,10 +64,7 @@ pub(crate) fn pack_shift(width: usize) -> u32 {
 /// The canonical key encoding: packs the `w` values of a key into one
 /// `u128`, value `j` at shift `s·(w−1−j)` with `s` = [`pack_shift`]`(w)`,
 /// or `None` when some value needs more than `s` bits. Packing is
-/// injective on the keys that fit, and a key that does not fit cannot equal
-/// one that does, so a side whose keys all fit can be matched against
-/// another side by packing the other side's keys and rejecting the ones
-/// that do not fit (*pack-or-reject*).
+/// injective on the keys that fit.
 #[inline]
 pub(crate) fn pack_key(vals: impl IntoIterator<Item = u64>, shift: u32) -> Option<u128> {
     let mut acc = 0u128;
@@ -81,13 +77,18 @@ pub(crate) fn pack_key(vals: impl IntoIterator<Item = u64>, shift: u32) -> Optio
     Some(acc)
 }
 
-/// FxHash of a wide key, value by value: the hash of the join-up's wide
-/// bucket chains and of the semijoin spine for keys that do not pack.
-#[inline]
-pub(crate) fn hash_key(key: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FxHasher::default();
-    key.into_iter().for_each(|v| h.write_u64(v));
-    h.finish()
+/// Positions of `sub`'s attributes within `sup`'s columns (both sorted).
+///
+/// # Panics
+///
+/// Panics if some attribute of `sub` is not in `sup`.
+pub(crate) fn positions_into(sub: &AttrSet, sup: &AttrSet, out: &mut Vec<usize>) {
+    out.clear();
+    let cols = sup.as_slice();
+    out.extend(sub.iter().map(|a| {
+        cols.binary_search(&a)
+            .expect("attribute belongs to the schema")
+    }));
 }
 
 /// Inverse of [`pack2`].
@@ -120,9 +121,10 @@ struct CacheInner {
 /// Keys of width `w ≥ 2` use one canonical encoding ([`pack_key`]): when
 /// every value fits in `s = ⌊128/w⌋` bits the column is one `u128` per
 /// tuple, value `j` at shift `s·(w−1−j)` ([`KeyColumn::Packed`]; for `w = 2`
-/// that is [`pack2`]). Only a column holding a value `≥ 2^s` keeps its keys
-/// row-major ([`KeyColumn::Wide`]) — instead of, never beside, the packed
-/// form. Since `s` depends on `w` alone, both sides of a step pack alike.
+/// that is [`pack2`]). A column holding a value `≥ 2^s` caches only that
+/// it does not pack ([`KeyColumn::Unfit`]): a semijoin step with such a
+/// side chains the relations' rows themselves. Since `s` depends on `w`
+/// alone, both sides of a step pack alike.
 #[derive(Debug)]
 pub(crate) enum KeyColumn {
     /// Width-0 key: every tuple has the empty key.
@@ -145,14 +147,8 @@ pub(crate) enum KeyColumn {
         /// The packed key per tuple.
         keys: Vec<u128>,
     },
-    /// Width ≥ 3 with some value `≥ 2^s`: keys row-major in one flat
-    /// buffer (`keys[i·width .. (i+1)·width]` is tuple `i`'s key).
-    Wide {
-        /// Key width (≥ 3).
-        width: usize,
-        /// Key values, `len · width` of them.
-        keys: Vec<u64>,
-    },
+    /// Width ≥ 3 with some value `≥ 2^s`: the keys do not pack.
+    Unfit,
 }
 
 impl KeyColumn {
@@ -171,7 +167,7 @@ impl KeyColumn {
                 for t in rel.rows() {
                     match pack_key(pos.iter().map(|&p| t[p]), shift) {
                         Some(k) => keys.push(k),
-                        None => return Self::wide(rel, pos),
+                        None => return KeyColumn::Unfit,
                     }
                 }
                 KeyColumn::Packed {
@@ -179,18 +175,6 @@ impl KeyColumn {
                     keys,
                 }
             }
-        }
-    }
-
-    /// The row-major fallback for a key with some value too wide to pack.
-    fn wide(rel: &Relation, pos: &[usize]) -> Self {
-        let mut keys = Vec::with_capacity(rel.len * pos.len());
-        for t in rel.rows() {
-            keys.extend(pos.iter().map(|&p| t[p]));
-        }
-        KeyColumn::Wide {
-            width: pos.len(),
-            keys,
         }
     }
 }
@@ -568,15 +552,9 @@ impl Relation {
     ///
     /// Panics if some attribute is not part of this relation.
     fn positions_of(&self, attrs: &AttrSet) -> Vec<usize> {
-        attrs
-            .iter()
-            .map(|a| {
-                self.attrs
-                    .as_slice()
-                    .binary_search(&a)
-                    .expect("attribute not in relation schema")
-            })
-            .collect()
+        let mut pos = Vec::with_capacity(attrs.len());
+        positions_into(attrs, &self.attrs, &mut pos);
+        pos
     }
 
     /// The flat key column over `key ⊆ attrs(self)` (see [`KeyColumn`]),
@@ -895,10 +873,7 @@ mod tests {
             attrs(&[0, 1, 2, 3]),
             vec![vec![1, 2, 3, 4], vec![0, 1 << 42, 0, 9]],
         );
-        assert!(matches!(
-            *unfit.key_column(&key),
-            KeyColumn::Wide { width: 3, ref keys } if keys.len() == 6
-        ));
+        assert!(matches!(*unfit.key_column(&key), KeyColumn::Unfit));
         // Width 2 always packs, even at u64::MAX.
         let two = Relation::new(attrs(&[0, 1]), vec![vec![u64::MAX, u64::MAX]]);
         assert!(matches!(

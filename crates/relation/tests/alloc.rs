@@ -1,11 +1,11 @@
 //! Allocation accounting for the selection-vector executor: after a warm-up
 //! run, executing a whole semijoin program must perform **zero heap
 //! allocation per step** — the selection vectors, the stamp table, the
-//! `u128` hash set and the wide-key spine are all reused from the
-//! [`ExecScratch`], and key columns are cached on the relations. Every
-//! membership path is covered: the width-1 stamp table, width-1 keys too
-//! far apart for it (which share the `u128` set), packed `u128` keys, the
-//! pack-or-reject mixed pairs, and the spine for keys too wide to pack.
+//! `u128` hash set and the bucket chain for keys that do not pack are all
+//! reused from the [`ExecScratch`], and key columns are cached on the
+//! relations. Every membership path is covered: the width-1 stamp table,
+//! width-1 keys too far apart for it (which share the `u128` set), packed
+//! `u128` keys, and the chain for steps where some side's keys do not pack.
 //!
 //! A warm join-up along a path of cores, as a cyclic plan builds
 //! `state(W)`, allocates a bounded count per edge plus its output.
@@ -125,7 +125,7 @@ fn warm_program_steps_allocate_nothing() {
     // One scenario per membership path: width-1 stamp table, width-1 keys
     // in the u128 set (huge key range), width-2 packed set, width-3 keys packed
     // into the same u128 set, and width-3 keys with every value ≥ 2^42
-    // (too wide for the 42-bit fields), which take the hash spine.
+    // (too wide for the 42-bit fields), which take the bucket chain.
     let scenarios: Vec<Scenario> = vec![
         (
             "width-1 stamp",
@@ -196,11 +196,12 @@ fn warm_program_steps_allocate_nothing() {
     }
 
     // "wide keys, mixed fit": slot 0 alone holds a row with values ≥ 2^42
-    // in its width-3 key, so its key column is row-major while slot 1's
-    // packs. The downward pass only ever reads slot 0 as a source (its
-    // unfit keys are skipped, nothing is dropped): zero allocations when
-    // warm. The full reducer then filters slot 0 against packed keys and
-    // rejects the unfit row: only that slot's materialization allocates.
+    // in its width-3 key, so its key column does not pack while slot 1's
+    // does. Every step that reads slot 0 runs on the bucket chain. The
+    // downward pass only ever reads slot 0 as a source (its unfit row
+    // matches nothing, and nothing is dropped): zero allocations when warm.
+    // The full reducer then filters slot 0 against slot 1 and drops the
+    // unfit row: only that slot's materialization allocates.
     let label = "wide keys, mixed fit";
     let schemas = wide_chain_schemas(5, 6, 3);
     let reference = ur_rels(&schemas, 64, |v| v);
@@ -323,13 +324,15 @@ fn ring_cores(k: u32, m: u64) -> (Vec<Relation>, gyo_schema::RootedTree, AttrSet
 
 #[test]
 fn warm_join_up_allocates_a_bounded_count_per_edge() {
-    // Per edge: the intermediate's schemas and the regrowth of a pooled
-    // buffer. The output takes its row buffer out of the pool, so the next
-    // call regrows one buffer: at most one allocation per doubling of the
-    // output's values, plus the relation itself. Assembling the output
-    // rows of a join allocates nothing per flush of its pair list.
-    const PER_EDGE: u64 = 5;
-    const OUTPUT: u64 = 3;
+    // Per edge: the intermediate's schemas — the kept attributes, the
+    // projection's and the join's output attributes, and the join key.
+    // Assembling the output rows of a join allocates nothing per flush of
+    // its pair list. The output: the root gathered into a fresh exact-size
+    // buffer, its normalization, and the relation itself. The root's pooled
+    // buffer goes back to the pool, so no buffer regrows with the output's
+    // size and the bound is the same at every `m`.
+    const PER_EDGE: u64 = 4;
+    const OUTPUT: u64 = 4;
     for k in [3u32, 8] {
         for m in [16u64, 1024] {
             let (cores, path, w) = ring_cores(k, m);
@@ -339,7 +342,7 @@ fn warm_join_up_allocates_a_bounded_count_per_edge() {
             let (n, warm) = counted(|| join_up_with(&cores, &path, &kept, &w, &mut scratch));
             assert_eq!(warm, cold, "k {k}, m {m}: a warm scratch changes nothing");
             let edges = u64::from(k - 1);
-            let bound = PER_EDGE * edges + OUTPUT + warm.data().len().ilog2() as u64;
+            let bound = PER_EDGE * edges + OUTPUT;
             assert!(
                 n <= bound,
                 "k {k}, m {m}: a warm join-up made {n} allocations, bound {bound}"

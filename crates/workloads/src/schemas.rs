@@ -205,8 +205,8 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize) -> DbSchema {
 /// tree schema (the running intersection property holds along the chain by
 /// construction), and the semijoin keys between neighbors have width
 /// exactly `overlap`, so `overlap ≥ 3` drives the wide-key kernel paths
-/// (fixed-shift `u128` key columns when the values fit, the chunked-memcmp
-/// spine when they do not).
+/// (fixed-shift `u128` key columns when the values fit, the bucket chain
+/// when they do not).
 ///
 /// # Panics
 ///
