@@ -1,6 +1,7 @@
 //! The experiment harness: regenerates every figure, worked example, and
 //! effective theorem of the paper, printing paper-claim vs. measured
-//! outcome. `EXPERIMENTS.md` records a run of this binary.
+//! outcome. `crates/bench/experiments.expected` records a run of this
+//! binary; its output matches that file byte for byte.
 //!
 //! Run with `cargo run --release -p gyo-bench --bin experiments`.
 

@@ -48,8 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 
 use gyo_relation::{
-    join_up_with, lock_cache, semijoin_program_with, DbState, ExecScratch, JoinUpScratch, Relation,
-    SemijoinStep,
+    join_up_with, lock_cache, semijoin_program_with, DbState, ExecScratch, Relation, SemijoinStep,
 };
 use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap};
 
@@ -283,13 +282,12 @@ fn with_scratch<T: Default, R>(lock: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> 
     }
 }
 
-/// The engine's reusable execution state: the selection-vector scratch of
-/// the semijoin steps, the join-up scratch (answers and `state(W)`), and
-/// the kept-node mask (answers).
+/// The engine's reusable execution state: the one scratch of both
+/// executors (the semijoin steps, and the join-ups of answers and
+/// `state(W)`), and the kept-node mask (answers).
 #[derive(Debug, Default)]
 struct Scratch {
     exec: ExecScratch,
-    joinup: JoinUpScratch,
     kept: Vec<bool>,
 }
 
@@ -310,10 +308,10 @@ pub struct TreeifyEngine {
     /// Reusable execution state: after the first call at a given shape,
     /// program steps run with zero heap allocation (the
     /// `crates/relation/tests/alloc.rs` counter pins this down), and the
-    /// join-up reuses its bucket chains, pair buffer, dedup sets and
-    /// intermediate row buffers. Contended callers fall back to a per-call
-    /// scratch rather than serialize; a poisoned lock is recovered, not
-    /// bypassed.
+    /// join-ups reuse the same scratch's bucket chain, pair buffer, dedup
+    /// sets and intermediate row buffers. Contended callers fall back to a
+    /// per-call scratch rather than serialize; a poisoned lock is
+    /// recovered, not bypassed.
     scratch: Mutex<Scratch>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -393,21 +391,20 @@ impl TreeifyEngine {
     }
 }
 
-/// Copies the state (pushing `state(W)` for a cyclic plan, built on
-/// `joinup`) and runs `steps` of the plan on `exec`. Returns the relations,
-/// `D`'s first and `W` last.
+/// Copies the state (pushing `state(W)` for a cyclic plan) and runs
+/// `steps` of the plan, both on `scratch`. Returns the relations, `D`'s
+/// first and `W` last.
 fn reduced<'a>(
     plan: &TreeifyPlan,
     state: &DbState,
     steps: impl IntoIterator<Item = &'a SemijoinStep>,
-    joinup: &mut JoinUpScratch,
-    exec: &mut ExecScratch,
+    scratch: &mut ExecScratch,
 ) -> Vec<Relation> {
     let mut rels = state.rels().to_vec();
     if plan.is_cyclic() {
-        rels.push(plan.materialize_w(state, joinup));
+        rels.push(plan.materialize_w(state, scratch));
     }
-    semijoin_program_with(&mut rels, steps, exec);
+    semijoin_program_with(&mut rels, steps, scratch);
     rels
 }
 
@@ -420,7 +417,7 @@ impl Engine for TreeifyEngine {
         EngineError::check_state(d, state)?;
         let plan = self.lookup(d);
         let mut rels = with_scratch(&self.scratch, |s| {
-            reduced(&plan, state, plan.steps(), &mut s.joinup, &mut s.exec)
+            reduced(&plan, state, plan.steps(), &mut s.exec)
         });
         rels.truncate(d.len());
         Ok(DbState::new(d, rels))
@@ -430,14 +427,11 @@ impl Engine for TreeifyEngine {
         EngineError::check_target(d, x)?;
         EngineError::check_state(d, state)?;
         let plan = self.lookup(d);
-        Ok(with_scratch(
-            &self.scratch,
-            |Scratch { exec, joinup, kept }| {
-                plan.kept_nodes(d, x, kept);
-                let rels = reduced(&plan, state, plan.answer_steps(kept), joinup, exec);
-                join_up_with(&rels, plan.rooted(), kept, x, joinup)
-            },
-        ))
+        Ok(with_scratch(&self.scratch, |Scratch { exec, kept }| {
+            plan.kept_nodes(d, x, kept);
+            let rels = reduced(&plan, state, plan.answer_steps(kept), exec);
+            join_up_with(&rels, plan.rooted(), kept, x, exec)
+        }))
     }
 }
 
@@ -517,9 +511,9 @@ pub(crate) mod tests {
 
     #[test]
     fn plan_cache_hits_and_misses() {
-        // Tree schemas; `treeified_plan_cache_hits_and_misses` covers the
-        // cyclic ones, which share the same cache and counters.
+        // Tree and cyclic schemas share the one cache and its counters.
         let mut cat = Catalog::alphabetic();
+        // A tree schema, first seen by `plan`.
         let d = db("ab, bc, cd", &mut cat);
         let e = TreeifyEngine::new();
         assert_eq!(e.cache_stats(), (0, 0));
@@ -534,6 +528,49 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(e.cache_stats(), (4, 1), "reduce and answer hit too");
         assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (1, 0));
+
+        // A tree schema first seen by an answer: the plan it compiles is
+        // the one `plan` returns; `inner()` is the engine itself.
+        let e = TreeifyEngine::new();
+        let state = random_state(&d, 11, 20, 4);
+        let x = AttrSet::parse("ad", &mut cat).unwrap();
+        assert_eq!(e.answer(&d, &state, &x).unwrap(), state.eval_join_query(&x));
+        assert_eq!(e.cached_treeified_count(), 0);
+        assert_eq!(e.inner().cached_plan_count(), 1);
+        assert_eq!(e.inner().plan(&d).unwrap().steps().len(), 4);
+        assert_eq!(e.cache_stats(), (1, 1));
+
+        // Cyclic schemas: one takes one entry, its treeify plan, and every
+        // call on it is one lookup.
+        let e = TreeifyEngine::new();
+        let ring = db("ab, bc, cd, da", &mut cat);
+        let state = random_state(&ring, 5, 15, 3);
+
+        e.reduce(&ring, &state).unwrap();
+        assert_eq!(e.cache_stats(), (0, 1), "first sight compiles");
+        assert_eq!(e.cached_treeified_count(), 1);
+        assert_eq!(e.inner().cached_plan_count(), 1, "D ∪ (W) takes none");
+
+        e.reduce(&ring, &state).unwrap();
+        let x = AttrSet::parse("ac", &mut cat).unwrap();
+        e.answer(&ring, &state, &x).unwrap();
+        let err = e.inner().plan(&ring).unwrap_err();
+        e.treeified_plan(&ring, &err);
+        assert_eq!(e.cache_stats(), (4, 1), "repeats hit");
+        assert_eq!(e.cached_treeified_count(), 1);
+
+        // A different cyclic schema compiles its own plan.
+        let triangle = db("ab, bc, ca", &mut cat);
+        let t_state = random_state(&triangle, 6, 10, 3);
+        e.reduce(&triangle, &t_state).unwrap();
+        assert_eq!(e.cache_stats(), (4, 2));
+        assert_eq!(e.cached_treeified_count(), 2);
+
+        e.clear_cache();
+        assert_eq!(e.cached_treeified_count(), 0);
+        assert_eq!(e.inner().cached_plan_count(), 0);
+        e.reduce(&ring, &state).unwrap();
+        assert_eq!(e.cache_stats(), (4, 3), "cleared cache recompiles");
     }
 
     #[test]
@@ -719,7 +756,7 @@ pub(crate) mod tests {
     }
 
     /// Poisons `e`'s plan cache lock by panicking while holding it.
-    pub(crate) fn poison_plan_cache(e: &TreeifyEngine) {
+    fn poison_plan_cache(e: &TreeifyEngine) {
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
                 let _held = e.plans.lock().unwrap();
@@ -733,20 +770,35 @@ pub(crate) mod tests {
 
     #[test]
     fn a_poisoned_plan_cache_lock_recovers() {
-        // A tree schema; `a_poisoned_treeified_cache_lock_recovers` covers a
-        // cyclic one.
         let mut cat = Catalog::alphabetic();
-        let d = db("ab, bc, cd", &mut cat);
-        let state = random_state(&d, 0x90, 20, 3);
-        let x = AttrSet::parse("ad", &mut cat).unwrap();
-        let e = TreeifyEngine::new();
-        let want = e.answer(&d, &state, &x).unwrap();
-        poison_plan_cache(&e);
-        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "cached plan");
-        assert_eq!(e.cached_plan_count(), 1);
-        e.clear_cache();
-        assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "recompiled plan");
-        assert_eq!(e.cache_stats(), (1, 2));
+        // A tree schema, then a cyclic one with its treeify plan.
+        for (s, seed, xs, treeified) in [
+            ("ab, bc, cd", 0x90, "ad", 0),
+            ("ab, bc, cd, da", 0x91, "ac", 1),
+        ] {
+            let d = db(s, &mut cat);
+            let state = random_state(&d, seed, 20, 3);
+            let x = AttrSet::parse(xs, &mut cat).unwrap();
+            let e = TreeifyEngine::new();
+            let want = e.answer(&d, &state, &x).unwrap();
+            poison_plan_cache(&e);
+            assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "{s}: cached plan");
+            assert_eq!(
+                e.reduce(&d, &state).unwrap(),
+                NaiveEngine.reduce(&d, &state).unwrap(),
+                "{s}"
+            );
+            assert_eq!(e.cached_plan_count(), 1, "{s}");
+            assert_eq!(e.cached_treeified_count(), treeified, "{s}");
+            assert_eq!(e.cache_stats(), (2, 1), "{s}");
+            e.clear_cache();
+            assert_eq!(
+                e.answer(&d, &state, &x).unwrap(),
+                want,
+                "{s}: recompiled plan"
+            );
+            assert_eq!(e.cache_stats(), (2, 2), "{s}");
+        }
     }
 
     /// `(D, X)` over `ab, bc` with `X = {a, z}`: `z` is in no relation.
@@ -774,23 +826,26 @@ pub(crate) mod tests {
 
     #[test]
     fn cached_engine_rejects_a_target_outside_the_schema() {
+        // Tree and cyclic schemas alike: the target is checked first.
         let (d, state, x, want) = stray_target_case();
-        let e = TreeifyEngine::new();
-        let err = e.answer(&d, &state, &x).unwrap_err();
-        assert_eq!(err, want);
-        assert_eq!(err.residue(), None, "not a cyclicity verdict");
-        assert!(err.to_string().contains("not a subset of U(D)"));
-        assert_eq!(e.cached_plan_count(), 0, "checked before any plan work");
-        // A cyclic schema with a stray target reports the target first.
         let mut cat = Catalog::alphabetic();
         let ring = db("ab, bc, ca", &mut cat);
         let ring_state = random_state(&ring, 9, 10, 3);
-        let bad = AttrSet::parse("az", &mut cat).unwrap();
-        let err = e.answer(&ring, &ring_state, &bad).unwrap_err();
-        assert!(matches!(err, EngineError::TargetOutsideSchema { .. }));
+        let e = TreeifyEngine::new();
+        for (d, state) in [(&d, &state), (&ring, &ring_state)] {
+            let err = e.answer(d, state, &x).unwrap_err();
+            assert_eq!(err, want, "{d:?}");
+            assert_eq!(err.residue(), None, "not a cyclicity verdict");
+            assert!(err.to_string().contains("not a subset of U(D)"));
+            assert_eq!(
+                err.display_with(&cat),
+                "query target is not a subset of U(D): z not in the schema"
+            );
+        }
         assert_eq!(
-            err.display_with(&cat),
-            "query target is not a subset of U(D): z not in the schema"
+            (e.cached_plan_count(), e.cached_treeified_count()),
+            (0, 0),
+            "checked before any plan work"
         );
         assert_eq!(e.cache_stats(), (0, 0), "no lookup for a stray target");
     }
@@ -854,6 +909,25 @@ pub(crate) mod tests {
             err.to_string(),
             "database state does not match the schema at relation R1"
         );
+        // A tree and a cyclic schema, each given its neighbor's state
+        // (relation 2 differs) or a state one relation too long — cold, and
+        // again once the cyclic plan is cached, so the warm path checks too.
+        let mut cat = Catalog::alphabetic();
+        let tree = db("ab, bc, cd", &mut cat);
+        let ring = db("ab, bc, ca", &mut cat);
+        let longer = db("ab, bc, ca, cd", &mut cat);
+        let x = AttrSet::parse("ab", &mut cat).unwrap();
+        for (d, other, index) in [(&tree, &ring, 2), (&ring, &tree, 2), (&ring, &longer, 3)] {
+            let wrong = random_state(other, 0x5C, 10, 3);
+            let want = EngineError::StateMismatch { index };
+            assert_eq!(e.reduce(d, &wrong).unwrap_err(), want);
+            assert_eq!(e.answer(d, &wrong, &x).unwrap_err(), want);
+            let right = random_state(d, 0x5D, 10, 3);
+            assert_eq!(e.answer(d, &right, &x).unwrap(), right.eval_join_query(&x));
+        }
+        // Only the three correct calls looked up a plan, and only the first
+        // call on each schema missed.
+        assert_eq!(e.cache_stats(), (1, 2));
     }
 
     #[test]
@@ -873,11 +947,11 @@ pub(crate) mod tests {
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
                 let mut scratch = e.scratch.lock().unwrap();
-                let Scratch { exec, joinup, kept } = &mut *scratch;
+                let Scratch { exec, kept } = &mut *scratch;
                 let mut rels = other_state.rels().to_vec();
                 semijoin_program_with(&mut rels, other_plan.steps(), exec);
                 other_plan.kept_nodes(&other, &other_x, kept);
-                join_up_with(&rels, other_plan.rooted(), kept, &other_x, joinup);
+                join_up_with(&rels, other_plan.rooted(), kept, &other_x, exec);
                 panic!("poison the scratch");
             })
             .join()
@@ -891,6 +965,43 @@ pub(crate) mod tests {
             e.reduce(&d, &state).unwrap(),
             NaiveEngine.reduce(&d, &state).unwrap()
         );
+    }
+
+    #[test]
+    fn one_scratch_serves_tree_and_cyclic_calls_in_turn() {
+        // Tree and cyclic schemas in turn on one engine and one thread, so
+        // every call takes the engine's one scratch: `state(W)`'s join-up,
+        // the semijoin steps and the answers' join-ups run on it one after
+        // another, with key widths 1 to 3. (The differential suite shares
+        // one engine across parallel tests, where a contended call runs on
+        // a fresh scratch instead.)
+        let mut cat = Catalog::alphabetic();
+        let e = TreeifyEngine::new();
+        let cases = [
+            ("ab, bc, cd", "ad"),
+            ("ab, bc, cd, da, ax", "cx"),
+            ("abc, cde, ace, afe", "bf"),
+            ("abcd, cdef, efab", "ae"),
+            ("abcdef, defghi, ghiabc", "ag"),
+        ];
+        for round in 0..2u64 {
+            for (k, (s, xs)) in cases.iter().enumerate() {
+                let d = db(s, &mut cat);
+                let state = random_state(&d, 0x95 + 8 * round + k as u64, 30, 3);
+                let x = AttrSet::parse(xs, &mut cat).unwrap();
+                assert_eq!(
+                    e.answer(&d, &state, &x).unwrap(),
+                    NaiveEngine.answer(&d, &state, &x).unwrap(),
+                    "{s}, round {round}"
+                );
+                assert_eq!(
+                    e.reduce(&d, &state).unwrap(),
+                    NaiveEngine.reduce(&d, &state).unwrap(),
+                    "{s}, round {round}"
+                );
+            }
+        }
+        assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (5, 3));
     }
 
     #[test]

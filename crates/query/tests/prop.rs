@@ -5,7 +5,7 @@ use gyo_query::{
     full_reduce, full_reducer_program, prune_irrelevant, weakly_contained_semantic, Engine,
     JoinQuery, NaiveEngine, Program, TreeifyEngine,
 };
-use gyo_relation::{join_up_with, DbState, JoinUpScratch, Relation};
+use gyo_relation::{join_up_with, DbState, ExecScratch, Relation};
 use gyo_schema::{AttrSet, DbSchema, RootedTree};
 use gyo_workloads::{
     noisy_ur_state, random_cyclic_schema, random_schema, random_tree_schema, random_universal,
@@ -162,7 +162,7 @@ fn check_pruned_answer(
         x
     );
     let all = vec![true; full.len()];
-    let unpruned = join_up_with(full, rooted, &all, x, &mut JoinUpScratch::new());
+    let unpruned = join_up_with(full, rooted, &all, x, &mut ExecScratch::new());
     prop_assert_eq!(&got, &unpruned, "X = {:?}", x);
 }
 

@@ -35,9 +35,10 @@
 //! collision never matches.
 //!
 //! All scratch state lives in an [`ExecScratch`] that is reused across
-//! steps *and* across whole program runs, so after warm-up (first run at a
-//! given shape) a full-reducer pass over k relations performs **zero heap
-//! allocation per step** — the repo-level allocation-counter test
+//! steps, across whole program runs *and* by the join-up executor
+//! ([`crate::joinup`]), which takes the same scratch. After warm-up (first
+//! run at a given shape) a full-reducer pass over k relations performs
+//! **zero heap allocation per step** — the repo-level allocation-counter test
 //! (`crates/relation/tests/alloc.rs`) pins this down. Surviving tuples are
 //! materialized once, at the end, and only for slots that actually lost
 //! tuples.
@@ -96,32 +97,47 @@ impl SemijoinStep {
     }
 }
 
-/// Reusable execution state for [`semijoin_program_with`]: one selection
-/// vector per slot plus the per-step membership scratch (stamp table,
-/// `u128` hash set, and the bucket chain with the key positions for keys
-/// that do not pack). Everything is grow-only — steps after warm-up
-/// allocate nothing.
+/// Reusable execution state for both executors, [`semijoin_program_with`]
+/// and [`join_up_with`](crate::join_up_with): one selection vector per
+/// slot, the stamp table, one `u128` hash set, one bucket chain, the key
+/// and projection positions, and the join-up's matched pairs, column maps
+/// and pool of intermediate row buffers. Everything is grow-only — steps
+/// and joins after warm-up allocate nothing but their outputs.
 ///
 /// Every use resets what it reads before reading it: a run resets the
-/// selection vector of each slot it uses, and each step re-arms the stamp
-/// table or clears the set or chain it fills. So a scratch left mid-run by
-/// a panic is still valid for the next run.
+/// selection vector of each slot it uses, each step or join re-arms the
+/// stamp table or clears the set, chain, pairs or maps it fills, position
+/// lists are rebuilt, and pooled buffers are cleared when taken. So a
+/// scratch left mid-run by a panic is still valid for the next run, of
+/// either executor.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     /// Per-slot liveness (index `i` tracks `rels[i]`).
     sel: Vec<SelVec>,
     /// Direct-map membership for small-range width-1 keys.
     stamp: StampTable,
-    /// Membership for width-1 keys with a large value range and for packed
-    /// keys of every width ≥ 2.
-    packed: FxHashSet<u128>,
-    /// Membership for keys that do not pack: the selected source rows,
-    /// chained on their key's hash.
-    chain: ChainIndex,
-    /// The step key's column positions in the source.
-    source_pos: Vec<usize>,
-    /// The step key's column positions in the target.
-    target_pos: Vec<usize>,
+    /// Semijoin membership for width-1 keys with a large value range and
+    /// for packed keys of every width ≥ 2; the join-up's dedup of
+    /// projected width-2 rows.
+    pub(crate) packed: FxHashSet<u128>,
+    /// The join-up's dedup of projected width-1 rows.
+    pub(crate) seen1: FxHashSet<u64>,
+    /// A join's build side, chained on its key; a semijoin's selected
+    /// source rows when some side's keys do not pack; the join-up's dedup
+    /// of projected wider rows.
+    pub(crate) chain: ChainIndex,
+    /// Key positions on the build side (a semijoin's source) and the probe
+    /// side (its target), and the join-up's projection positions.
+    pub(crate) build_key: Vec<usize>,
+    pub(crate) probe_key: Vec<usize>,
+    pub(crate) keep_pos: Vec<usize>,
+    /// Matched `(probe, build)` row pairs awaiting assembly.
+    pub(crate) pairs: Vec<(u32, u32)>,
+    /// Output column maps `(out col, source pos)` per join side.
+    pub(crate) build_cols: Vec<(usize, usize)>,
+    pub(crate) probe_cols: Vec<(usize, usize)>,
+    /// Free row buffers for join-up intermediates.
+    pub(crate) pool: Vec<Vec<u64>>,
 }
 
 impl ExecScratch {
@@ -271,9 +287,9 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         // Some side does not pack: chain the selected source rows on their
         // key's hash, and re-compare the key columns on every hit.
         _ => {
-            positions_into(&step.shared, source.attrs(), &mut scratch.source_pos);
-            positions_into(&step.shared, target.attrs(), &mut scratch.target_pos);
-            let (spos, tpos) = (&scratch.source_pos, &scratch.target_pos);
+            positions_into(&step.shared, source.attrs(), &mut scratch.build_key);
+            positions_into(&step.shared, target.attrs(), &mut scratch.probe_key);
+            let (spos, tpos) = (&scratch.build_key, &scratch.probe_key);
             let chain = &mut scratch.chain;
             chain.begin_wide(source.len());
             ssel.for_each(|i| {

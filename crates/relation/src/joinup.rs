@@ -32,12 +32,14 @@
 //!   normalizes once.
 //!
 //! The chain index, the pair list, the dedup sets and the intermediate
-//! row buffers live in a caller-owned [`JoinUpScratch`] that is reused
-//! across edges and across calls. `Relation::natural_join` runs the same
-//! join on a cold scratch of its own. When its probe side is normalized and
-//! leads the output columns, as in a left-deep `acc.natural_join(r)`, the
-//! ascending chains make the output sorted already and normalization only
-//! scans it.
+//! row buffers live in the caller-owned [`ExecScratch`] the semijoin
+//! program runs on too, reused across edges, calls and both executors: the
+//! `u128` set that holds a step's packed keys dedups width-2 projections
+//! here, and the one chain serves both. `Relation::natural_join` runs the
+//! same join on a cold scratch of its own. When its probe side is
+//! normalized and leads the output columns, as in a left-deep
+//! `acc.natural_join(r)`, the ascending chains make the output sorted
+//! already and normalization only scans it.
 //!
 //! [`join_up_with`] joins only the nodes its `kept` mask names, a subtree
 //! hanging from the root. The cached engine in `gyo-query` builds the
@@ -52,48 +54,13 @@
 //! loop over the same nodes — every node, and random root subtrees — on
 //! random rooted trees with every key width.
 
-use gyo_schema::{AttrSet, FxHashSet, RootedTree};
+use gyo_schema::{AttrSet, RootedTree};
 
-use crate::kernels::{self, ChainIndex, NIL, PAIR_FLUSH};
+use crate::exec::ExecScratch;
+use crate::kernels::{self, NIL, PAIR_FLUSH};
 use crate::relation::{pack2, positions_into, Relation};
 
-/// Reusable state for [`join_up_with`]: the bucket-chain index, the
-/// matched-pair buffer, the projection dedup sets, per-edge column maps, and
-/// a pool of row buffers for intermediates. Everything is grow-only.
-///
-/// Every use resets what it reads before reading it: each join rebuilds its
-/// chain index and clears its pair buffer and column maps, each projection
-/// its dedup set, position lists are rebuilt, and pooled buffers are
-/// cleared when taken. So a scratch left mid-join by a panic is still valid
-/// for the next join.
-#[derive(Debug, Default)]
-pub struct JoinUpScratch {
-    /// The build side's bucket chains; projection dedup of wide rows
-    /// chains through its wide heads too.
-    chain: ChainIndex,
-    /// Projection dedup for width-1 rows.
-    seen1: FxHashSet<u64>,
-    /// Projection dedup for packed width-2 rows.
-    seen2: FxHashSet<u128>,
-    /// Matched `(probe, build)` row pairs awaiting assembly.
-    pairs: Vec<(u32, u32)>,
-    /// Key positions on the build and probe sides, and projection positions.
-    build_key: Vec<usize>,
-    probe_key: Vec<usize>,
-    keep_pos: Vec<usize>,
-    /// Output column maps `(out col, source pos)` per join side.
-    build_cols: Vec<(usize, usize)>,
-    probe_cols: Vec<(usize, usize)>,
-    /// Free row buffers for intermediates.
-    pool: Vec<Vec<u64>>,
-}
-
-impl JoinUpScratch {
-    /// A fresh scratch (everything warms up on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl ExecScratch {
     fn take_buf(&mut self) -> Vec<u64> {
         let mut buf = self.pool.pop().unwrap_or_default();
         buf.clear();
@@ -174,7 +141,7 @@ pub fn join_up_with(
     rooted: &RootedTree,
     kept: &[bool],
     x: &AttrSet,
-    scratch: &mut JoinUpScratch,
+    scratch: &mut ExecScratch,
 ) -> Relation {
     let n = rels.len();
     if n == 0 {
@@ -226,7 +193,7 @@ pub fn join_up_with(
 }
 
 /// `π_keep(acc)`, duplicate-free; `acc` itself when nothing is dropped.
-fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut JoinUpScratch) -> Acc<'a> {
+fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut ExecScratch) -> Acc<'a> {
     debug_assert!(keep.is_subset(acc.attrs()), "projection onto a subset");
     if keep.len() == acc.attrs().len() {
         return acc;
@@ -249,7 +216,7 @@ fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut JoinUpScratch) 
             out.len()
         }
         [p, q] => {
-            let seen = &mut scratch.seen2;
+            let seen = &mut scratch.packed;
             seen.clear();
             for row in src {
                 if seen.insert(pack2(row[p], row[q])) {
@@ -292,7 +259,7 @@ fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut JoinUpScratch) 
 /// and assembles the output row of each matched pair. Chains list their rows
 /// in ascending order, so a normalized probe side whose columns come first
 /// in the output yields sorted output rows.
-fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usize, Vec<u64>) {
+fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut ExecScratch) -> (AttrSet, usize, Vec<u64>) {
     let (build, probe) = if b.len() <= a.len() { (b, a) } else { (a, b) };
     assert!(
         build.len() < NIL as usize && probe.len() <= u32::MAX as usize,
@@ -326,7 +293,7 @@ fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usiz
 
     let mut out = scratch.take_buf();
     let mut rows = 0usize;
-    let JoinUpScratch {
+    let ExecScratch {
         chain,
         pairs,
         build_key,
@@ -405,7 +372,7 @@ fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut JoinUpScratch) -> (AttrSet, usiz
 /// `a ⋈ b` on a cold scratch, normalized once: the kernel of
 /// [`Relation::natural_join`].
 pub(crate) fn join_once(a: &Relation, b: &Relation) -> Relation {
-    let mut scratch = JoinUpScratch::default();
+    let mut scratch = ExecScratch::new();
     let (attrs, len, data) = join(&Acc::Leaf(a), &Acc::Leaf(b), &mut scratch);
     Relation::from_row_major(attrs, len, data)
 }
@@ -413,7 +380,7 @@ pub(crate) fn join_once(a: &Relation, b: &Relation) -> Relation {
 /// `π_X(root)`, normalized once by [`Relation::from_row_major`]. A flat
 /// root is gathered into a fresh exact-size buffer and its own buffer goes
 /// back to the pool, so no pooled buffer leaves with the answer.
-fn finish(root: Acc<'_>, x: &AttrSet, scratch: &mut JoinUpScratch) -> Relation {
+fn finish(root: Acc<'_>, x: &AttrSet, scratch: &mut ExecScratch) -> Relation {
     assert!(
         x.is_subset(root.attrs()),
         "target X must be covered by the joined relations"
@@ -437,6 +404,7 @@ fn finish(root: Acc<'_>, x: &AttrSet, scratch: &mut JoinUpScratch) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{semijoin_program, semijoin_program_with, SemijoinStep};
 
     fn attrs(raw: &[u32]) -> AttrSet {
         AttrSet::from_raw(raw)
@@ -448,7 +416,7 @@ mod tests {
             rooted,
             &vec![true; rels.len()],
             x,
-            &mut JoinUpScratch::new(),
+            &mut ExecScratch::new(),
         )
     }
 
@@ -547,7 +515,7 @@ mod tests {
         ];
         let tree = chain_tree(3);
         let x = attrs(&[0, 2]);
-        let mut scratch = JoinUpScratch::new();
+        let mut scratch = ExecScratch::new();
         assert!(join_up_with(&rels, &tree, &[true; 3], &x, &mut scratch).is_empty());
         assert_eq!(
             join_up_with(&rels, &tree, &[true, true, false], &x, &mut scratch).to_vecs(),
@@ -581,7 +549,7 @@ mod tests {
             &chain_tree(3),
             &mask,
             &attrs(&[0]),
-            &mut JoinUpScratch::new(),
+            &mut ExecScratch::new(),
         );
     }
 
@@ -606,9 +574,9 @@ mod tests {
         };
         // Either argument order, on a warm scratch and on the cold one of
         // `natural_join`.
-        let mut warm = JoinUpScratch::new();
+        let mut warm = ExecScratch::new();
         for (a, b) in [(&r, &s), (&s, &r)] {
-            for scratch in [&mut warm, &mut JoinUpScratch::default()] {
+            for scratch in [&mut warm, &mut ExecScratch::new()] {
                 let (out, rows, data) = join(&Acc::Leaf(a), &Acc::Leaf(b), scratch);
                 assert_eq!(out, attrs(&[0, 1, 2]));
                 assert_eq!(rows, r.len() * 3, "each b matches three rows of S");
@@ -630,7 +598,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_calls_is_sound() {
-        let mut scratch = JoinUpScratch::new();
+        let mut scratch = ExecScratch::new();
         let a = vec![
             Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]),
             Relation::new(attrs(&[1, 2]), vec![vec![10, 5], vec![20, 6], vec![20, 7]]),
@@ -650,5 +618,97 @@ mod tests {
             first
         );
         assert_eq!(first.to_vecs(), vec![vec![1, 5], vec![2, 6], vec![2, 7]]);
+    }
+
+    /// A chain `0 – 1 – 2` whose join-up with `X = {0}` projects node 2
+    /// onto {4, 5} (width 2) and node 1's accumulator onto {1, 2, 3}
+    /// (wide), and with `X = {0, 4}` onto {4, 5} and {1, 2, 3, 4}.
+    fn projecting_chain() -> Vec<Relation> {
+        let rel = |raw: &[u32], rows: u64, row: &dyn Fn(u64) -> Vec<u64>| {
+            let data: Vec<u64> = (0..rows).flat_map(row).collect();
+            Relation::from_row_major(attrs(raw), rows as usize, data)
+        };
+        vec![
+            rel(&[0, 1, 2, 3], 6, &|i| vec![i, i % 3, i % 2, 7]),
+            rel(&[1, 2, 3, 4, 5], 8, &|i| {
+                vec![i % 3, i % 2, 7, i % 4, 10 + i % 2]
+            }),
+            rel(&[4, 5, 6], 8, &|j| vec![j % 4, 10 + j % 2, j]),
+        ]
+    }
+
+    /// Runs a semijoin program with packed and unfit width-3 keys, then the
+    /// [`projecting_chain`] join-up with `X = {0, 4}`, both on `scratch`,
+    /// and checks each against a run on a fresh scratch.
+    fn semijoin_then_join_up(scratch: &mut ExecScratch) {
+        // s = 42: slots 0 and 1 pack, slot 2 holds 2^42, so `0 ⋉ 2` takes
+        // the chain and the other steps the u128 set.
+        let big = 1u64 << 42;
+        let schemas = [
+            attrs(&[0, 1, 2, 3]),
+            attrs(&[0, 1, 2, 9]),
+            attrs(&[0, 1, 2, 8]),
+        ];
+        let sj = vec![
+            Relation::new(
+                schemas[0].clone(),
+                vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8], vec![big - 1, 0, 0, 1]],
+            ),
+            Relation::new(
+                schemas[1].clone(),
+                vec![vec![1, 2, 3, 0], vec![big - 1, 0, 0, 0], vec![9, 9, 9, 9]],
+            ),
+            Relation::new(
+                schemas[2].clone(),
+                vec![vec![1, 2, 3, 0], vec![0, big, 0, 0]],
+            ),
+        ];
+        let steps = [
+            SemijoinStep::new(&schemas, 0, 1),
+            SemijoinStep::new(&schemas, 0, 2),
+            SemijoinStep::new(&schemas, 1, 0),
+        ];
+        let mut fresh = sj.clone();
+        semijoin_program(&mut fresh, &steps);
+        let mut reduced = sj;
+        semijoin_program_with(&mut reduced, &steps, scratch);
+        assert_eq!(reduced, fresh);
+        assert_eq!(reduced[0].to_vecs(), vec![vec![1, 2, 3, 4]]);
+        assert_eq!(reduced[1].to_vecs(), vec![vec![1, 2, 3, 0]]);
+
+        let rels = projecting_chain();
+        let x = attrs(&[0, 4]);
+        let got = join_up_with(&rels, &chain_tree(3), &[true; 3], &x, scratch);
+        assert_eq!(got, join_up(&rels, &chain_tree(3), &x));
+        assert_eq!(got.len(), 8);
+    }
+
+    #[test]
+    fn one_scratch_serves_both_executors_interleaved() {
+        // A join-up, a semijoin program and a second join-up on one
+        // scratch, so its chain, its u128 set and its key positions pass
+        // from one executor to the other.
+        let rels = projecting_chain();
+        let x = attrs(&[0]);
+        let mut scratch = ExecScratch::new();
+        let first = join_up_with(&rels, &chain_tree(3), &[true; 3], &x, &mut scratch);
+        assert_eq!(first, join_up(&rels, &chain_tree(3), &x));
+        assert_eq!(first.len(), 6);
+        semijoin_then_join_up(&mut scratch);
+    }
+
+    #[test]
+    fn a_scratch_left_by_a_panicking_join_up_serves_both_executors() {
+        // Attribute 42 is in no relation, so the join-up panics at the
+        // root, after its joins have filled the chain, the pairs, the dedup
+        // sets and the pool.
+        let rels = projecting_chain();
+        let stray = attrs(&[0, 42]);
+        let mut scratch = ExecScratch::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join_up_with(&rels, &chain_tree(3), &[true; 3], &stray, &mut scratch)
+        }));
+        assert!(panicked.is_err());
+        semijoin_then_join_up(&mut scratch);
     }
 }

@@ -35,9 +35,9 @@
 //! flat buffer with stride-aware comparison, and every operator —
 //! projection, hash join, semijoin, union, the batched mask executor —
 //! both reads and writes flat buffers, so **no operator allocates per
-//! row**. The buffer is `Arc`-shared: cloning a relation is O(1), and
-//! clones share the storage *and* the lazily built derivation cache
-//! (packed key columns).
+//! row**. The buffer and the lazily built derivation cache (packed key
+//! columns) sit behind one `Arc`: cloning a relation is O(1), and every
+//! clone shares both, whether taken before a derivation or after.
 //!
 //! Nested tuple vectors appear in exactly two places, both boundaries: the
 //! ergonomic constructor [`Relation::new`] (input conversion) and the test
@@ -58,6 +58,9 @@
 //! slot through an entire full-reducer program: no intermediate relation
 //! is materialized and, with a caller-owned [`exec::ExecScratch`]
 //! ([`exec::semijoin_program_with`]), no step allocates after warm-up.
+//! [`join_up_with`] takes the same scratch, so an engine keeps one for
+//! both phases of a query: its bucket chain, its `u128` set and its key
+//! positions serve the semijoin steps and the joins alike.
 //!
 //! # One key encoding
 //!
@@ -113,6 +116,6 @@ pub mod universal;
 
 pub use database::DbState;
 pub use exec::{semijoin_program, semijoin_program_with, ExecScratch, SemijoinStep};
-pub use joinup::{join_up_with, JoinUpScratch};
+pub use joinup::join_up_with;
 pub use relation::{lock_cache, Relation};
 pub use universal::{join_of_projections, satisfies_jd};

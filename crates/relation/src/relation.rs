@@ -18,10 +18,10 @@
 //! stride-aware and allocation-free per row: width-1 and width-2 rows sort
 //! as packed scalars, wider rows sort through an index permutation.
 //!
-//! The buffer sits behind an `Arc`, so cloning a relation is O(1) and all
-//! clones share both the tuple storage and the lazily built derivation
-//! cache: per key attribute set, the packed key column the semijoin kernel
-//! reads.
+//! The buffer and its derivation cache (per key attribute set, the packed
+//! key column the semijoin kernel reads) sit behind one `Arc`, so cloning a
+//! relation is O(1) and every clone shares the tuples and each column
+//! derived from them, whether it was taken before the derivation or after.
 //!
 //! Each operator has one kernel. `natural_join` is the join-up's join
 //! ([`crate::joinup`]) over two relations, building a bucket chain on the
@@ -35,7 +35,7 @@
 //! buffer.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
 
@@ -95,23 +95,6 @@ pub(crate) fn positions_into(sub: &AttrSet, sup: &AttrSet, out: &mut Vec<usize>)
 #[inline]
 fn unpack2(p: u128) -> (u64, u64) {
     ((p >> 64) as u64, p as u64)
-}
-
-/// Lazily built per-relation derivations, keyed by the [`AttrSet`] they were
-/// derived for: packed key columns (for `⋉` on either side).
-///
-/// A [`Relation`]'s attribute set and tuples never change after
-/// construction, so cached derivations stay valid for the relation's whole
-/// life; clones share the cache (same tuples ⟹ same derivations). The cache
-/// is invisible to equality and never allocated until first use.
-#[derive(Default)]
-struct RelCache {
-    slot: OnceLock<Arc<Mutex<CacheInner>>>,
-}
-
-#[derive(Default)]
-struct CacheInner {
-    columns: FxHashMap<AttrSet, Arc<KeyColumn>>,
 }
 
 /// A relation's key values over one key-attribute set, extracted into flat,
@@ -190,28 +173,6 @@ pub fn lock_cache<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
     cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl RelCache {
-    fn inner(&self) -> &Mutex<CacheInner> {
-        self.slot.get_or_init(Arc::default)
-    }
-}
-
-impl Clone for RelCache {
-    fn clone(&self) -> Self {
-        // Force the slot into existence before sharing: a clone taken
-        // *before* the first derivation must still share later fills with
-        // the original (the engines clone state relations up front and
-        // rely on the originals accumulating the key columns — an
-        // uninitialized-slot clone would silently fork the cache and
-        // rebuild every derivation on every call).
-        let cache = RelCache::default();
-        let _ = cache
-            .slot
-            .set(Arc::clone(self.slot.get_or_init(Arc::default)));
-        cache
-    }
-}
-
 /// A relation state: a *set* of tuples over an attribute set, stored
 /// row-major in one flat buffer (see the [module docs](self) for the
 /// layout).
@@ -239,6 +200,7 @@ impl Clone for RelCache {
 /// assert_eq!(j.len(), 1); // only b=10 matches
 /// assert_eq!(j.row(0), &[1, 10, 100]);
 /// ```
+#[derive(Clone)]
 pub struct Relation {
     attrs: AttrSet,
     /// Tuple width (= `attrs.len()`), the buffer stride.
@@ -246,29 +208,29 @@ pub struct Relation {
     /// Row count. Kept separately from the buffer because arity-0
     /// relations (`{}` vs `{()}`) have no data to count rows from.
     len: usize,
-    /// Row-major tuple values, `len · arity` of them, rows strictly
-    /// increasing. Shared by clones.
-    data: Arc<Vec<u64>>,
-    cache: RelCache,
+    /// The tuples and their derivations, shared by every clone.
+    shared: Arc<Shared>,
 }
 
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Self {
-            attrs: self.attrs.clone(),
-            arity: self.arity,
-            len: self.len,
-            data: Arc::clone(&self.data),
-            cache: self.cache.clone(),
-        }
-    }
+/// What every clone of a relation shares: the tuples, and the key columns
+/// derived from them. A relation never changes after construction, so a
+/// derivation stays valid for the relation's whole life. A clone taken
+/// before a derivation sees it all the same, and equality ignores the
+/// columns.
+struct Shared {
+    /// Row-major tuple values, `len · arity` of them, rows strictly
+    /// increasing.
+    data: Vec<u64>,
+    /// Per key attribute set, the packed key column of the semijoin steps
+    /// that read this relation on either side.
+    columns: Mutex<FxHashMap<AttrSet, Arc<KeyColumn>>>,
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.attrs == other.attrs
             && self.len == other.len
-            && (Arc::ptr_eq(&self.data, &other.data) || self.data == other.data)
+            && (Arc::ptr_eq(&self.shared, &other.shared) || self.shared.data == other.shared.data)
     }
 }
 
@@ -416,13 +378,7 @@ impl Relation {
             attrs.len()
         );
         let (len, data) = normalize(attrs.len(), rows, data);
-        Self {
-            arity: attrs.len(),
-            attrs,
-            len,
-            data: Arc::new(data),
-            cache: RelCache::default(),
-        }
+        Self::from_normalized(attrs, len, data)
     }
 
     /// Internal constructor for a buffer already sorted and deduplicated.
@@ -440,8 +396,10 @@ impl Relation {
             arity,
             attrs,
             len,
-            data: Arc::new(data),
-            cache: RelCache::default(),
+            shared: Arc::new(Shared {
+                data,
+                columns: Mutex::default(),
+            }),
         }
     }
 
@@ -481,7 +439,7 @@ impl Relation {
         if self.arity == 0 {
             &[]
         } else {
-            &self.data[i * self.arity..(i + 1) * self.arity]
+            &self.data()[i * self.arity..(i + 1) * self.arity]
         }
     }
 
@@ -490,7 +448,7 @@ impl Relation {
     #[inline]
     pub fn rows(&self) -> Rows<'_> {
         Rows {
-            data: &self.data,
+            data: self.data(),
             arity: self.arity,
             front: 0,
             back: self.len,
@@ -502,7 +460,7 @@ impl Relation {
     /// buffers without per-row indirection.
     #[inline]
     pub fn data(&self) -> &[u64] {
-        &self.data
+        &self.shared.data
     }
 
     /// Materializes the rows as nested vectors. **Test/assert boundary
@@ -561,13 +519,12 @@ impl Relation {
     /// extracted once and cached — the batched semijoin executor reads
     /// these instead of chasing per-tuple heap pointers.
     pub(crate) fn key_column(&self, key: &AttrSet) -> Arc<KeyColumn> {
-        if let Some(col) = lock_cache(self.cache.inner()).columns.get(key) {
+        if let Some(col) = lock_cache(&self.shared.columns).get(key) {
             return Arc::clone(col);
         }
         let pos = self.positions_of(key);
         let col = Arc::new(KeyColumn::extract(self, &pos));
-        lock_cache(self.cache.inner())
-            .columns
+        lock_cache(&self.shared.columns)
             .entry(key.clone())
             .or_insert_with(|| Arc::clone(&col))
             .clone()
@@ -583,7 +540,7 @@ impl Relation {
             return self.clone();
         }
         let mut data = Vec::with_capacity(sel.len() * self.arity);
-        kernels::gather_rows(&self.data, self.arity, sel, &mut data);
+        kernels::gather_rows(self.data(), self.arity, sel, &mut data);
         Relation::from_normalized(self.attrs.clone(), sel.len(), data)
     }
 
@@ -604,7 +561,7 @@ impl Relation {
         }
         let pos = self.positions_of(x);
         let mut data = Vec::new();
-        kernels::gather(&self.data, self.arity, &pos, &mut data);
+        kernels::gather(self.data(), self.arity, &pos, &mut data);
         Relation::from_row_major(x.clone(), self.len, data)
     }
 
@@ -890,13 +847,13 @@ mod tests {
         let panicked = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _held = s.cache.inner().lock().unwrap();
+                    let _held = s.shared.columns.lock().unwrap();
                     panic!("poison the relation cache");
                 })
                 .join()
                 .is_err()
         });
-        assert!(panicked && s.cache.inner().is_poisoned());
+        assert!(panicked && s.shared.columns.is_poisoned());
         assert_eq!(r.semijoin(&s), want, "cached build still served");
         assert_eq!(s.semijoin(&r).len(), 1, "new derivations still cached");
     }
@@ -953,6 +910,39 @@ mod tests {
             "clone reuses the build"
         );
         assert_eq!(clone.data(), r.data(), "clones share the flat buffer");
+    }
+
+    #[test]
+    fn a_clone_taken_before_the_first_derivation_shares_it() {
+        // The engines copy a state's relations before any step derives a
+        // key column, and rely on the originals keeping what the copies
+        // derive.
+        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
+        let key = attrs(&[1]);
+        let early = r.clone();
+        let col = early.key_column(&key);
+        assert!(Arc::ptr_eq(&col, &r.key_column(&key)), "original sees it");
+        let later = early.clone();
+        assert!(Arc::ptr_eq(&col, &later.key_column(&key)), "so do clones");
+        assert!(Arc::ptr_eq(&r.shared, &later.shared));
+    }
+
+    #[test]
+    fn a_semijoin_that_drops_nothing_shares_its_input() {
+        // The step derives the input's key column on a copy; the result
+        // and the input keep it, with the rows, in one `Arc`.
+        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
+        let s = Relation::new(attrs(&[1, 2]), vec![vec![10, 5], vec![20, 6]]);
+        let key = attrs(&[1]);
+        let kept = r.semijoin(&s);
+        assert_eq!(kept, r);
+        assert!(Arc::ptr_eq(&kept.shared, &r.shared));
+        assert!(lock_cache(&r.shared.columns).contains_key(&key));
+        assert!(lock_cache(&s.shared.columns).contains_key(&key));
+        // A semijoin that drops rows gathers the survivors afresh.
+        let fewer = r.semijoin(&Relation::new(attrs(&[1, 2]), vec![vec![10, 5]]));
+        assert_eq!(fewer.to_vecs(), vec![vec![1, 10]]);
+        assert!(!Arc::ptr_eq(&fewer.shared, &r.shared));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use gyo_relation::{
     join_of_projections, join_up_with, satisfies_jd, semijoin_program, semijoin_program_with,
-    DbState, ExecScratch, JoinUpScratch, Relation, SemijoinStep,
+    DbState, ExecScratch, Relation, SemijoinStep,
 };
 use gyo_schema::{AttrSet, DbSchema, RootedTree};
 use proptest::collection::SizeRange;
@@ -529,7 +529,7 @@ fn check_join_up(
     for &v in rooted.post_order.iter().rev() {
         pruned[v] = v == rooted.root || (pruned[rooted.parent[v]] && !cut[v]);
     }
-    let mut scratch = JoinUpScratch::new();
+    let mut scratch = ExecScratch::new();
     for kept in [vec![true; n], pruned] {
         let u = (0..n)
             .filter(|&v| kept[v])
@@ -541,7 +541,7 @@ fn check_join_up(
         ] {
             let want = reference_join_up(rels, &rooted, &kept, &x);
             prop_assert_eq!(
-                &join_up_with(rels, &rooted, &kept, &x, &mut JoinUpScratch::new()),
+                &join_up_with(rels, &rooted, &kept, &x, &mut ExecScratch::new()),
                 &want,
                 "fresh scratch, kept {:?}, X = {:?}",
                 kept,
