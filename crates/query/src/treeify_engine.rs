@@ -384,7 +384,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use crate::engine::tests::{db, kept_of, random_state};
+    use crate::engine::tests::{db, kept_of, poison_plan_cache, random_state};
     use crate::{Engine, NaiveEngine, TreeifyEngine};
     use gyo_schema::Catalog;
     use gyo_workloads::{aring_n, engine_families, grid, random_cyclic_schema, tpch_like_cyclic};
@@ -466,6 +466,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tree_schemas_share_the_one_plan_cache() {
+        // A tree schema's plan, compiled by an answer, is the one `plan`
+        // returns; `inner()` is the engine itself.
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        let d = db("ab, bc, cd", &mut cat);
+        let state = random_state(&d, 11, 20, 4);
+        let x = AttrSet::parse("ad", &mut cat).unwrap();
+        assert_eq!(
+            engine.answer(&d, &state, &x).unwrap(),
+            state.eval_join_query(&x)
+        );
+        assert_eq!(engine.cached_treeified_count(), 0);
+        assert_eq!(engine.inner().cached_plan_count(), 1);
+        assert_eq!(engine.inner().plan(&d).unwrap().steps().len(), 4);
+        assert_eq!(engine.cache_stats(), (1, 1));
     }
 
     #[test]
@@ -599,6 +618,114 @@ mod tests {
         }
         let x = AttrSet::parse("ab", &mut cat).unwrap();
         assert!(engine.answer(&d, &state, &x).unwrap().is_empty());
+    }
+
+    #[test]
+    fn rejects_a_target_outside_the_schema() {
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        let stray = AttrSet::parse("z", &mut cat).unwrap();
+        let want = EngineError::TargetOutsideSchema { stray };
+        // Cyclic and tree schemas alike: the target is checked first.
+        for s in ["ab, bc, ca", "ab, bc"] {
+            let d = db(s, &mut cat);
+            let state = random_state(&d, 0x5A, 10, 3);
+            let x = AttrSet::parse("az", &mut cat).unwrap();
+            assert_eq!(engine.answer(&d, &state, &x).unwrap_err(), want, "{s}");
+        }
+        assert_eq!(engine.cached_treeified_count(), 0);
+        assert_eq!(engine.cache_stats(), (0, 0), "checked before plan work");
+    }
+
+    #[test]
+    fn rejects_a_state_for_another_schema() {
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        // A tree and a cyclic schema, each given its neighbor's state
+        // (relation 2 differs) or a state one relation too long — cold, and
+        // again once the cyclic plan is cached, so the warm path checks too.
+        let tree = db("ab, bc, cd", &mut cat);
+        let ring = db("ab, bc, ca", &mut cat);
+        let longer = db("ab, bc, ca, cd", &mut cat);
+        let x = AttrSet::parse("ab", &mut cat).unwrap();
+        for (d, other, index) in [(&tree, &ring, 2), (&ring, &tree, 2), (&ring, &longer, 3)] {
+            let wrong = random_state(other, 0x5C, 10, 3);
+            let want = EngineError::StateMismatch { index };
+            assert_eq!(engine.reduce(d, &wrong).unwrap_err(), want);
+            assert_eq!(engine.answer(d, &wrong, &x).unwrap_err(), want);
+            let right = random_state(d, 0x5D, 10, 3);
+            assert_eq!(
+                engine.answer(d, &right, &x).unwrap(),
+                right.eval_join_query(&x)
+            );
+        }
+        // Only the three correct calls looked up a plan, and only the first
+        // call on each schema missed.
+        assert_eq!(engine.cache_stats(), (1, 2));
+    }
+
+    #[test]
+    fn treeified_plan_cache_hits_and_misses() {
+        // Cyclic schemas; `plan_cache_hits_and_misses` in the engine module
+        // covers tree ones. A cyclic schema takes one entry, its treeify
+        // plan, and every call on it is one lookup.
+        let mut cat = Catalog::alphabetic();
+        let engine = TreeifyEngine::new();
+        let ring = db("ab, bc, cd, da", &mut cat);
+        let state = random_state(&ring, 5, 15, 3);
+
+        engine.reduce(&ring, &state).unwrap();
+        assert_eq!(engine.cache_stats(), (0, 1), "first sight compiles");
+        assert_eq!(engine.cached_treeified_count(), 1);
+        assert_eq!(engine.inner().cached_plan_count(), 1, "D ∪ (W) takes none");
+
+        engine.reduce(&ring, &state).unwrap();
+        let x = AttrSet::parse("ac", &mut cat).unwrap();
+        engine.answer(&ring, &state, &x).unwrap();
+        let err = engine.inner().plan(&ring).unwrap_err();
+        engine.treeified_plan(&ring, &err);
+        assert_eq!(engine.cache_stats(), (4, 1), "repeats hit");
+        assert_eq!(engine.cached_treeified_count(), 1);
+
+        // A different cyclic schema compiles its own plan.
+        let triangle = db("ab, bc, ca", &mut cat);
+        let t_state = random_state(&triangle, 6, 10, 3);
+        engine.reduce(&triangle, &t_state).unwrap();
+        assert_eq!(engine.cache_stats(), (4, 2));
+        assert_eq!(engine.cached_treeified_count(), 2);
+
+        engine.clear_cache();
+        assert_eq!(engine.cached_treeified_count(), 0);
+        assert_eq!(engine.inner().cached_plan_count(), 0);
+        engine.reduce(&ring, &state).unwrap();
+        assert_eq!(engine.cache_stats(), (4, 3), "cleared cache recompiles");
+    }
+
+    #[test]
+    fn a_poisoned_treeified_cache_lock_recovers() {
+        // A cyclic schema; `a_poisoned_plan_cache_lock_recovers` in the
+        // engine module covers a tree one.
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd, da", &mut cat);
+        let state = random_state(&d, 0x91, 20, 3);
+        let x = AttrSet::parse("ac", &mut cat).unwrap();
+        let engine = TreeifyEngine::new();
+        let want = engine.answer(&d, &state, &x).unwrap();
+        poison_plan_cache(&engine);
+        assert_eq!(engine.answer(&d, &state, &x).unwrap(), want, "cached plan");
+        assert_eq!(
+            engine.reduce(&d, &state).unwrap(),
+            NaiveEngine.reduce(&d, &state).unwrap()
+        );
+        assert_eq!(engine.cached_treeified_count(), 1);
+        assert_eq!(engine.cache_stats(), (2, 1));
+        engine.clear_cache();
+        assert_eq!(
+            engine.answer(&d, &state, &x).unwrap(),
+            want,
+            "recompiled plan"
+        );
+        assert_eq!(engine.cache_stats(), (2, 2));
     }
 
     #[test]
