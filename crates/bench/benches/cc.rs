@@ -6,14 +6,14 @@
 //! minimization cost grows quickly with row count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gyo::tableau::{canonical_connection, cc_via_minimization};
+use gyo::AttrSet;
 use gyo_bench::bench_rng;
-use gyo_core::tableau::{canonical_connection, cc_via_minimization};
-use gyo_core::AttrSet;
 use gyo_workloads::{aring_n, chain, random_tree_schema};
 use std::hint::black_box;
 use std::time::Duration;
 
-fn target_of(d: &gyo_core::DbSchema) -> AttrSet {
+fn target_of(d: &gyo::DbSchema) -> AttrSet {
     // first two attributes of the universe
     AttrSet::from_iter(d.attributes().iter().take(2))
 }

@@ -8,13 +8,13 @@
 //! vs. per-call Yannakakis vs. the cached plans of `TreeifyEngine`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gyo_bench::bench_rng;
-use gyo_core::reduce::{gyo_reduce_naive, is_tree_schema};
-use gyo_core::schema::qual::maximum_weight_join_tree;
-use gyo_core::{
+use gyo::reduce::{gyo_reduce_naive, is_tree_schema};
+use gyo::schema::qual::maximum_weight_join_tree;
+use gyo::{
     full_reduce, reduce_via_treeification, solve_tree_query, solve_via_treeification, AttrSet,
     DbState, Engine, NaiveEngine, TreeifyEngine,
 };
+use gyo_bench::bench_rng;
 use gyo_workloads::{
     aclique_n, aring_n, chain, family_state, grid, random_tree_schema, random_universal, star,
     wide_chain,
@@ -47,7 +47,7 @@ fn bench_engines(c: &mut Criterion) {
     for n in [8usize, 32, 128] {
         let d = chain(n);
         group.bench_with_input(BenchmarkId::new("gyo_reduce", n), &d, |b, d| {
-            b.iter(|| black_box(gyo_core::gyo_reduce(d, &AttrSet::empty()).is_total()))
+            b.iter(|| black_box(gyo::gyo_reduce(d, &AttrSet::empty()).is_total()))
         });
         group.bench_with_input(BenchmarkId::new("gyo_reduce_naive", n), &d, |b, d| {
             b.iter(|| black_box(gyo_reduce_naive(d, &AttrSet::empty()).is_total()))

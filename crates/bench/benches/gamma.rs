@@ -6,7 +6,7 @@
 //! (ii) matters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gyo_core::gamma::{find_weak_gamma_cycle, is_gamma_acyclic, is_gamma_acyclic_via_subtrees};
+use gyo::gamma::{find_weak_gamma_cycle, is_gamma_acyclic, is_gamma_acyclic_via_subtrees};
 use gyo_workloads::{chain, grid, star};
 use std::hint::black_box;
 use std::time::Duration;

@@ -5,9 +5,9 @@
 //! a full reduction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gyo::reduce::treeifying_relation;
+use gyo::{gyo_reduce, AttrSet};
 use gyo_bench::{bench_rng, ring_with_fringe};
-use gyo_core::reduce::treeifying_relation;
-use gyo_core::{gyo_reduce, AttrSet};
 use gyo_workloads::{chain, random_tree_schema};
 use std::hint::black_box;
 use std::time::Duration;
@@ -34,7 +34,7 @@ fn bench_sacred_sets(c: &mut Criterion) {
     let mut group = c.benchmark_group("gyo/sacred");
     let d = chain(1000);
     for sacred_count in [0usize, 10, 100, 1000] {
-        let x = AttrSet::from_iter((0..sacred_count as u32).map(gyo_core::AttrId));
+        let x = AttrSet::from_iter((0..sacred_count as u32).map(gyo::AttrId));
         group.bench_with_input(BenchmarkId::from_parameter(sacred_count), &x, |b, x| {
             b.iter(|| black_box(gyo_reduce(&d, x).result.len()))
         });

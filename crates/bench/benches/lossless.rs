@@ -6,7 +6,7 @@
 //! cyclic schemas the CC route pays for tableau minimization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gyo_core::query::{implies_lossless, implies_lossless_semantic};
+use gyo::query::{implies_lossless, implies_lossless_semantic};
 use gyo_workloads::{aring_n, chain};
 use std::hint::black_box;
 use std::time::Duration;

@@ -9,9 +9,9 @@
 //! reduction and position derivations that `yannakakis` pays each time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gyo::prelude::*;
+use gyo::relation::{semijoin_program_with, ExecScratch, SemijoinStep};
 use gyo_bench::bench_rng;
-use gyo_core::prelude::*;
-use gyo_core::relation::{semijoin_program_with, ExecScratch, SemijoinStep};
 use gyo_workloads::{chain, family_state, random_universal, tpch_like, wide_chain};
 use std::hint::black_box;
 use std::time::Duration;
@@ -93,10 +93,10 @@ fn bench_dead_end(c: &mut Criterion) {
         let dense: Vec<Vec<u64>> = (0..m)
             .flat_map(|a| (0..m).map(move |b| vec![a, b]))
             .collect();
-        let mut rels: Vec<gyo_core::Relation> = (0..4)
-            .map(|k| gyo_core::Relation::new(d.rel(k).clone(), dense.clone()))
+        let mut rels: Vec<gyo::Relation> = (0..4)
+            .map(|k| gyo::Relation::new(d.rel(k).clone(), dense.clone()))
             .collect();
-        rels.push(gyo_core::Relation::new(
+        rels.push(gyo::Relation::new(
             d.rel(4).clone(),
             (0..m).map(|y| vec![0, y]).collect(),
         ));

@@ -9,8 +9,8 @@
 //! pruned plan's cost is flat — pruning and plan caching compose.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gyo::prelude::*;
 use gyo_bench::{bench_rng, pruning_family, tree_pruning_family};
-use gyo_core::prelude::*;
 use gyo_workloads::random_universal;
 use std::hint::black_box;
 use std::time::Duration;

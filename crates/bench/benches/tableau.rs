@@ -6,9 +6,9 @@
 //! the distinguished-variable prefilter prunes candidates hard.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gyo::tableau::{find_containment, minimize};
+use gyo::{AttrSet, Tableau};
 use gyo_bench::pruning_family;
-use gyo_core::tableau::{find_containment, minimize};
-use gyo_core::{AttrSet, Tableau};
 use gyo_workloads::chain;
 use std::hint::black_box;
 use std::time::Duration;

@@ -3,7 +3,7 @@
 //! packing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gyo_core::treefy::{
+use gyo::treefy::{
     bin_packing_to_treefication, solve_aclique_treefication, solve_bin_packing,
     solve_treefication_exact, BinPacking,
 };
@@ -64,7 +64,7 @@ fn bench_bin_packing_solvers(c: &mut Criterion) {
             b.iter(|| black_box(solve_bin_packing(inst).is_some()))
         });
         group.bench_with_input(BenchmarkId::new("ffd", items), &inst, |b, inst| {
-            b.iter(|| black_box(gyo_core::treefy::first_fit_decreasing(inst).is_some()))
+            b.iter(|| black_box(gyo::treefy::first_fit_decreasing(inst).is_some()))
         });
     }
     group.finish();

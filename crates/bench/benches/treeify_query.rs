@@ -7,8 +7,8 @@
 //! fringe inside one big join pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gyo::prelude::*;
 use gyo_bench::{bench_rng, ring_with_fringe};
-use gyo_core::prelude::*;
 use gyo_workloads::random_universal;
 use std::hint::black_box;
 use std::time::Duration;

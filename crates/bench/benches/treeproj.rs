@@ -5,8 +5,8 @@
 //! connector members are allowed (existence is NP-hard in general).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gyo_core::treeproj::find_tree_projection;
-use gyo_core::{AttrSet, Catalog, DbSchema};
+use gyo::treeproj::find_tree_projection;
+use gyo::{AttrSet, Catalog, DbSchema};
 use gyo_workloads::aring_n;
 use std::hint::black_box;
 use std::time::Duration;

@@ -5,8 +5,8 @@
 //! deletions must be discovered — the search is over subsets of `U(GR(D))`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gyo_core::reduce::find_cyclic_core;
-use gyo_core::{Catalog, DbSchema};
+use gyo::reduce::find_cyclic_core;
+use gyo::{Catalog, DbSchema};
 use gyo_workloads::{aclique_n, aring_n};
 use std::hint::black_box;
 use std::time::Duration;

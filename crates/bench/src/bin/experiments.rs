@@ -5,20 +5,20 @@
 //!
 //! Run with `cargo run --release -p gyo-bench --bin experiments`.
 
-use gyo_core::gamma::cycles::contract_cycle;
-use gyo_core::gamma::{is_gamma_acyclic_via_subtrees, GammaCycle};
-use gyo_core::prelude::*;
-use gyo_core::query::{
+use gyo::gamma::cycles::contract_cycle;
+use gyo::gamma::{is_gamma_acyclic_via_subtrees, GammaCycle};
+use gyo::prelude::*;
+use gyo::query::{
     implies_lossless_semantic, solve_with_tree_projection, weakly_equivalent_semantic,
 };
-use gyo_core::reduce::cores::{classify_core, CoreKind};
-use gyo_core::reduce::oracle;
-use gyo_core::tableau::{cc_via_minimization, minimize};
-use gyo_core::treefy::{
+use gyo::reduce::cores::{classify_core, CoreKind};
+use gyo::reduce::oracle;
+use gyo::tableau::{cc_via_minimization, minimize};
+use gyo::treefy::{
     bin_packing_to_treefication, solve_aclique_treefication, solve_bin_packing,
     solve_treefication_exact, treefication_witness_to_packing, BinPacking,
 };
-use gyo_core::treeproj::{find_tree_projection, validate};
+use gyo::treeproj::{find_tree_projection, validate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -219,7 +219,7 @@ fn f1() -> CheckResult {
     // Also regenerate the qual trees for the two tree schemas.
     let chain = parse("ab, bc, cd", &mut cat);
     let red = gyo_reduce(&chain, &AttrSet::empty());
-    let tree = gyo_core::join_tree_from_trace(&chain, &red).ok_or("no qual tree for chain")?;
+    let tree = gyo::join_tree_from_trace(&chain, &red).ok_or("no qual tree for chain")?;
     out.push(format!("chain qual tree edges: {:?}", tree.edges()));
     Ok(out.join("; "))
 }
@@ -259,8 +259,8 @@ fn f3() -> CheckResult {
     let t = Tableau::standard(&d, &x);
     let mid = t.subtableau(&[0, 1]);
     let small = t.subtableau(&[0]);
-    let f = gyo_core::find_containment(&t, &mid).ok_or("no T→T'")?;
-    let g = gyo_core::find_containment(&mid, &small).ok_or("no T'→T''")?;
+    let f = gyo::find_containment(&t, &mid).ok_or("no T→T'")?;
+    let g = gyo::find_containment(&mid, &small).ok_or("no T'→T''")?;
     let composed: Vec<usize> = f.row_map.iter().map(|&j| g.row_map[j]).collect();
     // replay to confirm the composition is itself a containment mapping
     let mut sym: std::collections::HashMap<_, _> = std::collections::HashMap::new();
@@ -287,7 +287,7 @@ fn f3() -> CheckResult {
 fn f4() -> CheckResult {
     let mut cat = Catalog::alphabetic();
     let d = parse("ab, bc, acd, de", &mut cat);
-    let shortened = gyo_core::gamma::cycles::shorten_path(&d, &[0, 1, 2, 3]);
+    let shortened = gyo::gamma::cycles::shorten_path(&d, &[0, 1, 2, 3]);
     if shortened == vec![0, 2, 3] {
         Ok("path 0-1-2-3 with chord (0,2) shortened to 0-2-3".into())
     } else {
@@ -318,7 +318,7 @@ fn f6() -> CheckResult {
     // R'₁ ∩ R'ₘ keeps the residues connected.
     let mut cat = Catalog::alphabetic();
     let d = parse("acd, ab, bc, cd", &mut cat);
-    let (i, j) = gyo_core::gamma::violating_pair(&d).ok_or("no violating pair")?;
+    let (i, j) = gyo::gamma::violating_pair(&d).ok_or("no violating pair")?;
     let x = d.rel(i).intersect(d.rel(j));
     let deleted = d.delete_attrs(&x);
     let comps = deleted.connected_components();
@@ -339,7 +339,7 @@ fn f7() -> CheckResult {
     for s in ["ab, bc, cd, da", "bcd, acd, abd, abc"] {
         let d = parse(s, &mut cat);
         let (i, j) =
-            gyo_core::gamma::violating_pair(&d).ok_or_else(|| format!("{s}: no violating pair"))?;
+            gyo::gamma::violating_pair(&d).ok_or_else(|| format!("{s}: no violating pair"))?;
         out.push(format!("{s}: pair ({i},{j}) stays connected"));
     }
     Ok(out.join("; "))
@@ -622,7 +622,7 @@ fn t8() -> CheckResult {
     ] {
         let d = parse(s, &mut cat);
         let x = AttrSet::parse(xs, &mut cat).unwrap();
-        let cc = gyo_core::query::min_equivalent_subschema(&d, &x);
+        let cc = gyo::query::min_equivalent_subschema(&d, &x);
         // Theorem 5.2: CC(D, U(D')) = D' for D' = CC(D, X).
         let again = canonical_connection(&d, &cc.attributes());
         if again != cc {
@@ -715,7 +715,7 @@ fn t10() -> CheckResult {
 }
 
 fn e1() -> CheckResult {
-    use gyo_core::gamma::{acyclicity_report, is_beta_acyclic, AcyclicityLevel};
+    use gyo::gamma::{acyclicity_report, is_beta_acyclic, AcyclicityLevel};
     let mut cat = Catalog::alphabetic();
     let rungs = [
         ("ab, bc, cd", AcyclicityLevel::Gamma),
@@ -745,7 +745,7 @@ fn e1() -> CheckResult {
 }
 
 fn e2() -> CheckResult {
-    use gyo_core::query::is_ujr;
+    use gyo::query::is_ujr;
     let mut cat = Catalog::alphabetic();
     let mut rng = StdRng::seed_from_u64(102);
     // trees: UR states are UJR

@@ -10,7 +10,7 @@
 
 #![warn(missing_docs)]
 
-use gyo_core::prelude::*;
+use gyo::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,6 +96,6 @@ mod tests {
         assert_eq!(classify(&d), SchemaKind::Tree);
         let pruned = prune_irrelevant(&d, &x);
         assert_eq!(pruned.schema.len(), 2, "only the head spine matters");
-        assert!(gyo_core::is_tree_schema(&pruned.schema));
+        assert!(gyo::is_tree_schema(&pruned.schema));
     }
 }

@@ -8,8 +8,10 @@
 //! materializing intermediate relations: semijoins only ever *remove*
 //! tuples, so the executor tracks one reusable selection vector per slot
 //! (the surviving row indices) and runs every step over the relations'
-//! cached flat key columns. [`Relation::semijoin`] is a one-step program,
-//! so the one-shot operator and the engines share this kernel.
+//! cached flat key columns; a step whose key is empty derives none, since
+//! a nonempty source then keeps every target row. [`Relation::semijoin`]
+//! is a one-step program, so the one-shot operator and the engines share
+//! this kernel.
 //!
 //! Keys of every width `w ≥ 2` share one scalar encoding: when all of a
 //! column's values fit in `s = ⌊128/w⌋` bits, the cached column holds one
@@ -233,21 +235,19 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         scratch.sel[step.target].clear();
         return;
     }
-
-    let source_col = source.key_column(&step.shared);
-    if matches!(*source_col, KeyColumn::Empty) {
+    if step.shared.is_empty() {
         return; // nonempty source, empty key: every target tuple matches
     }
+
+    let source_col = source.key_column(&step.shared);
     let target_col = target.key_column(&step.shared);
 
-    // Split borrows: the target's SelVec is mutated by the probe while the
-    // source's is only read during the build.
-    let (sel_lo, sel_hi) = scratch.sel.split_at_mut(step.target.max(step.source));
-    let (tsel, ssel): (&mut SelVec, &SelVec) = if step.target > step.source {
-        (&mut sel_hi[0], &sel_lo[step.source])
-    } else {
-        (&mut sel_lo[step.target], &sel_hi[0])
-    };
+    // The target's SelVec is mutated by the probe while the source's is
+    // only read during the build.
+    let [tsel, ssel] = scratch
+        .sel
+        .get_disjoint_mut([step.target, step.source])
+        .expect("target and source are distinct slots");
 
     // Build membership over the *selected* source keys, then probe the
     // target's key column through the chunked retain loop.

@@ -110,8 +110,6 @@ fn unpack2(p: u128) -> (u64, u64) {
 /// alone, both sides of a step pack alike.
 #[derive(Debug)]
 pub(crate) enum KeyColumn {
-    /// Width-0 key: every tuple has the empty key.
-    Empty,
     /// Width-1 key: the single key value per tuple, with the value range
     /// precomputed (the batched executor arms its stamp table from the
     /// range without rescanning the column).
@@ -137,7 +135,6 @@ pub(crate) enum KeyColumn {
 impl KeyColumn {
     fn extract(rel: &Relation, pos: &[usize]) -> Self {
         match *pos {
-            [] => KeyColumn::Empty,
             [p] => {
                 let vals: Vec<u64> = rel.rows().map(|t| t[p]).collect();
                 let min = vals.iter().copied().min().unwrap_or(0);
@@ -515,10 +512,12 @@ impl Relation {
         pos
     }
 
-    /// The flat key column over `key ⊆ attrs(self)` (see [`KeyColumn`]),
-    /// extracted once and cached — the batched semijoin executor reads
-    /// these instead of chasing per-tuple heap pointers.
+    /// The flat key column over a nonempty `key ⊆ attrs(self)` (see
+    /// [`KeyColumn`]), extracted once and cached — the batched semijoin
+    /// executor reads these instead of chasing per-tuple heap pointers.
+    /// An empty key has no column: its semijoin needs no key comparison.
     pub(crate) fn key_column(&self, key: &AttrSet) -> Arc<KeyColumn> {
+        debug_assert!(!key.is_empty(), "an empty key has no column");
         if let Some(col) = lock_cache(&self.shared.columns).get(key) {
             return Arc::clone(col);
         }
@@ -789,6 +788,9 @@ mod tests {
         let r = Relation::new(attrs(&[0]), vec![vec![1]]);
         let s = Relation::new(attrs(&[5]), vec![vec![9]]);
         assert_eq!(r.semijoin(&s), r);
+        // An empty key compares nothing, so neither side derives a column.
+        assert!(lock_cache(&r.shared.columns).is_empty());
+        assert!(lock_cache(&s.shared.columns).is_empty());
         // ... and with an empty disjoint relation it empties out.
         let nothing = Relation::empty(attrs(&[5]));
         assert!(r.semijoin(&nothing).is_empty());
