@@ -147,8 +147,18 @@ fn bench_flat_join(c: &mut Criterion) {
     group.finish();
 }
 
+/// A chain's full reducer: the upward pass, then the downward pass.
+fn chain_reducer(d: &DbSchema) -> Vec<SemijoinStep> {
+    let (n, schemas) = (d.len(), d.rels());
+    let upward = (1..n).rev().map(|v| SemijoinStep::new(schemas, v - 1, v));
+    let downward = (1..n).map(|v| SemijoinStep::new(schemas, v, v - 1));
+    upward.chain(downward).collect()
+}
+
 /// The columnar kernel family: selection-vector program execution with a
-/// reusable scratch (`program_chain`), full reduction over the wide-arity
+/// reusable scratch (`program_chain`), the same over fresh relations of
+/// three sizes (`fresh_program`) and over a warm state of small relations
+/// (`program_chain_small`), full reduction over the wide-arity
 /// workloads whose semijoin keys stress the wide-key membership path
 /// (`reduce_wide`, `reduce_tpch`), the gather-projection kernel on
 /// scattered columns (`gather_scatter`), and one-shot wide-key semijoins
@@ -162,14 +172,7 @@ fn bench_columnar(c: &mut Criterion) {
         let d = chain(n);
         let mut rng = bench_rng();
         let state = family_state(&mut rng, &d, 256, 1 << 14, 32);
-        let schemas = d.rels();
-        let mut steps = Vec::new();
-        for v in (1..n).rev() {
-            steps.push(SemijoinStep::new(schemas, v - 1, v)); // upward
-        }
-        for v in 1..n {
-            steps.push(SemijoinStep::new(schemas, v, v - 1)); // downward
-        }
+        let steps = chain_reducer(&d);
         let mut scratch = ExecScratch::new();
         group.bench_with_input(BenchmarkId::new("program_chain", n), &state, |b, state| {
             b.iter(|| {
@@ -178,6 +181,56 @@ fn bench_columnar(c: &mut Criterion) {
                 black_box(rels[0].len())
             })
         });
+    }
+
+    // The ad hoc case: every iteration loads a chain of 12 fresh relations
+    // (about `rows` UR rows plus one noisy row in eight each) from
+    // pre-made row-major buffers and runs one full reducer over them, so
+    // no key column is cached yet. At 8 rows the relations are the size of
+    // `perfbench`'s `adhoc_fresh` ones.
+    let d = chain(12);
+    let steps = chain_reducer(&d);
+    for rows in [8usize, 64, 512] {
+        let mut rng = bench_rng();
+        let state = family_state(&mut rng, &d, rows, 4 * rows as u64, rows.div_ceil(8));
+        let buffers: Vec<(AttrSet, usize, Vec<u64>)> = state
+            .rels()
+            .iter()
+            .map(|r| (r.attrs().clone(), r.len(), r.data().to_vec()))
+            .collect();
+        let mut scratch = ExecScratch::new();
+        group.bench_with_input(BenchmarkId::new("fresh_program", rows), &(), |b, ()| {
+            b.iter(|| {
+                let mut rels: Vec<gyo::Relation> = buffers
+                    .iter()
+                    .map(|(attrs, len, data)| {
+                        gyo::Relation::from_row_major(attrs.clone(), *len, data.clone())
+                    })
+                    .collect();
+                semijoin_program_with(&mut rels, &steps, &mut scratch);
+                black_box(rels[0].len())
+            })
+        });
+    }
+
+    // The same reducer re-run over one warm state of 8-row relations: the
+    // known cost of extracting small relations' key columns on every step
+    // where a cached column would be read.
+    {
+        let mut rng = bench_rng();
+        let state = family_state(&mut rng, &d, 8, 32, 1);
+        let mut scratch = ExecScratch::new();
+        group.bench_with_input(
+            BenchmarkId::new("program_chain_small", 8usize),
+            &state,
+            |b, state| {
+                b.iter(|| {
+                    let mut rels = state.rels().to_vec();
+                    semijoin_program_with(&mut rels, &steps, &mut scratch);
+                    black_box(rels[0].len())
+                })
+            },
+        );
     }
 
     // Wide-arity full reduction: arity-6 chains with width-3 semijoin keys

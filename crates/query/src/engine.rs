@@ -967,6 +967,65 @@ pub(crate) mod tests {
         assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (5, 3));
     }
 
+    /// A state over `d` whose relation `i` holds `sizes[i]` distinct random
+    /// rows, every value in `0..domain`.
+    fn sized_state(d: &DbSchema, sizes: &[usize], domain: u64, seed: u64) -> DbState {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rels = d
+            .iter()
+            .zip(sizes)
+            .map(|(r, &n)| {
+                let mut rows = std::collections::BTreeSet::new();
+                while rows.len() < n {
+                    rows.insert(
+                        (0..r.len())
+                            .map(|_| rng.random_range(0..domain))
+                            .collect::<Vec<u64>>(),
+                    );
+                }
+                Relation::new(r.clone(), rows.into_iter().collect())
+            })
+            .collect();
+        DbState::new(d, rels)
+    }
+
+    #[test]
+    fn states_mixing_small_and_large_relations_agree_cold_and_warm() {
+        // A relation under 64 rows (gyo-relation's private CACHE_MIN_ROWS)
+        // extracts its semijoin keys into the scratch on every step; a
+        // larger one caches them on the relation. Each state mixes both,
+        // with steps between them either way, and is queried twice: cold
+        // (plan miss, nothing cached) and then warm.
+        const N: usize = 64;
+        let mut cat = Catalog::alphabetic();
+        let e = TreeifyEngine::new();
+        let cases: [(&str, &str, Vec<usize>); 3] = [
+            // A star: the center is large and every leaf is small.
+            ("abcd, ae, bf, cg, dh", "eh", vec![N + 16, 10, N - 1, 40, 1]),
+            // A chain whose sizes alternate across N.
+            (
+                "ab, bc, cd, de, ef, fg",
+                "ag",
+                vec![N + 6, 20, N, N - 1, N + 1, 10],
+            ),
+            // A ring with a pendant: a cyclic schema, answered through W.
+            ("ab, bc, cd, da, ax", "cx", vec![N + 6, 30, N, N - 1, 12]),
+        ];
+        for (k, (s, xs, sizes)) in cases.iter().enumerate() {
+            let d = db(s, &mut cat);
+            let state = sized_state(&d, sizes, 9, 0x18 + k as u64);
+            let x = AttrSet::parse(xs, &mut cat).unwrap();
+            let want_reduced = NaiveEngine.reduce(&d, &state).unwrap();
+            let want = NaiveEngine.answer(&d, &state, &x).unwrap();
+            for run in ["cold", "warm"] {
+                assert_eq!(e.reduce(&d, &state).unwrap(), want_reduced, "{s}, {run}");
+                assert_eq!(e.answer(&d, &state, &x).unwrap(), want, "{s}, {run}");
+            }
+        }
+        assert_eq!((e.cached_plan_count(), e.cached_treeified_count()), (3, 1));
+    }
+
     #[test]
     fn a_contended_scratch_falls_back_to_a_fresh_one() {
         // This thread holds the scratch, so the engine's `try_lock` sees

@@ -8,8 +8,8 @@
 //! materializing intermediate relations: semijoins only ever *remove*
 //! tuples, so the executor tracks one reusable selection vector per slot
 //! (the surviving row indices) and runs every step over the relations'
-//! cached flat key columns; a step whose key is empty derives none, since
-//! a nonempty source then keeps every target row. [`Relation::semijoin`]
+//! flat key columns; a step whose key is empty derives none, since a
+//! nonempty source then keeps every target row. [`Relation::semijoin`]
 //! is a one-step program, so the one-shot operator and the engines share
 //! this kernel.
 //!
@@ -18,7 +18,7 @@
 //! `u128` per row, value `j` at shift `s·(w−1−j)` (for `w = 2`, the two
 //! 64-bit halves). `s` depends only on `w`, so both sides of a step pack
 //! alike without consulting each other. A column with a value `≥ 2^s`
-//! caches only that it does not pack.
+//! records only that it does not pack.
 //!
 //! Every step is two columnar kernels:
 //!
@@ -45,14 +45,42 @@
 //! materialized once, at the end, and only for slots that actually lost
 //! tuples.
 //!
-//! Because the key columns are cached *on the relations* (and shared by
-//! clones), repeated executions over the same state — the plan-cache usage
-//! pattern of the cached engine — pay the column extraction only once.
+//! A relation of `CACHE_MIN_ROWS` (64) rows or more caches its key columns
+//! *on the relation* (shared by clones), so repeated executions over the
+//! same state — the plan-cache usage pattern of the cached engine — pay
+//! its column extraction only once. A smaller relation caches nothing: its
+//! key column is extracted into the scratch on every step that reads it,
+//! so a never-seen state of small relations — the ad hoc query — pays no
+//! lock, map insert or allocation for its keys.
+
+use std::sync::Arc;
 
 use gyo_schema::{AttrSet, FxHashSet};
 
 use crate::kernels::{ChainIndex, SelVec, StampTable};
-use crate::relation::{positions_into, KeyColumn, Relation};
+use crate::relation::{extract_key, positions_into, KeyColumn, KeyView, Relation};
+
+/// The fewest rows a relation holds for a semijoin step to read its key
+/// column from the relation's cache ([`Relation::key_column`]). A smaller
+/// relation's key column is extracted into the scratch on every step that
+/// reads it, and never cached.
+///
+/// A cached column pays only when the same relation is stepped over again;
+/// deriving and caching it costs a lock, a cloned `AttrSet` key, a map
+/// insert, an `Arc` and a `Vec`. Extraction costs one pass over the rows
+/// per step. The criterion ids in `crates/bench/benches/programs.rs` set
+/// the value:
+/// - `programs/columnar/fresh_program/{8,64,512}` load fresh relations and
+///   run one chain reducer. This is the ad hoc case: below this value
+///   extraction wins, while at 512 rows re-extracting on every step loses
+///   to the cache;
+/// - `programs/columnar/program_chain_small/8` re-runs a chain reducer over
+///   one warm state of 8-row relations, where a cache hit would do: the
+///   known cost of extracting, within noise of the cached read.
+///
+/// The tests that straddle this value (`tests/prop.rs`, `tests/alloc.rs`
+/// and the mixed-size engine test in `gyo-query`) restate it.
+pub(crate) const CACHE_MIN_ROWS: usize = 64;
 
 /// One precompiled semijoin statement
 /// `rels[target] := rels[target] ⋉ rels[source]`, with the shared (key)
@@ -102,16 +130,17 @@ impl SemijoinStep {
 /// Reusable execution state for both executors, [`semijoin_program_with`]
 /// and [`join_up_with`](crate::join_up_with): one selection vector per
 /// slot, the stamp table, one `u128` hash set, one bucket chain, the key
-/// and projection positions, and the join-up's matched pairs, column maps
+/// and projection positions, a key column per semijoin side for relations
+/// too small to cache theirs, and the join-up's matched pairs, column maps
 /// and pool of intermediate row buffers. Everything is grow-only — steps
 /// and joins after warm-up allocate nothing but their outputs.
 ///
 /// Every use resets what it reads before reading it: a run resets the
 /// selection vector of each slot it uses, each step or join re-arms the
 /// stamp table or clears the set, chain, pairs or maps it fills, position
-/// lists are rebuilt, and pooled buffers are cleared when taken. So a
-/// scratch left mid-run by a panic is still valid for the next run, of
-/// either executor.
+/// lists and key columns are refilled, and pooled buffers are cleared when
+/// taken. So a scratch left mid-run by a panic is still valid for the next
+/// run, of either executor.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     /// Per-slot liveness (index `i` tracks `rels[i]`).
@@ -133,6 +162,11 @@ pub struct ExecScratch {
     pub(crate) build_key: Vec<usize>,
     pub(crate) probe_key: Vec<usize>,
     pub(crate) keep_pos: Vec<usize>,
+    /// A semijoin's source (index 0) and target (index 1) key columns,
+    /// when that relation has fewer than [`CACHE_MIN_ROWS`] rows: width-1
+    /// keys in `key_vals`, packed keys in `key_packed`.
+    key_vals: [Vec<u64>; 2],
+    key_packed: [Vec<u128>; 2],
     /// Matched `(probe, build)` row pairs awaiting assembly.
     pub(crate) pairs: Vec<(u32, u32)>,
     /// Output column maps `(out col, source pos)` per join side.
@@ -239,8 +273,23 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         return; // nonempty source, empty key: every target tuple matches
     }
 
-    let source_col = source.key_column(&step.shared);
-    let target_col = target.key_column(&step.shared);
+    let (mut held_source, mut held_target) = (None, None);
+    let [source_vals, target_vals] = &mut scratch.key_vals;
+    let [source_packed, target_packed] = &mut scratch.key_packed;
+    let source_col = side_column(
+        source,
+        &step.shared,
+        &mut scratch.build_key,
+        (source_vals, source_packed),
+        &mut held_source,
+    );
+    let target_col = side_column(
+        target,
+        &step.shared,
+        &mut scratch.probe_key,
+        (target_vals, target_packed),
+        &mut held_target,
+    );
 
     // The target's SelVec is mutated by the probe while the source's is
     // only read during the build.
@@ -251,19 +300,19 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
 
     // Build membership over the *selected* source keys, then probe the
     // target's key column through the chunked retain loop.
-    match (&*source_col, &*target_col) {
+    match (source_col, target_col) {
         (
-            KeyColumn::One {
+            KeyView::One {
                 vals: svals,
                 min,
                 max,
             },
-            KeyColumn::One { vals: tvals, .. },
+            KeyView::One { vals: tvals, .. },
         ) => {
             // The column's precomputed range bounds the *selected* keys, so
             // a small span gets the direct-map table (one store per insert,
             // one load per probe) with no range rescan.
-            if scratch.stamp.begin(*min, *max) {
+            if scratch.stamp.begin(min, max) {
                 let stamp = &mut scratch.stamp;
                 ssel.for_each(|i| stamp.insert(svals[i]));
                 let stamp = &scratch.stamp;
@@ -273,14 +322,7 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 tsel.retain(|i| set.contains(&u128::from(tvals[i])));
             }
         }
-        (
-            KeyColumn::Packed { width, keys: svals },
-            KeyColumn::Packed {
-                width: twidth,
-                keys: tvals,
-            },
-        ) => {
-            debug_assert_eq!(width, twidth, "key widths match across a step");
+        (KeyView::Packed(svals), KeyView::Packed(tvals)) => {
             let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i]);
             tsel.retain(|i| set.contains(&tvals[i]));
         }
@@ -305,6 +347,25 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 chain.rows_wide(tpos.iter().map(|&q| t[q])).any(same)
             });
         }
+    }
+}
+
+/// One side's key column for a step over `key`: the relation's cached
+/// column (kept alive in `held`) from [`CACHE_MIN_ROWS`] rows up, else the
+/// relation's keys extracted into the side's scratch buffers `bufs` at
+/// positions found in `pos`.
+fn side_column<'a>(
+    rel: &Relation,
+    key: &AttrSet,
+    pos: &mut Vec<usize>,
+    bufs: (&'a mut Vec<u64>, &'a mut Vec<u128>),
+    held: &'a mut Option<Arc<KeyColumn>>,
+) -> KeyView<'a> {
+    if rel.len() < CACHE_MIN_ROWS {
+        positions_into(key, rel.attrs(), pos);
+        extract_key(rel, pos, bufs.0, bufs.1)
+    } else {
+        held.insert(rel.key_column(key)).view()
     }
 }
 

@@ -36,8 +36,9 @@
 //! projection, hash join, semijoin, union, the batched mask executor —
 //! both reads and writes flat buffers, so **no operator allocates per
 //! row**. The buffer and the lazily built derivation cache (packed key
-//! columns) sit behind one `Arc`: cloning a relation is O(1), and every
-//! clone shares both, whether taken before a derivation or after.
+//! columns, cached only by relations of at least 64 rows) sit behind one
+//! `Arc`: cloning a relation is O(1), and every clone shares both, whether
+//! taken before a derivation or after.
 //!
 //! Nested tuple vectors appear in exactly two places, both boundaries: the
 //! ergonomic constructor [`Relation::new`] (input conversion) and the test

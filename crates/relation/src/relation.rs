@@ -22,6 +22,9 @@
 //! key column the semijoin kernel reads) sit behind one `Arc`, so cloning a
 //! relation is O(1) and every clone shares the tuples and each column
 //! derived from them, whether it was taken before the derivation or after.
+//! Only relations of at least 64 rows (the executor's `CACHE_MIN_ROWS`)
+//! cache columns: a smaller relation's key column is extracted into the
+//! executor's scratch on every step, which costs less than caching it.
 //!
 //! Each operator has one kernel. `natural_join` is the join-up's join
 //! ([`crate::joinup`]) over two relations, building a bucket chain on the
@@ -121,39 +124,83 @@ pub(crate) enum KeyColumn {
         /// Largest key (0 for an empty relation).
         max: u64,
     },
-    /// Width ≥ 2, every value below `2^s`: one packed `u128` per tuple.
-    Packed {
-        /// Key width (≥ 2).
-        width: usize,
-        /// The packed key per tuple.
-        keys: Vec<u128>,
-    },
+    /// Width ≥ 2, every value below `2^s`: the packed key per tuple.
+    Packed(Vec<u128>),
     /// Width ≥ 3 with some value `≥ 2^s`: the keys do not pack.
+    Unfit,
+}
+
+/// A [`KeyColumn`] as the semijoin kernels read it: borrowed from a
+/// relation's cached column ([`KeyColumn::view`]), or from the buffers
+/// [`extract_key`] fills in the executor's scratch.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum KeyView<'a> {
+    One { vals: &'a [u64], min: u64, max: u64 },
+    Packed(&'a [u128]),
     Unfit,
 }
 
 impl KeyColumn {
     fn extract(rel: &Relation, pos: &[usize]) -> Self {
-        match *pos {
-            [p] => {
-                let vals: Vec<u64> = rel.rows().map(|t| t[p]).collect();
-                let min = vals.iter().copied().min().unwrap_or(0);
-                let max = vals.iter().copied().max().unwrap_or(0);
-                KeyColumn::One { vals, min, max }
+        let (mut vals, mut keys) = (Vec::new(), Vec::new());
+        match extract_key(rel, pos, &mut vals, &mut keys) {
+            KeyView::One { min, max, .. } => KeyColumn::One { vals, min, max },
+            KeyView::Packed(_) => KeyColumn::Packed(keys),
+            KeyView::Unfit => KeyColumn::Unfit,
+        }
+    }
+
+    pub(crate) fn view(&self) -> KeyView<'_> {
+        match self {
+            KeyColumn::One { vals, min, max } => KeyView::One {
+                vals,
+                min: *min,
+                max: *max,
+            },
+            KeyColumn::Packed(keys) => KeyView::Packed(keys),
+            KeyColumn::Unfit => KeyView::Unfit,
+        }
+    }
+}
+
+/// `rel`'s key column at the nonempty positions `pos`, in one pass over the
+/// rows: width-1 keys go into `vals` and packed keys into `keys`, each
+/// cleared first and reused.
+pub(crate) fn extract_key<'a>(
+    rel: &Relation,
+    pos: &[usize],
+    vals: &'a mut Vec<u64>,
+    keys: &'a mut Vec<u128>,
+) -> KeyView<'a> {
+    vals.clear();
+    keys.clear();
+    // A nonempty key makes the arity nonzero.
+    let mut rows = rel.data().chunks_exact(rel.arity);
+    match *pos {
+        [p] => {
+            let (mut min, mut max) = (u64::MAX, 0);
+            vals.extend(rows.map(|t| {
+                let v = t[p];
+                (min, max) = (min.min(v), max.max(v));
+                v
+            }));
+            // An empty relation reads min = u64::MAX > max = 0 here.
+            KeyView::One {
+                vals,
+                min: min.min(max),
+                max,
             }
-            _ => {
-                let shift = pack_shift(pos.len());
-                let mut keys = Vec::with_capacity(rel.len);
-                for t in rel.rows() {
-                    match pack_key(pos.iter().map(|&p| t[p]), shift) {
-                        Some(k) => keys.push(k),
-                        None => return KeyColumn::Unfit,
-                    }
-                }
-                KeyColumn::Packed {
-                    width: pos.len(),
-                    keys,
-                }
+        }
+        _ => {
+            let shift = pack_shift(pos.len());
+            keys.reserve(rel.len);
+            let packed = rows.try_for_each(|t| {
+                keys.push(pack_key(pos.iter().map(|&p| t[p]), shift)?);
+                Some(())
+            });
+            match packed {
+                Some(()) => KeyView::Packed(keys),
+                None => KeyView::Unfit,
             }
         }
     }
@@ -516,6 +563,11 @@ impl Relation {
     /// [`KeyColumn`]), extracted once and cached — the batched semijoin
     /// executor reads these instead of chasing per-tuple heap pointers.
     /// An empty key has no column: its semijoin needs no key comparison.
+    ///
+    /// The executor asks only relations of
+    /// [`CACHE_MIN_ROWS`](crate::exec::CACHE_MIN_ROWS) rows or more for a
+    /// cached column. A smaller relation's keys are extracted into the
+    /// executor's scratch on every step, so it never caches a column.
     pub(crate) fn key_column(&self, key: &AttrSet) -> Arc<KeyColumn> {
         debug_assert!(!key.is_empty(), "an empty key has no column");
         if let Some(col) = lock_cache(&self.shared.columns).get(key) {
@@ -657,6 +709,7 @@ impl fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::CACHE_MIN_ROWS;
 
     fn attrs(raw: &[u32]) -> AttrSet {
         AttrSet::from_raw(raw)
@@ -824,10 +877,12 @@ mod tests {
             attrs(&[0, 1, 2, 3]),
             vec![vec![1, 2, 3, 4], vec![(1 << 42) - 1, 0, 0, 9]],
         );
-        assert!(matches!(
-            *fit.key_column(&key),
-            KeyColumn::Packed { width: 3, ref keys } if keys.len() == 2
-        ));
+        let packed = |t: [u64; 3]| pack_key(t, pack_shift(3)).unwrap();
+        let want = [packed([1, 2, 3]), packed([(1 << 42) - 1, 0, 0])];
+        assert!(
+            matches!(*fit.key_column(&key), KeyColumn::Packed(ref keys) if *keys == want),
+            "one packed key per row, in row order"
+        );
         let unfit = Relation::new(
             attrs(&[0, 1, 2, 3]),
             vec![vec![1, 2, 3, 4], vec![0, 1 << 42, 0, 9]],
@@ -837,15 +892,20 @@ mod tests {
         let two = Relation::new(attrs(&[0, 1]), vec![vec![u64::MAX, u64::MAX]]);
         assert!(matches!(
             *two.key_column(&attrs(&[0, 1])),
-            KeyColumn::Packed { width: 2, .. }
+            KeyColumn::Packed(_)
         ));
     }
 
     #[test]
     fn a_poisoned_relation_cache_recovers() {
-        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
-        let s = Relation::new(attrs(&[1, 2]), vec![vec![10, 100]]);
+        // Both sides are large enough to read their key columns through
+        // the cache. S holds every even b of R, and T every even c of S.
+        let n = CACHE_MIN_ROWS as u64;
+        let r = rows_of(&[0, 1], n, |i| vec![i, 10 * i]);
+        let s = rows_of(&[1, 2], n, |i| vec![20 * i, i]);
+        let t = rows_of(&[2, 3], n, |i| vec![2 * i, 0]);
         let want = r.semijoin(&s);
+        assert_eq!(want.len(), CACHE_MIN_ROWS / 2);
         let panicked = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
@@ -857,7 +917,11 @@ mod tests {
         });
         assert!(panicked && s.shared.columns.is_poisoned());
         assert_eq!(r.semijoin(&s), want, "cached build still served");
-        assert_eq!(s.semijoin(&r).len(), 1, "new derivations still cached");
+        assert_eq!(s.semijoin(&t).len(), CACHE_MIN_ROWS / 2);
+        assert!(
+            lock_cache(&s.shared.columns).contains_key(&attrs(&[2])),
+            "new derivations still cached"
+        );
     }
 
     #[test]
@@ -929,12 +993,19 @@ mod tests {
         assert!(Arc::ptr_eq(&r.shared, &later.shared));
     }
 
+    /// `n` rows over `attrs`, row `i` being `row(i)`.
+    fn rows_of(attrs_raw: &[u32], n: u64, row: impl Fn(u64) -> Vec<u64>) -> Relation {
+        Relation::new(attrs(attrs_raw), (0..n).map(row).collect())
+    }
+
     #[test]
     fn a_semijoin_that_drops_nothing_shares_its_input() {
         // The step derives the input's key column on a copy; the result
-        // and the input keep it, with the rows, in one `Arc`.
-        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
-        let s = Relation::new(attrs(&[1, 2]), vec![vec![10, 5], vec![20, 6]]);
+        // and the input keep it, with the rows, in one `Arc`. Both sides
+        // are large enough to cache their key columns.
+        let n = CACHE_MIN_ROWS as u64;
+        let r = rows_of(&[0, 1], n, |i| vec![i, 10 * i]);
+        let s = rows_of(&[1, 2], n, |i| vec![10 * i, i]);
         let key = attrs(&[1]);
         let kept = r.semijoin(&s);
         assert_eq!(kept, r);
@@ -948,6 +1019,40 @@ mod tests {
     }
 
     #[test]
+    fn a_semijoin_over_small_relations_caches_no_column() {
+        // Below CACHE_MIN_ROWS rows a relation's key column is extracted
+        // into the scratch and never cached; at exactly CACHE_MIN_ROWS it
+        // is cached. Either way the semijoin is the same.
+        let key = attrs(&[1]);
+        let cached = |rel: &Relation| lock_cache(&rel.shared.columns).contains_key(&key);
+        for (r_rows, s_rows) in [
+            (CACHE_MIN_ROWS - 1, CACHE_MIN_ROWS - 1),
+            (CACHE_MIN_ROWS, CACHE_MIN_ROWS - 1),
+            (CACHE_MIN_ROWS - 1, CACHE_MIN_ROWS),
+            (CACHE_MIN_ROWS, CACHE_MIN_ROWS),
+        ] {
+            // S holds every even b of R, so half of R survives.
+            let r = rows_of(&[0, 1], r_rows as u64, |i| vec![i, i]);
+            let s = rows_of(&[1, 2], s_rows as u64, |i| vec![2 * i, 7]);
+            let kept = r.semijoin(&s);
+            let want: Vec<Vec<u64>> = r
+                .rows()
+                .filter(|t| t[1] % 2 == 0)
+                .map(<[u64]>::to_vec)
+                .collect();
+            assert_eq!(kept.to_vecs(), want, "{r_rows} ⋉ {s_rows}");
+            assert_eq!(cached(&r), r_rows >= CACHE_MIN_ROWS, "R of {r_rows} rows");
+            assert_eq!(cached(&s), s_rows >= CACHE_MIN_ROWS, "S of {s_rows} rows");
+            if r_rows < CACHE_MIN_ROWS {
+                assert!(lock_cache(&r.shared.columns).is_empty());
+            }
+            if s_rows < CACHE_MIN_ROWS {
+                assert!(lock_cache(&s.shared.columns).is_empty());
+            }
+        }
+    }
+
+    #[test]
     fn equality_ignores_caches() {
         let a = Relation::new(attrs(&[0, 1]), vec![vec![1, 2]]);
         let b = Relation::new(attrs(&[0, 1]), vec![vec![1, 2]]);
@@ -958,12 +1063,18 @@ mod tests {
 
     #[test]
     fn cached_build_survives_repeated_semijoins() {
+        // The hub is large enough to cache its key column, and its b
+        // values are 10, 30, 50, …
         let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
-        let hub = Relation::new(attrs(&[1, 2]), vec![vec![10, 5], vec![30, 6]]);
+        let hub = rows_of(&[1, 2], CACHE_MIN_ROWS as u64, |i| vec![10 + 20 * i, i]);
+        let key = attrs(&[1]);
         let first = r.semijoin(&hub);
+        let col = hub.key_column(&key);
         let second = r.semijoin(&hub); // hits hub's cached key column
         assert_eq!(first, second);
         assert_eq!(first.to_vecs(), vec![vec![1, 10]]);
+        assert!(Arc::ptr_eq(&col, &hub.key_column(&key)));
+        assert_eq!(lock_cache(&hub.shared.columns).len(), 1);
     }
 
     #[test]

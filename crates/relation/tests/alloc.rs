@@ -7,6 +7,10 @@
 //! width-1 keys too far apart for it (which share the `u128` set), packed
 //! `u128` keys, and the chain for steps where some side's keys do not pack.
 //!
+//! Relations under the executor's caching threshold cache no key column,
+//! so a warm scratch runs a program over freshly built small relations
+//! without allocating at all.
+//!
 //! A warm join-up along a path of cores, as a cyclic plan builds
 //! `state(W)`, allocates a bounded count per edge plus its output.
 //!
@@ -119,13 +123,12 @@ fn wide_chain_schemas(n: usize, arity: u32, overlap: u32) -> Vec<AttrSet> {
         .collect()
 }
 
-#[test]
-fn warm_program_steps_allocate_nothing() {
-    // One scenario per membership path: width-1 stamp table, width-1 keys
-    // in the u128 set (huge key range), width-2 packed set, width-3 keys packed
-    // into the same u128 set, and width-3 keys with every value ≥ 2^42
-    // (too wide for the 42-bit fields), which take the bucket chain.
-    let scenarios: Vec<Scenario> = vec![
+/// One scenario per membership path: width-1 stamp table, width-1 keys in
+/// the u128 set (huge key range), width-2 packed set, width-3 keys packed
+/// into the same u128 set, and width-3 keys with every value ≥ 2^42 (too
+/// wide for the 42-bit fields), which take the bucket chain.
+fn scenarios() -> Vec<Scenario> {
+    vec![
         (
             "width-1 stamp",
             wide_chain_schemas(6, 2, 1),
@@ -147,8 +150,12 @@ fn warm_program_steps_allocate_nothing() {
             wide_chain_schemas(5, 6, 3),
             Box::new(|v| v + (1 << 42)),
         ),
-    ];
-    for (label, schemas, value) in scenarios {
+    ]
+}
+
+#[test]
+fn warm_program_steps_allocate_nothing() {
+    for (label, schemas, value) in scenarios() {
         let steps = chain_reducer_steps(&schemas);
         let mut rels = ur_rels(&schemas, 64, value);
         let reference = rels.clone();
@@ -240,6 +247,41 @@ fn warm_program_steps_allocate_nothing() {
          changed slot, got {} allocations",
         after - before
     );
+}
+
+/// The fewest rows for which a relation caches its key columns: the
+/// executor's private `CACHE_MIN_ROWS`, restated.
+const CACHE_MIN_ROWS: usize = 64;
+
+#[test]
+fn warm_steps_over_fresh_small_relations_allocate_nothing() {
+    // A relation under CACHE_MIN_ROWS rows caches no key column: every step
+    // extracts its keys into the scratch. So a warm scratch runs a chain
+    // reducer over relations it has never seen, freshly built as an ad hoc
+    // query's are, without one allocation, on every membership path. A UR
+    // state drops no row, so no slot is re-materialized.
+    for (label, schemas, value) in scenarios() {
+        let steps = chain_reducer_steps(&schemas);
+        let mut scratch = ExecScratch::new();
+        let mut warm = ur_rels(&schemas, CACHE_MIN_ROWS - 1, &value);
+        semijoin_program_with(&mut warm, &steps, &mut scratch);
+
+        let mut fresh = ur_rels(&schemas, CACHE_MIN_ROWS - 1, &value);
+        assert!(
+            fresh.iter().all(|r| r.len() == CACHE_MIN_ROWS - 1),
+            "{label}: every relation is just under the threshold"
+        );
+        let reference = fresh.clone();
+        let (n, ()) = counted(|| semijoin_program_with(&mut fresh, &steps, &mut scratch));
+        assert_eq!(
+            n,
+            0,
+            "{label}: a warm scratch over fresh small relations must not \
+             allocate (steps: {})",
+            steps.len()
+        );
+        assert_eq!(fresh, reference, "{label}: UR state is a fixpoint");
+    }
 }
 
 /// 1000 rows over `attrs`, row `i` built by `row(i, i mod keys)`.

@@ -684,3 +684,148 @@ proptest! {
         check_join_up(&rels, shift, &raw, &cut, &xs, &ys);
     }
 }
+
+/// The fewest rows for which a relation caches its key columns: the
+/// executor's private `CACHE_MIN_ROWS`, restated. A smaller relation's
+/// keys are extracted into the scratch on every step.
+const CACHE_MIN_ROWS: usize = 64;
+
+/// The core attribute sets a threshold slot chooses from. Two slots'
+/// cores meet in a key of width 0 to 3; the width-3 core is listed twice
+/// so that width-3 steps are common.
+const THRESHOLD_CORES: [&[u32]; 5] = [&[0], &[0, 1], &[0, 1, 2], &[0, 1, 2], &[1, 2]];
+
+/// One threshold slot: its row count, its core (an index into
+/// [`THRESHOLD_CORES`]), its value regime, and the raw cells of its core
+/// columns.
+type ThresholdSlot = (usize, usize, u8, Vec<u64>);
+
+/// A slot of `size` rows (see [`threshold_relation`]).
+fn threshold_slot(size: impl Strategy<Value = usize>) -> impl Strategy<Value = ThresholdSlot> {
+    (
+        size,
+        0..THRESHOLD_CORES.len(),
+        0u8..3,
+        proptest::collection::vec(0u64..4, 3 * 2 * CACHE_MIN_ROWS),
+    )
+}
+
+/// Sizes on both sides of the threshold: just under it, at it, just over
+/// it, or anywhere in `1..2·CACHE_MIN_ROWS`.
+fn straddling_size() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1 => Just(CACHE_MIN_ROWS - 1),
+        1 => Just(CACHE_MIN_ROWS),
+        1 => Just(CACHE_MIN_ROWS + 1),
+        3 => 1..2 * CACHE_MIN_ROWS,
+    ]
+}
+
+/// Slot `k`'s relation: `size` rows over its core plus the private
+/// attribute `10 + k`, which holds the row number, so that the rows are
+/// distinct and the relation has exactly `size` rows. A raw cell `c < 4`
+/// becomes, by regime:
+/// - 0: `c` — width-1 keys fill the stamp table, wider keys pack;
+/// - 1: `c · 2^40` — width-1 keys span too wide a range for the stamp
+///   table and go to the `u128` set, and width-3 keys still pack (every
+///   value is below `2^42`);
+/// - 2: `c`, or `2^42 + c` for every third row — width-3 keys do not pack
+///   and the step takes the bucket chain; width-2 keys pack all the same.
+fn threshold_relation(k: usize, slot: &ThresholdSlot) -> Relation {
+    let (size, core, regime, cells) = slot;
+    let core = THRESHOLD_CORES[*core];
+    let mut attrs = core.to_vec();
+    attrs.push(10 + k as u32);
+    let mut data = Vec::with_capacity(size * attrs.len());
+    for i in 0..*size {
+        data.extend(core.iter().enumerate().map(|(j, _)| {
+            let c = cells[3 * i + j];
+            match regime {
+                0 => c,
+                1 => c << 40,
+                _ if i % 3 == 0 => (1 << 42) + c,
+                _ => c,
+            }
+        }));
+        data.push(i as u64);
+    }
+    Relation::from_row_major(AttrSet::from_raw(&attrs), *size, data)
+}
+
+thread_local! {
+    /// The one scratch every case of the threshold property runs on, so
+    /// each case starts from the buffers an earlier case of another shape
+    /// left behind.
+    static THRESHOLD_SCRATCH: std::cell::RefCell<ExecScratch> =
+        std::cell::RefCell::new(ExecScratch::new());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Programs whose slots straddle the key-column caching threshold agree
+    /// with one nested-loop semijoin per step. Slot 0 has fewer than
+    /// `CACHE_MIN_ROWS` rows and slot 1 at least as many, and every program
+    /// starts with `0 ⋉ 1` and `1 ⋉ 0`, so both a small source against a
+    /// large target and a large source against a small target occur; the
+    /// other slots take any size on either side. Keys of width 1 to 3 in
+    /// three value regimes reach every membership arm: the stamp table,
+    /// the `u128` set for wide-range width-1 keys and for packed keys of
+    /// width 2 and 3, and the bucket chain for width-3 keys that do not
+    /// pack. Each program runs twice on one scratch shared by all cases:
+    /// cold, then over the columns the large slots cached.
+    #[test]
+    fn selvec_program_matches_sequential_semijoins_across_the_cache_threshold(
+        small in threshold_slot(prop_oneof![1 => Just(CACHE_MIN_ROWS - 1), 1 => 1..CACHE_MIN_ROWS]),
+        large in threshold_slot(prop_oneof![
+            1 => Just(CACHE_MIN_ROWS),
+            1 => Just(CACHE_MIN_ROWS + 1),
+            1 => CACHE_MIN_ROWS..2 * CACHE_MIN_ROWS,
+        ]),
+        rest in proptest::collection::vec(threshold_slot(straddling_size()), 0..4),
+        raw_steps in proptest::collection::vec((0usize..6, 0usize..6), 0..12),
+    ) {
+        let rels0: Vec<Relation> = [small, large]
+            .iter()
+            .chain(&rest)
+            .enumerate()
+            .map(|(k, slot)| threshold_relation(k, slot))
+            .collect();
+        let raw: Vec<(usize, usize)> = [(0, 1), (1, 0)].into_iter().chain(raw_steps).collect();
+        check_threshold_program(&rels0, &raw);
+    }
+}
+
+/// Runs the program `raw_steps` (slot indices taken modulo the slot count)
+/// over `rels0` twice on the shared threshold scratch, against one
+/// nested-loop semijoin per step.
+fn check_threshold_program(rels0: &[Relation], raw_steps: &[(usize, usize)]) {
+    let schemas: Vec<AttrSet> = rels0.iter().map(|r| r.attrs().clone()).collect();
+    let steps: Vec<SemijoinStep> = raw_steps
+        .iter()
+        .map(|&(t, s)| SemijoinStep::new(&schemas, t % rels0.len(), s % rels0.len()))
+        .collect();
+    let mut expect = rels0.to_vec();
+    for st in &steps {
+        let kept = reference_semijoin(&expect[st.target()], &expect[st.source()]);
+        expect[st.target()] = Relation::new(schemas[st.target()].clone(), kept);
+    }
+    THRESHOLD_SCRATCH.with(|scratch| {
+        let scratch = &mut scratch.borrow_mut();
+        for run in ["cold", "warm"] {
+            let mut got = rels0.to_vec();
+            semijoin_program_with(&mut got, &steps, scratch);
+            for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
+                prop_assert_eq!(
+                    g.to_vecs(),
+                    e.to_vecs(),
+                    "{} run, slot {} of {} rows, steps {:?}",
+                    run,
+                    k,
+                    rels0[k].len(),
+                    raw_steps
+                );
+            }
+        }
+    });
+}
