@@ -214,8 +214,8 @@ fn bench_columnar(c: &mut Criterion) {
     }
 
     // The same reducer re-run over one warm state of 8-row relations: the
-    // known cost of extracting small relations' key columns on every step
-    // where a cached column would be read.
+    // known cost of chaining small relations' rows on every step where a
+    // cached column would be read.
     {
         let mut rng = bench_rng();
         let state = family_state(&mut rng, &d, 8, 32, 1);

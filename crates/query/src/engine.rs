@@ -993,10 +993,11 @@ pub(crate) mod tests {
     #[test]
     fn states_mixing_small_and_large_relations_agree_cold_and_warm() {
         // A relation under 64 rows (gyo-relation's private CACHE_MIN_ROWS)
-        // extracts its semijoin keys into the scratch on every step; a
-        // larger one caches them on the relation. Each state mixes both,
-        // with steps between them either way, and is queried twice: cold
-        // (plan miss, nothing cached) and then warm.
+        // has no key column: a step with such a side chains both sides'
+        // rows, and a step between two larger relations reads key columns
+        // cached on them. Each state mixes both, with steps between them
+        // either way, and is queried twice: cold (plan miss, nothing
+        // cached) and then warm.
         const N: usize = 64;
         let mut cat = Catalog::alphabetic();
         let e = TreeifyEngine::new();

@@ -30,11 +30,11 @@
 //!    retain loop: fixed-size chunks, branchless mask accumulation, no
 //!    per-row branching.
 //!
-//! When either side's keys do not pack, the step runs on the bucket chain
-//! the join-up's joins build: the selected source rows are chained on the
-//! hash of their key, and each target row probes it through the same
-//! retain loop, re-comparing the key columns on every hit, so a hash
-//! collision never matches.
+//! When either side is small or its keys do not pack, the step runs on the
+//! bucket chain the join-up's joins build: the selected source rows are
+//! chained on the hash of their key, and each target row probes it through
+//! the same retain loop, re-comparing the key columns on every hit, so a
+//! hash collision never matches.
 //!
 //! All scratch state lives in an [`ExecScratch`] that is reused across
 //! steps, across whole program runs *and* by the join-up executor
@@ -45,38 +45,40 @@
 //! materialized once, at the end, and only for slots that actually lost
 //! tuples.
 //!
-//! A relation of `CACHE_MIN_ROWS` (64) rows or more caches its key columns
-//! *on the relation* (shared by clones), so repeated executions over the
-//! same state — the plan-cache usage pattern of the cached engine — pay
-//! its column extraction only once. A smaller relation caches nothing: its
-//! key column is extracted into the scratch on every step that reads it,
-//! so a never-seen state of small relations — the ad hoc query — pays no
-//! lock, map insert or allocation for its keys.
-
-use std::sync::Arc;
+//! A small relation has no key column; its steps chain rows. A step
+//! between two relations of `CACHE_MIN_ROWS` (64) rows or more reads key
+//! columns cached *on the relations* (shared by clones), so repeated
+//! executions over the same state — the plan-cache usage pattern of the
+//! cached engine — pay each column's extraction only once. A step where
+//! either side is smaller derives no column on either side and runs on the
+//! bucket chain over both relations' rows, so a never-seen state of small
+//! relations — the ad hoc query — pays no extraction, lock, map insert or
+//! allocation for its keys.
 
 use gyo_schema::{AttrSet, FxHashSet};
 
 use crate::kernels::{ChainIndex, SelVec, StampTable};
-use crate::relation::{extract_key, positions_into, KeyColumn, KeyView, Relation};
+use crate::relation::{positions_into, KeyColumn, Relation};
 
-/// The fewest rows a relation holds for a semijoin step to read its key
-/// column from the relation's cache ([`Relation::key_column`]). A smaller
-/// relation's key column is extracted into the scratch on every step that
-/// reads it, and never cached.
+/// The fewest rows both sides of a semijoin step hold for the step to read
+/// their key columns from the relations' caches ([`Relation::key_column`]).
+/// A small relation has no key column: a step where either side has fewer
+/// rows runs on the bucket chain over both relations' rows and derives no
+/// column on either side.
 ///
 /// A cached column pays only when the same relation is stepped over again;
-/// deriving and caching it costs a lock, a cloned `AttrSet` key, a map
-/// insert, an `Arc` and a `Vec`. Extraction costs one pass over the rows
-/// per step. The criterion ids in `crates/bench/benches/programs.rs` set
-/// the value:
+/// deriving and caching it costs a pass over the rows, a lock, a cloned
+/// `AttrSet` key, a map insert, an `Arc` and a `Vec`. The chain costs one
+/// hash per selected row on each side, per step. The criterion ids in
+/// `crates/bench/benches/programs.rs` set the value:
 /// - `programs/columnar/fresh_program/{8,64,512}` load fresh relations and
 ///   run one chain reducer. This is the ad hoc case: below this value
-///   extraction wins, while at 512 rows re-extracting on every step loses
-///   to the cache;
+///   chaining rows wins, while at 512 rows re-reading the rows on every
+///   step loses to the cache;
 /// - `programs/columnar/program_chain_small/8` re-runs a chain reducer over
-///   one warm state of 8-row relations, where a cache hit would do: the
-///   known cost of extracting, within noise of the cached read.
+///   one warm state of 8-row relations, where a cached column would be
+///   read: the known cost of chaining, about twice the cached read, a few
+///   µs per run.
 ///
 /// The tests that straddle this value (`tests/prop.rs`, `tests/alloc.rs`
 /// and the mixed-size engine test in `gyo-query`) restate it.
@@ -129,18 +131,19 @@ impl SemijoinStep {
 
 /// Reusable execution state for both executors, [`semijoin_program_with`]
 /// and [`join_up_with`](crate::join_up_with): one selection vector per
-/// slot, the stamp table, one `u128` hash set, one bucket chain, the key
-/// and projection positions, a key column per semijoin side for relations
-/// too small to cache theirs, and the join-up's matched pairs, column maps
-/// and pool of intermediate row buffers. Everything is grow-only — steps
-/// and joins after warm-up allocate nothing but their outputs.
+/// slot, the stamp table, one `u128` hash set, one bucket chain (which also
+/// serves every semijoin step with a side too small to have a key column),
+/// the key and projection positions, and the join-up's matched pairs,
+/// column maps and pool of intermediate row buffers. Everything is
+/// grow-only — steps and joins after warm-up allocate nothing but their
+/// outputs.
 ///
 /// Every use resets what it reads before reading it: a run resets the
 /// selection vector of each slot it uses, each step or join re-arms the
 /// stamp table or clears the set, chain, pairs or maps it fills, position
-/// lists and key columns are refilled, and pooled buffers are cleared when
-/// taken. So a scratch left mid-run by a panic is still valid for the next
-/// run, of either executor.
+/// lists are refilled, and pooled buffers are cleared when taken. So a
+/// scratch left mid-run by a panic is still valid for the next run, of
+/// either executor.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     /// Per-slot liveness (index `i` tracks `rels[i]`).
@@ -154,19 +157,14 @@ pub struct ExecScratch {
     /// The join-up's dedup of projected width-1 rows.
     pub(crate) seen1: FxHashSet<u64>,
     /// A join's build side, chained on its key; a semijoin's selected
-    /// source rows when some side's keys do not pack; the join-up's dedup
-    /// of projected wider rows.
+    /// source rows when some side is small or its keys do not pack; the
+    /// join-up's dedup of projected wider rows.
     pub(crate) chain: ChainIndex,
     /// Key positions on the build side (a semijoin's source) and the probe
     /// side (its target), and the join-up's projection positions.
     pub(crate) build_key: Vec<usize>,
     pub(crate) probe_key: Vec<usize>,
     pub(crate) keep_pos: Vec<usize>,
-    /// A semijoin's source (index 0) and target (index 1) key columns,
-    /// when that relation has fewer than [`CACHE_MIN_ROWS`] rows: width-1
-    /// keys in `key_vals`, packed keys in `key_packed`.
-    key_vals: [Vec<u64>; 2],
-    key_packed: [Vec<u128>; 2],
     /// Matched `(probe, build)` row pairs awaiting assembly.
     pub(crate) pairs: Vec<(u32, u32)>,
     /// Output column maps `(out col, source pos)` per join side.
@@ -273,24 +271,6 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         return; // nonempty source, empty key: every target tuple matches
     }
 
-    let (mut held_source, mut held_target) = (None, None);
-    let [source_vals, target_vals] = &mut scratch.key_vals;
-    let [source_packed, target_packed] = &mut scratch.key_packed;
-    let source_col = side_column(
-        source,
-        &step.shared,
-        &mut scratch.build_key,
-        (source_vals, source_packed),
-        &mut held_source,
-    );
-    let target_col = side_column(
-        target,
-        &step.shared,
-        &mut scratch.probe_key,
-        (target_vals, target_packed),
-        &mut held_target,
-    );
-
     // The target's SelVec is mutated by the probe while the source's is
     // only read during the build.
     let [tsel, ssel] = scratch
@@ -298,21 +278,30 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         .get_disjoint_mut([step.target, step.source])
         .expect("target and source are distinct slots");
 
+    // A small relation has no key column: only a step between two relations
+    // of `CACHE_MIN_ROWS` rows or more reads (and first derives) cached ones.
+    let cached = (source.len().min(target.len()) >= CACHE_MIN_ROWS).then(|| {
+        (
+            source.key_column(&step.shared),
+            target.key_column(&step.shared),
+        )
+    });
+
     // Build membership over the *selected* source keys, then probe the
     // target's key column through the chunked retain loop.
-    match (source_col, target_col) {
-        (
-            KeyView::One {
+    match cached.as_ref().map(|(s, t)| (&**s, &**t)) {
+        Some((
+            KeyColumn::One {
                 vals: svals,
                 min,
                 max,
             },
-            KeyView::One { vals: tvals, .. },
-        ) => {
+            KeyColumn::One { vals: tvals, .. },
+        )) => {
             // The column's precomputed range bounds the *selected* keys, so
             // a small span gets the direct-map table (one store per insert,
             // one load per probe) with no range rescan.
-            if scratch.stamp.begin(min, max) {
+            if scratch.stamp.begin(*min, *max) {
                 let stamp = &mut scratch.stamp;
                 ssel.for_each(|i| stamp.insert(svals[i]));
                 let stamp = &scratch.stamp;
@@ -322,12 +311,13 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 tsel.retain(|i| set.contains(&u128::from(tvals[i])));
             }
         }
-        (KeyView::Packed(svals), KeyView::Packed(tvals)) => {
+        Some((KeyColumn::Packed(svals), KeyColumn::Packed(tvals))) => {
             let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i]);
             tsel.retain(|i| set.contains(&tvals[i]));
         }
-        // Some side does not pack: chain the selected source rows on their
-        // key's hash, and re-compare the key columns on every hit.
+        // A small side, or a side whose keys do not pack: chain the
+        // selected source rows on their key's hash, and re-compare the key
+        // columns on every hit.
         _ => {
             positions_into(&step.shared, source.attrs(), &mut scratch.build_key);
             positions_into(&step.shared, target.attrs(), &mut scratch.probe_key);
@@ -347,25 +337,6 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
                 chain.rows_wide(tpos.iter().map(|&q| t[q])).any(same)
             });
         }
-    }
-}
-
-/// One side's key column for a step over `key`: the relation's cached
-/// column (kept alive in `held`) from [`CACHE_MIN_ROWS`] rows up, else the
-/// relation's keys extracted into the side's scratch buffers `bufs` at
-/// positions found in `pos`.
-fn side_column<'a>(
-    rel: &Relation,
-    key: &AttrSet,
-    pos: &mut Vec<usize>,
-    bufs: (&'a mut Vec<u64>, &'a mut Vec<u128>),
-    held: &'a mut Option<Arc<KeyColumn>>,
-) -> KeyView<'a> {
-    if rel.len() < CACHE_MIN_ROWS {
-        positions_into(key, rel.attrs(), pos);
-        extract_key(rel, pos, bufs.0, bufs.1)
-    } else {
-        held.insert(rel.key_column(key)).view()
     }
 }
 
@@ -594,9 +565,16 @@ mod tests {
     fn stamp_range_boundary_matches_nested_loops() {
         // Width-1 source keys spanning max − min = MAX_RANGE − 1 still fit
         // the stamp table; one more and they go into the u128 set. Either
-        // way the step is the nested-loop semijoin.
+        // way the step is the nested-loop semijoin. Each key is repeated on
+        // `reps` rows, so both sides have key columns.
         let schemas = vec![attrs(&[0, 1]), attrs(&[1, 2])];
         let lo = 1000;
+        let reps = CACHE_MIN_ROWS as u64 / 3 + 1;
+        let repeated = |keys: &[u64], row: fn(u64, u64) -> Vec<u64>| -> Vec<Vec<u64>> {
+            (0..reps)
+                .flat_map(|i| keys.iter().map(move |&k| row(i, k)))
+                .collect()
+        };
         for (span, stamped) in [
             (StampTable::MAX_RANGE - 1, true),
             (StampTable::MAX_RANGE, false),
@@ -604,18 +582,15 @@ mod tests {
             let hi = lo + span;
             let target = Relation::new(
                 schemas[0].clone(),
-                [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
-                    .iter()
-                    .enumerate()
-                    .map(|(a, &b)| vec![a as u64, b])
-                    .collect(),
+                repeated(&[lo - 1, lo, lo + 1, hi - 1, hi, hi + 1], |i, k| vec![i, k]),
             );
             let source = Relation::new(
                 schemas[1].clone(),
-                vec![vec![lo, 0], vec![lo + 1, 0], vec![hi, 0]],
+                repeated(&[lo, lo + 1, hi], |i, k| vec![k, i]),
             );
+            assert!(source.len() >= CACHE_MIN_ROWS && target.len() >= CACHE_MIN_ROWS);
             let expected = nested_semijoin(&target, &source);
-            assert_eq!(expected.len(), 3, "span {span}");
+            assert_eq!(expected.len() as u64, 3 * reps, "span {span}");
             let mut rels = vec![target, source];
             let mut scratch = ExecScratch::new();
             semijoin_program_with(
@@ -625,6 +600,57 @@ mod tests {
             );
             assert_eq!(rels[0], expected, "span {span}");
             assert_eq!(scratch.packed.is_empty(), stamped, "span {span}");
+        }
+    }
+
+    #[test]
+    fn a_warm_program_over_small_relations_arms_neither_set_nor_stamp_table() {
+        // A small relation has no key column, so every step of a program
+        // over relations of CACHE_MIN_ROWS − 1 rows runs on the chain, for
+        // width-1 keys in a small and in a huge range and for width-2 keys.
+        let n = CACHE_MIN_ROWS as u64 - 1;
+        for (label, width, huge) in [
+            ("width 1, small range", 1, false),
+            ("width 1, huge range", 1, true),
+            ("width 2", 2, false),
+        ] {
+            // R over a, k₁ … k_w holds every key below n, and S over
+            // k₁ … k_w, z every even key below 2n.
+            let key = |v: u64| if huge { v << 40 } else { v };
+            let schemas = [
+                attrs(&(0..=width).collect::<Vec<u32>>()),
+                attrs(&(1..=width + 1).collect::<Vec<u32>>()),
+            ];
+            let rels = vec![
+                Relation::new(
+                    schemas[0].clone(),
+                    (0..n)
+                        .map(|i| [vec![i], vec![key(i); width as usize]].concat())
+                        .collect(),
+                ),
+                Relation::new(
+                    schemas[1].clone(),
+                    (0..n)
+                        .map(|i| [vec![key(2 * i); width as usize], vec![i]].concat())
+                        .collect(),
+                ),
+            ];
+            let steps = [
+                SemijoinStep::new(&schemas, 0, 1),
+                SemijoinStep::new(&schemas, 1, 0),
+            ];
+            let mut expected = rels.clone();
+            expected[0] = nested_semijoin(&expected[0], &expected[1]);
+            expected[1] = nested_semijoin(&expected[1], &expected[0]);
+            assert_eq!(expected[0].len() as u64, n.div_ceil(2), "{label}");
+            let mut scratch = ExecScratch::new();
+            for run in ["cold", "warm"] {
+                let mut got = rels.clone();
+                semijoin_program_with(&mut got, &steps, &mut scratch);
+                assert_eq!(got, expected, "{label}, {run}");
+            }
+            assert_eq!(scratch.packed.capacity(), 0, "{label}: set untouched");
+            assert_eq!(scratch.stamp.generation(), 0, "{label}: table unarmed");
         }
     }
 

@@ -230,6 +230,12 @@ impl StampTable {
         true
     }
 
+    /// How many times [`StampTable::begin`] armed the table (wrapping).
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> u32 {
+        self.gen
+    }
+
     /// Marks `k` present (must lie inside the `begin` range).
     #[inline]
     pub(crate) fn insert(&mut self, k: u64) {

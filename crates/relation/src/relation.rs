@@ -22,9 +22,9 @@
 //! key column the semijoin kernel reads) sit behind one `Arc`, so cloning a
 //! relation is O(1) and every clone shares the tuples and each column
 //! derived from them, whether it was taken before the derivation or after.
-//! Only relations of at least 64 rows (the executor's `CACHE_MIN_ROWS`)
-//! cache columns: a smaller relation's key column is extracted into the
-//! executor's scratch on every step, which costs less than caching it.
+//! A small relation has no key column: a semijoin step where either side
+//! has fewer than 64 rows (the executor's `CACHE_MIN_ROWS`) chains the
+//! rows of both, and derives and caches no column on either side.
 //!
 //! Each operator has one kernel. `natural_join` is the join-up's join
 //! ([`crate::joinup`]) over two relations, building a bucket chain on the
@@ -40,7 +40,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
+use gyo_schema::{AttrSet, Catalog, FxHashMap};
 
 use crate::exec::{semijoin_program, SemijoinStep};
 use crate::joinup;
@@ -130,77 +130,40 @@ pub(crate) enum KeyColumn {
     Unfit,
 }
 
-/// A [`KeyColumn`] as the semijoin kernels read it: borrowed from a
-/// relation's cached column ([`KeyColumn::view`]), or from the buffers
-/// [`extract_key`] fills in the executor's scratch.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum KeyView<'a> {
-    One { vals: &'a [u64], min: u64, max: u64 },
-    Packed(&'a [u128]),
-    Unfit,
-}
-
 impl KeyColumn {
+    /// `rel`'s key column at the nonempty positions `pos`, in one pass over
+    /// the rows.
     fn extract(rel: &Relation, pos: &[usize]) -> Self {
-        let (mut vals, mut keys) = (Vec::new(), Vec::new());
-        match extract_key(rel, pos, &mut vals, &mut keys) {
-            KeyView::One { min, max, .. } => KeyColumn::One { vals, min, max },
-            KeyView::Packed(_) => KeyColumn::Packed(keys),
-            KeyView::Unfit => KeyColumn::Unfit,
-        }
-    }
-
-    pub(crate) fn view(&self) -> KeyView<'_> {
-        match self {
-            KeyColumn::One { vals, min, max } => KeyView::One {
-                vals,
-                min: *min,
-                max: *max,
-            },
-            KeyColumn::Packed(keys) => KeyView::Packed(keys),
-            KeyColumn::Unfit => KeyView::Unfit,
-        }
-    }
-}
-
-/// `rel`'s key column at the nonempty positions `pos`, in one pass over the
-/// rows: width-1 keys go into `vals` and packed keys into `keys`, each
-/// cleared first and reused.
-pub(crate) fn extract_key<'a>(
-    rel: &Relation,
-    pos: &[usize],
-    vals: &'a mut Vec<u64>,
-    keys: &'a mut Vec<u128>,
-) -> KeyView<'a> {
-    vals.clear();
-    keys.clear();
-    // A nonempty key makes the arity nonzero.
-    let mut rows = rel.data().chunks_exact(rel.arity);
-    match *pos {
-        [p] => {
-            let (mut min, mut max) = (u64::MAX, 0);
-            vals.extend(rows.map(|t| {
-                let v = t[p];
-                (min, max) = (min.min(v), max.max(v));
-                v
-            }));
-            // An empty relation reads min = u64::MAX > max = 0 here.
-            KeyView::One {
-                vals,
-                min: min.min(max),
-                max,
+        // A nonempty key makes the arity nonzero.
+        let mut rows = rel.data().chunks_exact(rel.arity);
+        match *pos {
+            [p] => {
+                let (mut min, mut max) = (u64::MAX, 0);
+                let vals = rows
+                    .map(|t| {
+                        let v = t[p];
+                        (min, max) = (min.min(v), max.max(v));
+                        v
+                    })
+                    .collect();
+                // An empty relation reads min = u64::MAX > max = 0 here.
+                KeyColumn::One {
+                    vals,
+                    min: min.min(max),
+                    max,
+                }
             }
-        }
-        _ => {
-            let shift = pack_shift(pos.len());
-            keys.reserve(rel.len);
-            let packed = rows.try_for_each(|t| {
-                keys.push(pack_key(pos.iter().map(|&p| t[p]), shift)?);
-                Some(())
-            });
-            match packed {
-                Some(()) => KeyView::Packed(keys),
-                None => KeyView::Unfit,
+            _ => {
+                let shift = pack_shift(pos.len());
+                let mut keys = Vec::with_capacity(rel.len);
+                let packed = rows.try_for_each(|t| {
+                    keys.push(pack_key(pos.iter().map(|&p| t[p]), shift)?);
+                    Some(())
+                });
+                match packed {
+                    Some(()) => KeyColumn::Packed(keys),
+                    None => KeyColumn::Unfit,
+                }
             }
         }
     }
@@ -564,10 +527,10 @@ impl Relation {
     /// executor reads these instead of chasing per-tuple heap pointers.
     /// An empty key has no column: its semijoin needs no key comparison.
     ///
-    /// The executor asks only relations of
-    /// [`CACHE_MIN_ROWS`](crate::exec::CACHE_MIN_ROWS) rows or more for a
-    /// cached column. A smaller relation's keys are extracted into the
-    /// executor's scratch on every step, so it never caches a column.
+    /// The executor asks for columns only in a step between two relations
+    /// of [`CACHE_MIN_ROWS`](crate::exec::CACHE_MIN_ROWS) rows or more. A
+    /// small relation has no key column: a step with a small side chains
+    /// both relations' rows, so neither side derives one.
     pub(crate) fn key_column(&self, key: &AttrSet) -> Arc<KeyColumn> {
         debug_assert!(!key.is_empty(), "an empty key has no column");
         if let Some(col) = lock_cache(&self.shared.columns).get(key) {
@@ -692,11 +655,6 @@ impl Relation {
             writeln!(out, "| {} |", row.join(" | ")).expect("write to string");
         }
         out
-    }
-
-    /// The attribute ids in column order (sorted).
-    pub fn columns(&self) -> &[AttrId] {
-        self.attrs.as_slice()
     }
 }
 
@@ -1020,9 +978,10 @@ mod tests {
 
     #[test]
     fn a_semijoin_over_small_relations_caches_no_column() {
-        // Below CACHE_MIN_ROWS rows a relation's key column is extracted
-        // into the scratch and never cached; at exactly CACHE_MIN_ROWS it
-        // is cached. Either way the semijoin is the same.
+        // A step with a side under CACHE_MIN_ROWS rows chains both sides'
+        // rows and caches no column on either; when both sides have at
+        // least CACHE_MIN_ROWS rows, both cache. Either way the semijoin is
+        // the same.
         let key = attrs(&[1]);
         let cached = |rel: &Relation| lock_cache(&rel.shared.columns).contains_key(&key);
         for (r_rows, s_rows) in [
@@ -1041,12 +1000,11 @@ mod tests {
                 .map(<[u64]>::to_vec)
                 .collect();
             assert_eq!(kept.to_vecs(), want, "{r_rows} ⋉ {s_rows}");
-            assert_eq!(cached(&r), r_rows >= CACHE_MIN_ROWS, "R of {r_rows} rows");
-            assert_eq!(cached(&s), s_rows >= CACHE_MIN_ROWS, "S of {s_rows} rows");
-            if r_rows < CACHE_MIN_ROWS {
+            let both_large = r_rows.min(s_rows) >= CACHE_MIN_ROWS;
+            assert_eq!(cached(&r), both_large, "R in {r_rows} ⋉ {s_rows}");
+            assert_eq!(cached(&s), both_large, "S in {r_rows} ⋉ {s_rows}");
+            if !both_large {
                 assert!(lock_cache(&r.shared.columns).is_empty());
-            }
-            if s_rows < CACHE_MIN_ROWS {
                 assert!(lock_cache(&s.shared.columns).is_empty());
             }
         }
@@ -1063,16 +1021,19 @@ mod tests {
 
     #[test]
     fn cached_build_survives_repeated_semijoins() {
-        // The hub is large enough to cache its key column, and its b
-        // values are 10, 30, 50, …
-        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
-        let hub = rows_of(&[1, 2], CACHE_MIN_ROWS as u64, |i| vec![10 + 20 * i, i]);
+        // Both sides are large enough to cache their key columns. R's b
+        // values are 10, 20, 30, … and the hub's 10, 30, 50, …
+        let n = CACHE_MIN_ROWS as u64;
+        let r = rows_of(&[0, 1], n, |i| vec![i, 10 + 10 * i]);
+        let hub = rows_of(&[1, 2], n, |i| vec![10 + 20 * i, i]);
         let key = attrs(&[1]);
         let first = r.semijoin(&hub);
+        assert!(lock_cache(&hub.shared.columns).contains_key(&key));
         let col = hub.key_column(&key);
         let second = r.semijoin(&hub); // hits hub's cached key column
         assert_eq!(first, second);
-        assert_eq!(first.to_vecs(), vec![vec![1, 10]]);
+        assert_eq!(first.len(), CACHE_MIN_ROWS / 2);
+        assert_eq!(first.row(1), &[2, 30]);
         assert!(Arc::ptr_eq(&col, &hub.key_column(&key)));
         assert_eq!(lock_cache(&hub.shared.columns).len(), 1);
     }

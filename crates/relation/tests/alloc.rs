@@ -255,11 +255,11 @@ const CACHE_MIN_ROWS: usize = 64;
 
 #[test]
 fn warm_steps_over_fresh_small_relations_allocate_nothing() {
-    // A relation under CACHE_MIN_ROWS rows caches no key column: every step
-    // extracts its keys into the scratch. So a warm scratch runs a chain
-    // reducer over relations it has never seen, freshly built as an ad hoc
-    // query's are, without one allocation, on every membership path. A UR
-    // state drops no row, so no slot is re-materialized.
+    // A relation under CACHE_MIN_ROWS rows has no key column: every step
+    // chains both relations' rows. So a warm scratch runs a chain reducer
+    // over relations it has never seen, freshly built as an ad hoc query's
+    // are, without one allocation, whatever the keys' width or values. A
+    // UR state drops no row, so no slot is re-materialized.
     for (label, schemas, value) in scenarios() {
         let steps = chain_reducer_steps(&schemas);
         let mut scratch = ExecScratch::new();
