@@ -158,9 +158,10 @@ fn chain_reducer(d: &DbSchema) -> Vec<SemijoinStep> {
 /// The columnar kernel family: selection-vector program execution with a
 /// reusable scratch (`program_chain`), the same over fresh relations of
 /// three sizes (`fresh_program`) and over a warm state of small relations
-/// (`program_chain_small`), full reduction over the wide-arity
-/// workloads whose semijoin keys stress the wide-key membership path
-/// (`reduce_wide`, `reduce_tpch`), the gather-projection kernel on
+/// (`program_chain_small`), a large hub reduced against small leaves, warm
+/// and fresh (`hub_leaves`, `fresh_hub_leaves`), full reduction over the
+/// wide-arity workloads whose semijoin keys stress the wide-key membership
+/// path (`reduce_wide`, `reduce_tpch`), the gather-projection kernel on
 /// scattered columns (`gather_scatter`), and one-shot wide-key semijoins
 /// (`semijoin_wide`).
 fn bench_columnar(c: &mut Criterion) {
@@ -226,6 +227,62 @@ fn bench_columnar(c: &mut Criterion) {
             |b, state| {
                 b.iter(|| {
                     let mut rels = state.rels().to_vec();
+                    semijoin_program_with(&mut rels, &steps, &mut scratch);
+                    black_box(rels[0].len())
+                })
+            },
+        );
+    }
+
+    // A fact table next to small dimension tables: a 512-row hub over
+    // `a0..a3` and four 8-row leaves, three keyed on one hub attribute and
+    // one on the pair `a0 a1`. The reducer filters the hub by every leaf,
+    // then every leaf by the hub, so each step pairs a large side with a
+    // small one. `hub_leaves` re-runs it over one warm state;
+    // `fresh_hub_leaves` loads the five relations fresh on every iteration.
+    {
+        let mut rng = bench_rng();
+        let hub = AttrSet::from_raw(&[0, 1, 2, 3]);
+        let mut schemas = vec![hub.clone()];
+        schemas.extend((1..4).map(|i| AttrSet::from_raw(&[i, 4 + i])));
+        schemas.push(AttrSet::from_raw(&[0, 1, 8]));
+        let rels: Vec<gyo::Relation> = schemas
+            .iter()
+            .map(|s| random_universal(&mut rng, s, if *s == hub { 512 } else { 8 }, 16))
+            .collect();
+        let leaves = 1..schemas.len();
+        let steps: Vec<SemijoinStep> = leaves
+            .clone()
+            .map(|v| SemijoinStep::new(&schemas, 0, v))
+            .chain(leaves.map(|v| SemijoinStep::new(&schemas, v, 0)))
+            .collect();
+        let buffers: Vec<(AttrSet, usize, Vec<u64>)> = rels
+            .iter()
+            .map(|r| (r.attrs().clone(), r.len(), r.data().to_vec()))
+            .collect();
+        let mut scratch = ExecScratch::new();
+        group.bench_with_input(
+            BenchmarkId::new("hub_leaves", 512usize),
+            &rels,
+            |b, rels| {
+                b.iter(|| {
+                    let mut rels = rels.clone();
+                    semijoin_program_with(&mut rels, &steps, &mut scratch);
+                    black_box(rels[0].len())
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("fresh_hub_leaves", 512usize),
+            &(),
+            |b, ()| {
+                b.iter(|| {
+                    let mut rels: Vec<gyo::Relation> = buffers
+                        .iter()
+                        .map(|(attrs, len, data)| {
+                            gyo::Relation::from_row_major(attrs.clone(), *len, data.clone())
+                        })
+                        .collect();
                     semijoin_program_with(&mut rels, &steps, &mut scratch);
                     black_box(rels[0].len())
                 })
