@@ -992,10 +992,9 @@ pub(crate) mod tests {
 
     #[test]
     fn states_mixing_small_and_large_relations_agree_cold_and_warm() {
-        // A relation under 64 rows (gyo-relation's private CACHE_MIN_ROWS)
-        // has no key column: a step with such a side chains both sides'
-        // rows, and a step between two larger relations reads key columns
-        // cached on them. Each state mixes both, with steps between them
+        // A step between two relations under 64 rows (gyo-relation's
+        // private CACHE_MIN_ROWS) chains both sides' rows, and a step with
+        // a larger side reads key columns cached on both. Each state mixes both, with steps between them
         // either way, and is queried twice: cold (plan miss, nothing
         // cached) and then warm.
         const N: usize = 64;

@@ -30,11 +30,11 @@
 //!    retain loop: fixed-size chunks, branchless mask accumulation, no
 //!    per-row branching.
 //!
-//! When either side is small or its keys do not pack, the step runs on the
-//! bucket chain the join-up's joins build: the selected source rows are
-//! chained on the hash of their key, and each target row probes it through
-//! the same retain loop, re-comparing the key columns on every hit, so a
-//! hash collision never matches.
+//! When both sides are small or some side's keys do not pack, the step
+//! runs on the bucket chain the join-up's joins build: the selected source
+//! rows are chained on the hash of their key, and each target row probes
+//! it through the same retain loop, re-comparing the key columns on every
+//! hit, so a hash collision never matches.
 //!
 //! All scratch state lives in an [`ExecScratch`] that is reused across
 //! steps, across whole program runs *and* by the join-up executor
@@ -45,40 +45,41 @@
 //! materialized once, at the end, and only for slots that actually lost
 //! tuples.
 //!
-//! A small relation has no key column; its steps chain rows. A step
-//! between two relations of `CACHE_MIN_ROWS` (64) rows or more reads key
-//! columns cached *on the relations* (shared by clones), so repeated
-//! executions over the same state — the plan-cache usage pattern of the
-//! cached engine — pay each column's extraction only once. A step where
-//! either side is smaller derives no column on either side and runs on the
-//! bucket chain over both relations' rows, so a never-seen state of small
-//! relations — the ad hoc query — pays no extraction, lock, map insert or
-//! allocation for its keys.
+//! A step between two small relations (under `CACHE_MIN_ROWS`, 64 rows)
+//! derives no key column on either side: it runs on the bucket chain over
+//! both relations' rows, so a never-seen state of small relations — the ad
+//! hoc query — pays no extraction, lock, map insert or allocation for its
+//! keys. Every other step reads key columns cached *on the relations*
+//! (shared by clones), the small side's too, so repeated executions over
+//! the same state — the plan-cache usage pattern of the cached engine —
+//! pay each column's extraction only once, and a large relation's keys
+//! are never hashed row by row.
 
 use gyo_schema::{AttrSet, FxHashSet};
 
 use crate::kernels::{ChainIndex, SelVec, StampTable};
 use crate::relation::{positions_into, KeyColumn, Relation};
 
-/// The fewest rows both sides of a semijoin step hold for the step to read
-/// their key columns from the relations' caches ([`Relation::key_column`]).
-/// A small relation has no key column: a step where either side has fewer
-/// rows runs on the bucket chain over both relations' rows and derives no
-/// column on either side.
+/// The fewest rows some side of a semijoin step holds for the step to read
+/// both sides' key columns from the relations' caches
+/// ([`Relation::key_column`]). A step between two smaller relations runs
+/// on the bucket chain over both relations' rows and derives no column. A
+/// step with one large side reads both cached columns, the small side's
+/// too: chaining it would hash every selected row of the large side on
+/// every run, which made `programs/columnar/hub_leaves/512` (a warm
+/// 512-row hub against 8-row leaves) about 2.8× slower on a 2-vCPU VM.
 ///
 /// A cached column pays only when the same relation is stepped over again;
 /// deriving and caching it costs a pass over the rows, a lock, a cloned
 /// `AttrSet` key, a map insert, an `Arc` and a `Vec`. The chain costs one
-/// hash per selected row on each side, per step. The criterion ids in
-/// `crates/bench/benches/programs.rs` set the value:
-/// - `programs/columnar/fresh_program/{8,64,512}` load fresh relations and
-///   run one chain reducer. This is the ad hoc case: below this value
-///   chaining rows wins, while at 512 rows re-reading the rows on every
-///   step loses to the cache;
-/// - `programs/columnar/program_chain_small/8` re-runs a chain reducer over
-///   one warm state of 8-row relations, where a cached column would be
-///   read: the known cost of chaining, about twice the cached read, a few
-///   µs per run.
+/// hash per selected row on each side, per step.
+///
+/// The value 64 was measured for an earlier design, which extracted small
+/// relations' keys into the executor's scratch, and has not been
+/// re-derived for the chain. On the chain reducer of
+/// `programs/columnar/fresh_program` and `program_chain_small`, on the same
+/// VM, the chain beats caching only on fresh relations of about 8 rows;
+/// from about 10 rows up, caching is faster fresh or warm.
 ///
 /// The tests that straddle this value (`tests/prop.rs`, `tests/alloc.rs`
 /// and the mixed-size engine test in `gyo-query`) restate it.
@@ -132,9 +133,9 @@ impl SemijoinStep {
 /// Reusable execution state for both executors, [`semijoin_program_with`]
 /// and [`join_up_with`](crate::join_up_with): one selection vector per
 /// slot, the stamp table, one `u128` hash set, one bucket chain (which also
-/// serves every semijoin step with a side too small to have a key column),
-/// the key and projection positions, and the join-up's matched pairs,
-/// column maps and pool of intermediate row buffers. Everything is
+/// serves every semijoin step between two relations too small to have key
+/// columns), the key and projection positions, and the join-up's matched
+/// pairs, column maps and pool of intermediate row buffers. Everything is
 /// grow-only — steps and joins after warm-up allocate nothing but their
 /// outputs.
 ///
@@ -157,8 +158,8 @@ pub struct ExecScratch {
     /// The join-up's dedup of projected width-1 rows.
     pub(crate) seen1: FxHashSet<u64>,
     /// A join's build side, chained on its key; a semijoin's selected
-    /// source rows when some side is small or its keys do not pack; the
-    /// join-up's dedup of projected wider rows.
+    /// source rows when both sides are small or some side's keys do not
+    /// pack; the join-up's dedup of projected wider rows.
     pub(crate) chain: ChainIndex,
     /// Key positions on the build side (a semijoin's source) and the probe
     /// side (its target), and the join-up's projection positions.
@@ -278,66 +279,70 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         .get_disjoint_mut([step.target, step.source])
         .expect("target and source are distinct slots");
 
-    // A small relation has no key column: only a step between two relations
-    // of `CACHE_MIN_ROWS` rows or more reads (and first derives) cached ones.
-    let cached = (source.len().min(target.len()) >= CACHE_MIN_ROWS).then(|| {
-        (
+    // A step between two small relations chains their rows below and
+    // derives no key column. Any other step reads (and first derives) both
+    // sides' cached columns, builds membership over the *selected* source
+    // keys, then probes the target's key column through the chunked
+    // retain loop.
+    if source.len().max(target.len()) >= CACHE_MIN_ROWS {
+        let (scol, tcol) = (
             source.key_column(&step.shared),
             target.key_column(&step.shared),
-        )
-    });
-
-    // Build membership over the *selected* source keys, then probe the
-    // target's key column through the chunked retain loop.
-    match cached.as_ref().map(|(s, t)| (&**s, &**t)) {
-        Some((
-            KeyColumn::One {
-                vals: svals,
-                min,
-                max,
-            },
-            KeyColumn::One { vals: tvals, .. },
-        )) => {
-            // The column's precomputed range bounds the *selected* keys, so
-            // a small span gets the direct-map table (one store per insert,
-            // one load per probe) with no range rescan.
-            if scratch.stamp.begin(*min, *max) {
-                let stamp = &mut scratch.stamp;
-                ssel.for_each(|i| stamp.insert(svals[i]));
-                let stamp = &scratch.stamp;
-                tsel.retain(|i| stamp.contains(tvals[i]));
-            } else {
-                let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i].into());
-                tsel.retain(|i| set.contains(&u128::from(tvals[i])));
+        );
+        match (&*scol, &*tcol) {
+            (
+                KeyColumn::One {
+                    vals: svals,
+                    min,
+                    max,
+                },
+                KeyColumn::One { vals: tvals, .. },
+            ) => {
+                let (svals, tvals) = (svals.as_slice(), tvals.as_slice());
+                // The column's precomputed range bounds the *selected* keys,
+                // so a small span gets the direct-map table (one store per
+                // insert, one load per probe) with no range rescan.
+                if scratch.stamp.begin(*min, *max) {
+                    let stamp = &mut scratch.stamp;
+                    ssel.for_each(|i| stamp.insert(svals[i]));
+                    let stamp = &scratch.stamp;
+                    tsel.retain(|i| stamp.contains(tvals[i]));
+                } else {
+                    let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i].into());
+                    tsel.retain(|i| set.contains(&u128::from(tvals[i])));
+                }
+                return;
             }
-        }
-        Some((KeyColumn::Packed(svals), KeyColumn::Packed(tvals))) => {
-            let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i]);
-            tsel.retain(|i| set.contains(&tvals[i]));
-        }
-        // A small side, or a side whose keys do not pack: chain the
-        // selected source rows on their key's hash, and re-compare the key
-        // columns on every hit.
-        _ => {
-            positions_into(&step.shared, source.attrs(), &mut scratch.build_key);
-            positions_into(&step.shared, target.attrs(), &mut scratch.probe_key);
-            let (spos, tpos) = (&scratch.build_key, &scratch.probe_key);
-            let chain = &mut scratch.chain;
-            chain.begin_wide(source.len());
-            ssel.for_each(|i| {
-                let s = source.row(i);
-                chain.link_wide(spos.iter().map(|&p| s[p]), i);
-            });
-            tsel.retain(|i| {
-                let t = target.row(i);
-                let same = |j: usize| {
-                    let s = source.row(j);
-                    spos.iter().zip(tpos).all(|(&p, &q)| s[p] == t[q])
-                };
-                chain.rows_wide(tpos.iter().map(|&q| t[q])).any(same)
-            });
+            (KeyColumn::Packed(svals), KeyColumn::Packed(tvals)) => {
+                let (svals, tvals) = (svals.as_slice(), tvals.as_slice());
+                let set = fill_packed(&mut scratch.packed, ssel, |i| svals[i]);
+                tsel.retain(|i| set.contains(&tvals[i]));
+                return;
+            }
+            _ => {}
         }
     }
+
+    // Two small sides, or a side whose keys do not pack: chain the selected
+    // source rows on their key's hash, and re-compare the key columns on
+    // every hit.
+    positions_into(&step.shared, source.attrs(), &mut scratch.build_key);
+    positions_into(&step.shared, target.attrs(), &mut scratch.probe_key);
+    let (spos, tpos) = (&scratch.build_key, &scratch.probe_key);
+    let chain = &mut scratch.chain;
+    chain.begin_wide(source.len());
+    ssel.for_each(|i| {
+        let s = source.row(i);
+        chain.link_wide(spos.iter().map(|&p| s[p]), i);
+    });
+    tsel.retain(|i| {
+        let t = target.row(i);
+        let same = |j: usize| {
+            let s = source.row(j);
+            spos.iter().zip(tpos).all(|(&p, &q)| s[p] == t[q])
+        };
+        chain.rows_wide(tpos.iter().map(|&q| t[q])).any(same)
+    });
 }
 
 #[cfg(test)]

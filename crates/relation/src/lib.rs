@@ -37,8 +37,9 @@
 //! both reads and writes flat buffers, so **no operator allocates per
 //! row**. The buffer and the lazily built derivation cache (packed key
 //! columns) sit behind one `Arc`: cloning a relation is O(1), and every
-//! clone shares both, whether taken before a derivation or after. A small
-//! relation, under 64 rows, has no key column; its steps chain rows.
+//! clone shares both, whether taken before a derivation or after. A
+//! semijoin step between two small relations, under 64 rows, derives no
+//! key column; it chains rows.
 //!
 //! Nested tuple vectors appear in exactly two places, both boundaries: the
 //! ergonomic constructor [`Relation::new`] (input conversion) and the test
@@ -68,19 +69,20 @@
 //! Semijoin steps key on one scalar encoding. A width-1 key is its `u64`.
 //! A key of width `w ≥ 2` whose values all fit in `s = ⌊128/w⌋` bits packs
 //! into one `u128`, value `j` at shift `s·(w−1−j)` — for `w = 2` the two
-//! 64-bit halves, so every width-2 key packs. Each relation of 64 rows or
-//! more caches its semijoin key columns in this form, one scalar per row.
-//! Because `s` depends on `w` alone, both sides of a step
-//! pack alike without consulting each other, and a key with a value
-//! `≥ 2^s` can never equal one that fits. So the fallbacks are narrow:
+//! 64-bit halves, so every width-2 key packs. Both sides of a semijoin
+//! step with a side of 64 rows or more cache their key columns in this
+//! form, one scalar per row. Because `s` depends on `w` alone, both sides
+//! of a step pack alike without consulting each other, and a key with a
+//! value `≥ 2^s` can never equal one that fits. So the fallbacks are
+//! narrow:
 //!
 //! * a width-1 key range too large for the direct-map table goes into the
 //!   same `u128` hash set as the packed keys;
-//! * when either side of a semijoin step is small (under 64 rows) or holds
-//!   an unfit value, the step chains the selected source rows on the
-//!   bucket chain the join-up's joins build, and re-compares the key
-//!   columns on every hit. A step with a small side derives no key column
-//!   on either side.
+//! * when both sides of a semijoin step are small (under 64 rows) or some
+//!   side holds an unfit value, the step chains the selected source rows
+//!   on the bucket chain the join-up's joins build, and re-compares the
+//!   key columns on every hit. A step between two small relations derives
+//!   no key column on either side.
 //!
 //! The join-up executor packs width-1 and width-2 keys the same way and
 //! hashes-then-compares wider ones through that one bucket chain.
@@ -98,16 +100,16 @@
 //!   tree edge, every intermediate a normalized `Relation`. The
 //!   differential suite compares the two routes.
 //!
-//! Each relation of 64 rows or more caches one derivation per key attribute
-//! set, and nothing else: the packed key column that both sides of a
-//! semijoin step between two such relations read. So repeated reductions
-//! over one state pay each extraction once. A small relation has no key
-//! column: its steps chain rows, so an ad hoc query over small relations
-//! derives and caches nothing for its keys. A join's
-//! bucket chain is not cached: on the `perfbench` workloads at most 1% of
-//! one-shot joins build on a relation they have built on before. A chain
-//! reserves its head map for every row it links, so a cold join allocates a
-//! bounded count whatever the number of distinct keys.
+//! A relation caches one derivation per key attribute set, and nothing
+//! else: the packed key column that both sides of a semijoin step with a
+//! side of 64 rows or more read. So repeated reductions over one state pay
+//! each extraction once. A step between two small relations chains rows,
+//! so an ad hoc query over small relations derives and caches nothing for
+//! its keys. A join's bucket chain is not cached: on the `perfbench`
+//! workloads at most 1% of one-shot joins build on a relation they have
+//! built on before. A chain reserves its head map for every row it links,
+//! so a cold join allocates a bounded count whatever the number of
+//! distinct keys.
 //!
 //! Values are plain `u64`; the library's semantic oracles only need equality
 //! on values, never arithmetic or ordering semantics.

@@ -22,9 +22,10 @@
 //! key column the semijoin kernel reads) sit behind one `Arc`, so cloning a
 //! relation is O(1) and every clone shares the tuples and each column
 //! derived from them, whether it was taken before the derivation or after.
-//! A small relation has no key column: a semijoin step where either side
-//! has fewer than 64 rows (the executor's `CACHE_MIN_ROWS`) chains the
-//! rows of both, and derives and caches no column on either side.
+//! A semijoin step between two relations of fewer than 64 rows (the
+//! executor's `CACHE_MIN_ROWS`) chains the rows of both, and derives and
+//! caches no column on either side; a step with a larger side caches
+//! both.
 //!
 //! Each operator has one kernel. `natural_join` is the join-up's join
 //! ([`crate::joinup`]) over two relations, building a bucket chain on the
@@ -527,10 +528,10 @@ impl Relation {
     /// executor reads these instead of chasing per-tuple heap pointers.
     /// An empty key has no column: its semijoin needs no key comparison.
     ///
-    /// The executor asks for columns only in a step between two relations
-    /// of [`CACHE_MIN_ROWS`](crate::exec::CACHE_MIN_ROWS) rows or more. A
-    /// small relation has no key column: a step with a small side chains
-    /// both relations' rows, so neither side derives one.
+    /// The executor asks both sides of a step for their columns when some
+    /// side has [`CACHE_MIN_ROWS`](crate::exec::CACHE_MIN_ROWS) rows or
+    /// more. A step between two smaller relations chains both relations'
+    /// rows, so neither side derives one.
     pub(crate) fn key_column(&self, key: &AttrSet) -> Arc<KeyColumn> {
         debug_assert!(!key.is_empty(), "an empty key has no column");
         if let Some(col) = lock_cache(&self.shared.columns).get(key) {
@@ -978,8 +979,8 @@ mod tests {
 
     #[test]
     fn a_semijoin_over_small_relations_caches_no_column() {
-        // A step with a side under CACHE_MIN_ROWS rows chains both sides'
-        // rows and caches no column on either; when both sides have at
+        // A step between two relations under CACHE_MIN_ROWS rows chains
+        // their rows and caches no column on either; when some side has at
         // least CACHE_MIN_ROWS rows, both cache. Either way the semijoin is
         // the same.
         let key = attrs(&[1]);
@@ -1000,10 +1001,10 @@ mod tests {
                 .map(<[u64]>::to_vec)
                 .collect();
             assert_eq!(kept.to_vecs(), want, "{r_rows} ⋉ {s_rows}");
-            let both_large = r_rows.min(s_rows) >= CACHE_MIN_ROWS;
-            assert_eq!(cached(&r), both_large, "R in {r_rows} ⋉ {s_rows}");
-            assert_eq!(cached(&s), both_large, "S in {r_rows} ⋉ {s_rows}");
-            if !both_large {
+            let both_small = r_rows.max(s_rows) < CACHE_MIN_ROWS;
+            assert_eq!(cached(&r), !both_small, "R in {r_rows} ⋉ {s_rows}");
+            assert_eq!(cached(&s), !both_small, "S in {r_rows} ⋉ {s_rows}");
+            if both_small {
                 assert!(lock_cache(&r.shared.columns).is_empty());
                 assert!(lock_cache(&s.shared.columns).is_empty());
             }
@@ -1021,19 +1022,16 @@ mod tests {
 
     #[test]
     fn cached_build_survives_repeated_semijoins() {
-        // Both sides are large enough to cache their key columns. R's b
-        // values are 10, 20, 30, … and the hub's 10, 30, 50, …
-        let n = CACHE_MIN_ROWS as u64;
-        let r = rows_of(&[0, 1], n, |i| vec![i, 10 + 10 * i]);
-        let hub = rows_of(&[1, 2], n, |i| vec![10 + 20 * i, i]);
+        // The hub is large enough to cache its key column, and its b
+        // values are 10, 30, 50, …
+        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
+        let hub = rows_of(&[1, 2], CACHE_MIN_ROWS as u64, |i| vec![10 + 20 * i, i]);
         let key = attrs(&[1]);
         let first = r.semijoin(&hub);
-        assert!(lock_cache(&hub.shared.columns).contains_key(&key));
         let col = hub.key_column(&key);
         let second = r.semijoin(&hub); // hits hub's cached key column
         assert_eq!(first, second);
-        assert_eq!(first.len(), CACHE_MIN_ROWS / 2);
-        assert_eq!(first.row(1), &[2, 30]);
+        assert_eq!(first.to_vecs(), vec![vec![1, 10]]);
         assert!(Arc::ptr_eq(&col, &hub.key_column(&key)));
         assert_eq!(lock_cache(&hub.shared.columns).len(), 1);
     }

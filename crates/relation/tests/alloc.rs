@@ -249,14 +249,15 @@ fn warm_program_steps_allocate_nothing() {
     );
 }
 
-/// The fewest rows for which a relation caches its key columns: the
-/// executor's private `CACHE_MIN_ROWS`, restated.
+/// The fewest rows some side of a semijoin step holds for the step to
+/// cache both sides' key columns: the executor's private `CACHE_MIN_ROWS`,
+/// restated.
 const CACHE_MIN_ROWS: usize = 64;
 
 #[test]
 fn warm_steps_over_fresh_small_relations_allocate_nothing() {
-    // A relation under CACHE_MIN_ROWS rows has no key column: every step
-    // chains both relations' rows. So a warm scratch runs a chain reducer
+    // A step between two relations under CACHE_MIN_ROWS rows derives no
+    // key column: it chains both relations' rows. So a warm scratch runs a chain reducer
     // over relations it has never seen, freshly built as an ad hoc query's
     // are, without one allocation, whatever the keys' width or values. A
     // UR state drops no row, so no slot is re-materialized.

@@ -685,9 +685,10 @@ proptest! {
     }
 }
 
-/// The fewest rows for which a relation caches its key columns: the
-/// executor's private `CACHE_MIN_ROWS`, restated. A smaller relation has
-/// no key column: every step with a smaller side chains both sides' rows.
+/// The fewest rows some side of a semijoin step holds for the step to
+/// cache both sides' key columns: the executor's private `CACHE_MIN_ROWS`,
+/// restated. A step between two smaller relations chains both sides'
+/// rows.
 const CACHE_MIN_ROWS: usize = 64;
 
 /// The core attribute sets a threshold slot chooses from. Two slots'
@@ -768,14 +769,14 @@ proptest! {
     /// `CACHE_MIN_ROWS` rows and slot 1 at least as many, and every program
     /// starts with `0 ⋉ 1` and `1 ⋉ 0`, so both a small source against a
     /// large target and a large source against a small target occur; the
-    /// other slots take any size on either side. A step with a small side
-    /// runs on the bucket chain, for keys of every width. Between large
-    /// slots, keys of width 1 to 3 in three value regimes reach every
-    /// membership arm: the stamp table, the `u128` set for wide-range
-    /// width-1 keys and for packed keys of width 2 and 3, and the bucket
-    /// chain for width-3 keys that do not pack. Each program runs twice on
-    /// one scratch shared by all cases: cold, then over the columns the
-    /// large slots cached.
+    /// other slots take any size on either side. A step between two small
+    /// slots runs on the bucket chain, for keys of every width. A step with
+    /// a large side reads both sides' cached columns, and keys of width 1
+    /// to 3 in three value regimes reach every membership arm: the stamp
+    /// table, the `u128` set for wide-range width-1 keys and for packed
+    /// keys of width 2 and 3, and the bucket chain for width-3 keys that do
+    /// not pack. Each program runs twice on one scratch shared by all
+    /// cases: cold, then over the columns the first run cached.
     #[test]
     fn selvec_program_matches_sequential_semijoins_across_the_cache_threshold(
         small in threshold_slot(prop_oneof![1 => Just(CACHE_MIN_ROWS - 1), 1 => 1..CACHE_MIN_ROWS]),
