@@ -95,14 +95,13 @@ pub struct TreeifyPlan {
     /// next survivor shares attributes with the already-joined prefix
     /// whenever the residue permits, so `state(W)` materializes without
     /// intermediate cross products on connected residues), each paired
-    /// with its projection onto `Rᵢ ∩ W` — `None` when the relation lies
-    /// entirely inside `W`. Projecting *before* joining is sound because
+    /// with its core `Rᵢ ∩ W`. Projecting *before* joining is sound because
     /// an attribute shared by two survivors can never be GYO-deleted
     /// (deletion requires isolation), so every non-`W` attribute is
     /// private to one survivor and contributes nothing to `π_W` — it
     /// would only inflate the join's intermediates. Empty for a tree
     /// schema.
-    join_order: Vec<(usize, Option<AttrSet>)>,
+    join_order: Vec<(usize, AttrSet)>,
     /// The join order as a path for [`join_up_with`]: node `k` is the
     /// `k`-th survivor and the child of node `k + 1`, and the last node is
     /// the root. Joining up this path is the left-deep join in that order.
@@ -179,11 +178,7 @@ impl TreeifyPlan {
         };
         let join_order: Vec<_> = connected_order(d, &survivors)
             .into_iter()
-            .map(|i| {
-                let core = d.rel(i).intersect(&w);
-                let proj = (&core != d.rel(i)).then_some(core);
-                (i, proj)
-            })
+            .map(|i| (i, d.rel(i).intersect(&w)))
             .collect();
         let k = join_order.len();
         let w_path = RootedTree {
@@ -339,8 +334,9 @@ impl TreeifyPlan {
     }
 
     /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
-    /// connectivity order with each survivor pre-projected onto `Rᵢ ∩ W` —
-    /// the one data-dependent step cyclicity forces. The joins run on the
+    /// connectivity order with each survivor pre-projected onto its core
+    /// `Rᵢ ∩ W` (a clone when the survivor lies inside `W`) — the one
+    /// data-dependent step cyclicity forces. The joins run on the
     /// flat join-up executor along [`Self::w_path`]: intermediates stay
     /// unsorted in `scratch`'s reused buffers, an empty join ends the build
     /// early, and only the result is normalized. The cores cover `W`
@@ -349,10 +345,7 @@ impl TreeifyPlan {
         let cores: Vec<Relation> = self
             .join_order
             .iter()
-            .map(|(i, proj)| match proj {
-                Some(core) => state.rel(*i).project(core),
-                None => state.rel(*i).clone(),
-            })
+            .map(|(i, core)| state.rel(*i).project(core))
             .collect();
         let kept = vec![true; cores.len()];
         join_up_with(&cores, &self.w_path, &kept, &self.w, scratch)
@@ -576,9 +569,8 @@ mod tests {
                 let want = plan
                     .join_order
                     .iter()
-                    .fold(Relation::identity(), |acc, (i, proj)| match proj {
-                        Some(core) => acc.natural_join(&state.rel(*i).project(core)),
-                        None => acc.natural_join(state.rel(*i)),
+                    .fold(Relation::identity(), |acc, (i, core)| {
+                        acc.natural_join(&state.rel(*i).project(core))
                     });
                 let got = plan.materialize_w(&state, &mut scratch);
                 assert_eq!(got, want, "{s}, seed {seed}");

@@ -7,8 +7,8 @@
 //! and [`semijoin_program`] executes a whole step sequence without
 //! materializing intermediate relations: semijoins only ever *remove*
 //! tuples, so the executor tracks one reusable selection vector per slot
-//! (the surviving row indices) and runs every step over the relations'
-//! flat key columns; a step whose key is empty derives none, since a
+//! (a bitmap of the surviving rows) and runs every step over the
+//! relations' flat key columns; a step whose key is empty derives none, since a
 //! nonempty source then keeps every target row. [`Relation::semijoin`]
 //! is a one-step program, so the one-shot operator and the engines share
 //! this kernel.
@@ -27,8 +27,8 @@
 //!    width-1 key range is small, and otherwise one reused `u128` hash set
 //!    that holds width-1 keys as they are and wider keys packed.
 //! 2. **Probe** the target's key column through the selection vector's
-//!    retain loop: fixed-size chunks, branchless mask accumulation, no
-//!    per-row branching.
+//!    retain loop: one pass over each bitmap word's set bits, branchless
+//!    mask accumulation, no per-row branching.
 //!
 //! When both sides are small or some side's keys do not pack, the step
 //! runs on the bucket chain the join-up's joins build: the selected source
@@ -132,7 +132,8 @@ impl SemijoinStep {
 
 /// Reusable execution state for both executors, [`semijoin_program_with`]
 /// and [`join_up_with`](crate::join_up_with): one selection vector per
-/// slot, the stamp table, one `u128` hash set, one bucket chain (which also
+/// slot (a bitmap of one bit per row, whose words are rewritten in place
+/// from run to run), the stamp table, one `u128` hash set, one bucket chain (which also
 /// serves every semijoin step between two relations too small to have key
 /// columns), the key and projection positions, and the join-up's matched
 /// pairs, column maps and pool of intermediate row buffers. Everything is
@@ -282,8 +283,7 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
     // A step between two small relations chains their rows below and
     // derives no key column. Any other step reads (and first derives) both
     // sides' cached columns, builds membership over the *selected* source
-    // keys, then probes the target's key column through the chunked
-    // retain loop.
+    // keys, then probes the target's key column through the retain loop.
     if source.len().max(target.len()) >= CACHE_MIN_ROWS {
         let (scol, tcol) = (
             source.key_column(&step.shared),

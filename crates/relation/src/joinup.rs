@@ -13,7 +13,8 @@
 //! of that:
 //!
 //! * Intermediates are flat row-major buffers that are **duplicate-free
-//!   but unsorted**. Leaves borrow the input relations' buffers.
+//!   but unsorted**. A leaf is a clone of its input relation, which shares
+//!   the relation's buffer.
 //! * A projection deduplicates through a hash set on packed keys: `u64`
 //!   for width 1, `u128` for width 2. Wider rows go through the bucket
 //!   chain, keyed by hash, re-comparing the rows on every hit. Wider keys
@@ -67,17 +68,17 @@ impl ExecScratch {
         buf
     }
 
-    fn recycle(&mut self, acc: Acc<'_>) {
+    fn recycle(&mut self, acc: Acc) {
         if let Acc::Flat { data, .. } = acc {
             self.pool.push(data);
         }
     }
 }
 
-/// A join-up intermediate: a borrowed input relation, or a flat buffer of
+/// A join-up intermediate: an input relation, or a flat buffer of
 /// duplicate-free rows in no particular order.
-enum Acc<'a> {
-    Leaf(&'a Relation),
+enum Acc {
+    Leaf(Relation),
     Flat {
         attrs: AttrSet,
         len: usize,
@@ -85,7 +86,7 @@ enum Acc<'a> {
     },
 }
 
-impl Acc<'_> {
+impl Acc {
     fn attrs(&self) -> &AttrSet {
         match self {
             Acc::Leaf(r) => r.attrs(),
@@ -158,7 +159,7 @@ pub fn join_up_with(
         "the kept nodes form a subtree hanging from the root"
     );
 
-    let mut acc: Vec<Option<Acc<'_>>> = rels.iter().map(|r| Some(Acc::Leaf(r))).collect();
+    let mut acc: Vec<Option<Acc>> = rels.iter().map(|r| Some(Acc::Leaf(r.clone()))).collect();
     for &v in &rooted.post_order {
         if v == rooted.root || !kept[v] {
             continue;
@@ -193,7 +194,7 @@ pub fn join_up_with(
 }
 
 /// `π_keep(acc)`, duplicate-free; `acc` itself when nothing is dropped.
-fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut ExecScratch) -> Acc<'a> {
+fn project_dedup(acc: Acc, keep: &AttrSet, scratch: &mut ExecScratch) -> Acc {
     debug_assert!(keep.is_subset(acc.attrs()), "projection onto a subset");
     if keep.len() == acc.attrs().len() {
         return acc;
@@ -259,7 +260,7 @@ fn project_dedup<'a>(acc: Acc<'a>, keep: &AttrSet, scratch: &mut ExecScratch) ->
 /// and assembles the output row of each matched pair. Chains list their rows
 /// in ascending order, so a normalized probe side whose columns come first
 /// in the output yields sorted output rows.
-fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut ExecScratch) -> (AttrSet, usize, Vec<u64>) {
+fn join(a: &Acc, b: &Acc, scratch: &mut ExecScratch) -> (AttrSet, usize, Vec<u64>) {
     let (build, probe) = if b.len() <= a.len() { (b, a) } else { (a, b) };
     assert!(
         build.len() < NIL as usize && probe.len() <= u32::MAX as usize,
@@ -373,14 +374,14 @@ fn join(a: &Acc<'_>, b: &Acc<'_>, scratch: &mut ExecScratch) -> (AttrSet, usize,
 /// [`Relation::natural_join`].
 pub(crate) fn join_once(a: &Relation, b: &Relation) -> Relation {
     let mut scratch = ExecScratch::new();
-    let (attrs, len, data) = join(&Acc::Leaf(a), &Acc::Leaf(b), &mut scratch);
+    let (attrs, len, data) = join(&Acc::Leaf(a.clone()), &Acc::Leaf(b.clone()), &mut scratch);
     Relation::from_row_major(attrs, len, data)
 }
 
 /// `π_X(root)`, normalized once by [`Relation::from_row_major`]. A flat
 /// root is gathered into a fresh exact-size buffer and its own buffer goes
 /// back to the pool, so no pooled buffer leaves with the answer.
-fn finish(root: Acc<'_>, x: &AttrSet, scratch: &mut ExecScratch) -> Relation {
+fn finish(root: Acc, x: &AttrSet, scratch: &mut ExecScratch) -> Relation {
     assert!(
         x.is_subset(root.attrs()),
         "target X must be covered by the joined relations"
@@ -577,7 +578,7 @@ mod tests {
         let mut warm = ExecScratch::new();
         for (a, b) in [(&r, &s), (&s, &r)] {
             for scratch in [&mut warm, &mut ExecScratch::new()] {
-                let (out, rows, data) = join(&Acc::Leaf(a), &Acc::Leaf(b), scratch);
+                let (out, rows, data) = join(&Acc::Leaf(a.clone()), &Acc::Leaf(b.clone()), scratch);
                 assert_eq!(out, attrs(&[0, 1, 2]));
                 assert_eq!(rows, r.len() * 3, "each b matches three rows of S");
                 assert!(sorted(&data), "join output already sorted");
@@ -592,7 +593,7 @@ mod tests {
             (0..r.len() as u64).flat_map(|i| [i % 4, 200 - i]).collect(),
         );
         assert_eq!(t.len(), r.len());
-        let (_, _, data) = join(&Acc::Leaf(&r), &Acc::Leaf(&t), &mut warm);
+        let (_, _, data) = join(&Acc::Leaf(r.clone()), &Acc::Leaf(t.clone()), &mut warm);
         assert!(sorted(&data), "the first argument probes on a tie");
     }
 

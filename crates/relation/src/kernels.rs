@@ -9,20 +9,20 @@
 //! * [`gather_pairs`] — join-output assembly: one pass over the matched
 //!   `(probe, build)` row pairs, each output row filled from both sides'
 //!   column maps.
-//! * [`SelVec`] — a reusable **selection vector**: the surviving row
-//!   indices (`u32`, ascending), resettable in O(1) to "every row". Its one
-//!   [`SelVec::retain`] loop drives semijoin probes: rows are tested in
-//!   fixed-size chunks of [`CHUNK`] lanes with **branchless mask
-//!   accumulation** (one `u64` survivor mask per chunk, compacted by
-//!   iterating its set bits), which keeps the inner loop free of per-row
-//!   branches.
+//! * [`SelVec`] — a reusable **selection vector**: a bitmap of the
+//!   surviving rows, one bit per row, resettable in O(1) to "every row"
+//!   without writing a word. Its one [`SelVec::retain`] loop drives
+//!   semijoin probes: it walks each word's set bits and folds every row's
+//!   verdict into the word's new mask (**branchless mask accumulation**),
+//!   so the inner loop has no per-row branch, and a dropped row costs
+//!   later steps nothing.
 //! * [`StampTable`] — generation-stamped direct-map membership for width-1
 //!   keys from a small value range: insert is one store, the probe is one
 //!   load + compare. The semijoin executor uses it whenever the key range
 //!   fits [`StampTable::MAX_RANGE`] and hashes otherwise.
 //! * [`gather_rows`] — materializes the rows a [`SelVec`] selected into a
-//!   flat buffer (selection preserves row order, so the output is already
-//!   normalized).
+//!   flat buffer, in one loop over the selection (which preserves row
+//!   order, so the output is already normalized).
 //! * [`sort_dedup_packed`] — normalization support: rows of arity ≥ 3 whose
 //!   values fit `arity · bits ≤ 128` are packed into `u64`/`u128` scalars,
 //!   sorted as scalars, deduplicated, and unpacked. Genuinely wide values
@@ -44,12 +44,9 @@ use gyo_schema::{FxHashMap, FxHasher};
 
 use crate::relation::pack2;
 
-/// Number of lanes per probe chunk: one `u64` survivor mask's worth.
-pub(crate) const CHUNK: usize = 64;
-
 /// Matched row pairs a join buffers before one [`gather_pairs`] pass:
 /// bounds the pair list on huge join outputs.
-pub(crate) const PAIR_FLUSH: usize = CHUNK * 16;
+pub(crate) const PAIR_FLUSH: usize = 1024;
 
 /// **Gather projection**: appends, row-major, the columns `pos` of every
 /// row of `data` (stride `arity`) to `out`. `pos` may repeat or reorder
@@ -72,17 +69,19 @@ pub(crate) fn gather(data: &[u64], arity: usize, pos: &[usize], out: &mut Vec<u6
 }
 
 /// A reusable selection vector: which rows of a relation survive, stored as
-/// ascending `u32` indices.
+/// a bitmap — bit `i % 64` of word `i / 64` is row `i`.
 ///
-/// A reset `SelVec` is **dense** — every row `0..len` is selected and no
-/// index storage is touched. [`SelVec::retain`] switches it to sparse on
-/// the first filtering step. Resetting costs O(1) (mark dense); the index
-/// buffer is reused across program runs, which is what makes
-/// whole-program execution allocation-free after warm-up.
+/// A reset `SelVec` is **dense**: every row `0..len` is selected and no
+/// word is touched, so resetting costs O(1) and writes nothing. The first
+/// [`SelVec::retain`] writes the `⌈len/64⌉` full words; every later one
+/// rewrites only them. The word buffer is reused across program runs,
+/// which is what makes whole-program execution allocation-free after
+/// warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct SelVec {
-    /// Selected row indices, ascending; valid in `idx[..n]` when sparse.
-    idx: Vec<u32>,
+    /// One bit per row, the last word's bits past the row count clear;
+    /// valid when not dense.
+    words: Vec<u64>,
     /// Selected count (dense: the row count itself).
     n: usize,
     /// Dense ⇒ selection is exactly `0..n`.
@@ -91,9 +90,8 @@ pub(crate) struct SelVec {
 
 impl SelVec {
     /// Re-aims the selection at a relation of `len` rows, selecting all of
-    /// them. O(1): no buffer is cleared.
+    /// them. O(1): no word is written.
     pub(crate) fn reset(&mut self, len: usize) {
-        assert!(len <= u32::MAX as usize, "row count exceeds u32 indices");
         self.n = len;
         self.dense = true;
     }
@@ -111,7 +109,7 @@ impl SelVec {
     }
 
     /// Whether no filtering step has dropped a row yet.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn is_dense(&self) -> bool {
         self.dense
     }
@@ -120,69 +118,49 @@ impl SelVec {
     #[inline]
     pub(crate) fn for_each(&self, mut f: impl FnMut(usize)) {
         if self.dense {
-            (0..self.n).for_each(&mut f);
+            (0..self.n).for_each(f);
         } else {
-            self.idx[..self.n].iter().for_each(|&i| f(i as usize));
+            for (w, &word) in self.words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    f(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
         }
     }
 
     /// Drops every row from the selection.
     pub(crate) fn clear(&mut self) {
+        self.words.clear();
         self.n = 0;
         self.dense = false;
     }
 
     /// The semijoin probe kernel: keeps exactly the selected rows `i` with
-    /// `keep(i)`. Rows are tested in chunks of [`CHUNK`] lanes with
-    /// branchless mask accumulation; surviving indices are compacted by
-    /// iterating the chunk mask's set bits.
+    /// `keep(i)`. One loop over each word's set bits folds every row's
+    /// verdict into the word's new mask, with no branch on the verdict.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        let total = self.n;
-        if self.dense && self.idx.len() < total {
-            // Grow-only warm-up: after the first filter at this row count
-            // the buffer is reused as-is. (Sparse selections never hold
-            // indices beyond the dense length they started from.)
-            self.idx.resize(total, 0);
-        }
-        let mut out = 0usize;
         if self.dense {
-            // Dense source: lanes are the row indices themselves.
-            let mut base = 0usize;
-            while base < total {
-                let lanes = CHUNK.min(total - base);
-                let mut mask: u64 = 0;
-                for lane in 0..lanes {
-                    mask |= (keep(base + lane) as u64) << lane;
-                }
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    self.idx[out] = (base + lane) as u32;
-                    out += 1;
-                }
-                base += lanes;
-            }
-        } else {
-            // Sparse source: compact idx[..n] in place (out <= scan cursor,
-            // so the write never overtakes the reads).
-            let mut base = 0usize;
-            while base < total {
-                let lanes = CHUNK.min(total - base);
-                let mut mask: u64 = 0;
-                for lane in 0..lanes {
-                    mask |= (keep(self.idx[base + lane] as usize) as u64) << lane;
-                }
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    self.idx[out] = self.idx[base + lane];
-                    out += 1;
-                }
-                base += lanes;
+            self.dense = false;
+            self.words.clear();
+            self.words.resize(self.n.div_ceil(64), u64::MAX);
+            if !self.n.is_multiple_of(64) {
+                self.words[self.n / 64] = (1 << (self.n % 64)) - 1;
             }
         }
-        self.dense = false;
-        self.n = out;
+        let mut n = 0;
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let (mut bits, mut kept) = (*word, 0u64);
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                kept |= (keep(w * 64 + b as usize) as u64) << b;
+            }
+            *word = kept;
+            n += kept.count_ones() as usize;
+        }
+        self.n = n;
     }
 }
 
@@ -289,13 +267,6 @@ pub(crate) fn gather_pairs(
 /// Selection order is ascending, so if `data` was normalized the gathered
 /// buffer is normalized too.
 pub(crate) fn gather_rows(data: &[u64], arity: usize, sel: &SelVec, out: &mut Vec<u64>) {
-    if arity == 0 {
-        return;
-    }
-    if sel.is_dense() {
-        out.extend_from_slice(&data[..sel.len() * arity]);
-        return;
-    }
     out.reserve(sel.len() * arity);
     sel.for_each(|i| out.extend_from_slice(&data[i * arity..(i + 1) * arity]));
 }
@@ -507,6 +478,10 @@ impl Iterator for ChainRows<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -610,7 +585,7 @@ mod tests {
 
     #[test]
     fn selvec_chunk_boundaries() {
-        // Lengths straddling the 64-lane chunk boundary.
+        // Lengths straddling the 64-row bitmap word boundary.
         for len in [0usize, 1, 63, 64, 65, 127, 128, 129] {
             let keys: Vec<u64> = (0..len as u64).collect();
             let mut sel = full(len);
@@ -619,6 +594,71 @@ mod tests {
             let mut got = Vec::new();
             sel.for_each(|i| got.push(i));
             assert_eq!(got, expect, "len {len}");
+        }
+    }
+
+    /// A mixed `u64` per row and salt, for reproducible random verdicts.
+    fn mix(salt: u64, i: usize) -> u64 {
+        let mut h = (salt ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 31;
+        h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A `SelVec` behaves as a `BTreeSet` of row indices under random
+        /// sequences of `retain`, `clear` and `reset`, at row counts that
+        /// end inside a word and on a word boundary: `retain` asks about
+        /// exactly the selected rows, ascending, and `for_each`, `len`,
+        /// `is_empty` and `gather_rows` all report the set.
+        #[test]
+        fn selvec_matches_a_btreeset(
+            len in 0usize..=300,
+            ops in proptest::collection::vec((0u8..8, any::<u64>()), 0..16),
+        ) {
+            let lens = [63, 64, 65, 128, 129, len];
+            let data: Vec<u64> = (0..300u64).flat_map(|i| [i, 7 * i]).collect();
+            for start in lens {
+                let mut sel = SelVec::default();
+                sel.reset(start);
+                let mut model: BTreeSet<usize> = (0..start).collect();
+                for &(kind, salt) in &ops {
+                    match kind {
+                        0..=5 => {
+                            // Keeps none, a quarter, half, three quarters or all.
+                            let keep = |i: usize| mix(salt, i) % 4 < salt % 5;
+                            let mut asked = Vec::new();
+                            sel.retain(|i| {
+                                asked.push(i);
+                                keep(i)
+                            });
+                            prop_assert!(
+                                asked.iter().eq(&model),
+                                "retain asks about exactly the selected rows"
+                            );
+                            model.retain(|&i| keep(i));
+                        }
+                        6 => {
+                            sel.clear();
+                            model.clear();
+                        }
+                        _ => {
+                            let n = lens[salt as usize % lens.len()];
+                            sel.reset(n);
+                            model = (0..n).collect();
+                        }
+                    }
+                    let want: Vec<usize> = model.iter().copied().collect();
+                    prop_assert_eq!(selected(&sel), want);
+                    prop_assert_eq!(sel.len(), model.len());
+                    prop_assert_eq!(sel.is_empty(), model.is_empty());
+                    let mut out = vec![9];
+                    gather_rows(&data, 2, &sel, &mut out);
+                    let rows = model.iter().flat_map(|&i| [i as u64, 7 * i as u64]);
+                    prop_assert_eq!(out, std::iter::once(9).chain(rows).collect::<Vec<_>>());
+                }
+            }
         }
     }
 

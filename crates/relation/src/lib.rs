@@ -22,9 +22,9 @@
 //!   the bucket-chain join [`Relation::natural_join`] runs on.
 //!
 //! A private `kernels` module holds the loops these operators share:
-//! gather projection, join-output assembly, the chunked selection-vector
-//! retain, a generation-stamped direct-map key table, and packed row
-//! sorting.
+//! gather projection, join-output assembly, the selection-vector bitmap
+//! and its one retain loop, a generation-stamped direct-map key table, and
+//! packed row sorting.
 //!
 //! # Flat row-major storage
 //!
@@ -35,11 +35,12 @@
 //! flat buffer with stride-aware comparison, and every operator —
 //! projection, hash join, semijoin, union, the batched mask executor —
 //! both reads and writes flat buffers, so **no operator allocates per
-//! row**. The buffer and the lazily built derivation cache (packed key
-//! columns) sit behind one `Arc`: cloning a relation is O(1), and every
-//! clone shares both, whether taken before a derivation or after. A
-//! semijoin step between two small relations, under 64 rows, derives no
-//! key column; it chains rows.
+//! row**. A `Relation` is a single `Arc` holding the attribute set, the
+//! row count, the buffer and the lazily built derivation cache (packed key
+//! columns): cloning a relation is one reference-count increment and
+//! allocates nothing, and every clone shares all four, whether taken
+//! before a derivation or after. A semijoin step between two small
+//! relations, under 64 rows, derives no key column; it chains rows.
 //!
 //! Nested tuple vectors appear in exactly two places, both boundaries: the
 //! ergonomic constructor [`Relation::new`] (input conversion) and the test
@@ -54,8 +55,10 @@
 //! join outputs are assembled in one pass over a matched-pair list, and
 //! semijoin filtering — both the one-shot operator, which is a one-step
 //! program, and whole compiled programs — runs through reusable
-//! **selection vectors** (ascending `u32` survivor indices) probed in
-//! fixed-size chunks with branchless mask accumulation. The
+//! **selection vectors**: a bitmap with one bit per row, reset in O(1)
+//! without writing a word, and one retain loop that walks each word's set
+//! bits and folds every row's verdict into the word's new mask
+//! (branchless mask accumulation). The
 //! [`semijoin_program`] executor threads one selection vector per relation
 //! slot through an entire full-reducer program: no intermediate relation
 //! is materialized and, with a caller-owned [`exec::ExecScratch`]

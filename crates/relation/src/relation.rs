@@ -18,10 +18,12 @@
 //! stride-aware and allocation-free per row: width-1 and width-2 rows sort
 //! as packed scalars, wider rows sort through an index permutation.
 //!
-//! The buffer and its derivation cache (per key attribute set, the packed
-//! key column the semijoin kernel reads) sit behind one `Arc`, so cloning a
-//! relation is O(1) and every clone shares the tuples and each column
-//! derived from them, whether it was taken before the derivation or after.
+//! A relation is one `Arc` and nothing else. Behind it sit the attribute
+//! set, the row count, the buffer and the derivation cache (per key
+//! attribute set, the packed key column the semijoin kernel reads), so a
+//! clone is one reference-count increment that allocates nothing, and every
+//! clone shares the tuples and each column derived from them, whether it
+//! was taken before the derivation or after.
 //! A semijoin step between two relations of fewer than 64 rows (the
 //! executor's `CACHE_MIN_ROWS`) chains the rows of both, and derives and
 //! caches no column on either side; a step with a larger side caches
@@ -136,7 +138,7 @@ impl KeyColumn {
     /// the rows.
     fn extract(rel: &Relation, pos: &[usize]) -> Self {
         // A nonempty key makes the arity nonzero.
-        let mut rows = rel.data().chunks_exact(rel.arity);
+        let mut rows = rel.data().chunks_exact(rel.arity());
         match *pos {
             [p] => {
                 let (mut min, mut max) = (u64::MAX, 0);
@@ -156,7 +158,7 @@ impl KeyColumn {
             }
             _ => {
                 let shift = pack_shift(pos.len());
-                let mut keys = Vec::with_capacity(rel.len);
+                let mut keys = Vec::with_capacity(rel.len());
                 let packed = rows.try_for_each(|t| {
                     keys.push(pack_key(pos.iter().map(|&p| t[p]), shift)?);
                     Some(())
@@ -189,6 +191,10 @@ pub fn lock_cache<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 /// sorted and deduplicated, so equality is set equality and all operations
 /// are deterministic.
 ///
+/// The one field is an `Arc` of the schema, the rows and their derived key
+/// columns, so a clone allocates nothing, and two clones compare equal by
+/// pointer before any row is read.
+///
 /// The degenerate relations over the empty attribute set follow standard
 /// convention: `{}` (the empty relation, a join annihilator) and `{()}` (the
 /// single empty tuple, the join identity).
@@ -210,22 +216,21 @@ pub fn lock_cache<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 /// ```
 #[derive(Clone)]
 pub struct Relation {
-    attrs: AttrSet,
-    /// Tuple width (= `attrs.len()`), the buffer stride.
-    arity: usize,
-    /// Row count. Kept separately from the buffer because arity-0
-    /// relations (`{}` vs `{()}`) have no data to count rows from.
-    len: usize,
-    /// The tuples and their derivations, shared by every clone.
+    /// Everything the relation holds, shared by every clone.
     shared: Arc<Shared>,
 }
 
-/// What every clone of a relation shares: the tuples, and the key columns
-/// derived from them. A relation never changes after construction, so a
-/// derivation stays valid for the relation's whole life. A clone taken
-/// before a derivation sees it all the same, and equality ignores the
-/// columns.
+/// What every clone of a relation shares: its schema, the tuples, and the
+/// key columns derived from them. A relation never changes after
+/// construction, so a derivation stays valid for the relation's whole
+/// life. A clone taken before a derivation sees it all the same, and
+/// equality ignores the columns.
 struct Shared {
+    /// The schema; its length is the arity, the buffer stride.
+    attrs: AttrSet,
+    /// Row count. Kept apart from the buffer because arity-0 relations
+    /// (`{}` vs `{()}`) have no data to count rows from.
+    len: usize,
     /// Row-major tuple values, `len · arity` of them, rows strictly
     /// increasing.
     data: Vec<u64>,
@@ -236,9 +241,9 @@ struct Shared {
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        self.attrs == other.attrs
-            && self.len == other.len
-            && (Arc::ptr_eq(&self.shared, &other.shared) || self.shared.data == other.shared.data)
+        let (a, b) = (&*self.shared, &*other.shared);
+        Arc::ptr_eq(&self.shared, &other.shared)
+            || (a.attrs == b.attrs && a.len == b.len && a.data == b.data)
     }
 }
 
@@ -401,10 +406,9 @@ impl Relation {
         );
         debug_assert!(arity != 0 || len <= 1, "arity-0 relations hold ≤ 1 row");
         Self {
-            arity,
-            attrs,
-            len,
             shared: Arc::new(Shared {
+                attrs,
+                len,
                 data,
                 columns: Mutex::default(),
             }),
@@ -425,14 +429,14 @@ impl Relation {
     /// The relation's attribute set.
     #[inline]
     pub fn attrs(&self) -> &AttrSet {
-        &self.attrs
+        &self.shared.attrs
     }
 
     /// Tuple width — the number of columns, and the stride of the flat
     /// buffer.
     #[inline]
     pub fn arity(&self) -> usize {
-        self.arity
+        self.shared.attrs.len()
     }
 
     /// Row `i` as a slice of the flat buffer (column order = sorted
@@ -443,11 +447,12 @@ impl Relation {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn row(&self, i: usize) -> &[u64] {
-        assert!(i < self.len, "row {} out of range ({} rows)", i, self.len);
-        if self.arity == 0 {
+        let (len, arity) = (self.len(), self.arity());
+        assert!(i < len, "row {i} out of range ({len} rows)");
+        if arity == 0 {
             &[]
         } else {
-            &self.data()[i * self.arity..(i + 1) * self.arity]
+            &self.data()[i * arity..(i + 1) * arity]
         }
     }
 
@@ -457,9 +462,9 @@ impl Relation {
     pub fn rows(&self) -> Rows<'_> {
         Rows {
             data: self.data(),
-            arity: self.arity,
+            arity: self.arity(),
             front: 0,
-            back: self.len,
+            back: self.len(),
         }
     }
 
@@ -482,25 +487,25 @@ impl Relation {
     /// Number of tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.shared.len
     }
 
     /// Whether the relation holds no tuples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Membership test (`tuple` in column order): a binary search over the
     /// sorted rows.
     pub fn contains(&self, tuple: &[u64]) -> bool {
-        if tuple.len() != self.arity {
+        if tuple.len() != self.arity() {
             return false; // a tuple of the wrong width is never a member
         }
-        if self.arity == 0 {
-            return self.len > 0;
+        if self.arity() == 0 {
+            return !self.is_empty();
         }
-        let (mut lo, mut hi) = (0usize, self.len);
+        let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             match self.row(mid).cmp(tuple) {
@@ -519,7 +524,7 @@ impl Relation {
     /// Panics if some attribute is not part of this relation.
     fn positions_of(&self, attrs: &AttrSet) -> Vec<usize> {
         let mut pos = Vec::with_capacity(attrs.len());
-        positions_into(attrs, &self.attrs, &mut pos);
+        positions_into(attrs, self.attrs(), &mut pos);
         pos
     }
 
@@ -550,13 +555,13 @@ impl Relation {
     /// contiguously (selection order is ascending), so no re-normalization
     /// happens.
     pub(crate) fn gather_selected(&self, sel: &SelVec) -> Relation {
-        debug_assert!(sel.len() <= self.len);
-        if sel.len() == self.len {
+        debug_assert!(sel.len() <= self.len());
+        if sel.len() == self.len() {
             return self.clone();
         }
-        let mut data = Vec::with_capacity(sel.len() * self.arity);
-        kernels::gather_rows(self.data(), self.arity, sel, &mut data);
-        Relation::from_normalized(self.attrs.clone(), sel.len(), data)
+        let mut data = Vec::new();
+        kernels::gather_rows(self.data(), self.arity(), sel, &mut data);
+        Relation::from_normalized(self.attrs().clone(), sel.len(), data)
     }
 
     /// Projection `π_X(self)`, via the gather kernel: the column-index map
@@ -568,16 +573,16 @@ impl Relation {
     /// Panics if `x ⊄ attrs`; the paper always projects onto subsets.
     pub fn project(&self, x: &AttrSet) -> Relation {
         assert!(
-            x.is_subset(&self.attrs),
+            x.is_subset(self.attrs()),
             "projection target must be a subset of the relation schema"
         );
-        if *x == self.attrs {
+        if x == self.attrs() {
             return self.clone();
         }
         let pos = self.positions_of(x);
         let mut data = Vec::new();
-        kernels::gather(self.data(), self.arity, &pos, &mut data);
-        Relation::from_row_major(x.clone(), self.len, data)
+        kernels::gather(self.data(), self.arity(), &pos, &mut data);
+        Relation::from_row_major(x.clone(), self.len(), data)
     }
 
     /// Natural join `self ⋈ other` (a cross product when the schemas are
@@ -591,10 +596,11 @@ impl Relation {
     }
 
     /// Natural semijoin `self ⋉ other = π_self(self ⋈ other)`: a one-step
-    /// [`semijoin_program`], so it runs the engines' semijoin kernel over
-    /// both sides' cached key columns.
+    /// [`semijoin_program`], so it runs the engines' semijoin kernel — on
+    /// both sides' cached key columns when either side has 64 rows or
+    /// more, and on the bucket chain over both sides' rows otherwise.
     pub fn semijoin(&self, other: &Relation) -> Relation {
-        let schemas = [self.attrs.clone(), other.attrs.clone()];
+        let schemas = [self.attrs().clone(), other.attrs().clone()];
         let mut rels = [self.clone(), other.clone()];
         semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
         let [filtered, _] = rels;
@@ -608,8 +614,8 @@ impl Relation {
     ///
     /// Panics if the attribute sets differ.
     pub fn union(&self, other: &Relation) -> Relation {
-        assert_eq!(self.attrs, other.attrs, "union requires equal schemas");
-        let mut data = Vec::with_capacity((self.len + other.len) * self.arity);
+        assert_eq!(self.attrs(), other.attrs(), "union requires equal schemas");
+        let mut data = Vec::with_capacity((self.len() + other.len()) * self.arity());
         let mut rows = 0usize;
         let mut a = self.rows().peekable();
         let mut b = other.rows().peekable();
@@ -631,14 +637,18 @@ impl Relation {
             data.extend_from_slice(t);
             rows += 1;
         }
-        Relation::from_normalized(self.attrs.clone(), rows, data)
+        Relation::from_normalized(self.attrs().clone(), rows, data)
     }
 
     /// Whether `self ⊆ other` as tuple sets (same attribute set required):
     /// one merge over the two sorted buffers.
     pub fn is_subset(&self, other: &Relation) -> bool {
-        assert_eq!(self.attrs, other.attrs, "comparison requires equal schemas");
-        if self.len > other.len {
+        assert_eq!(
+            self.attrs(),
+            other.attrs(),
+            "comparison requires equal schemas"
+        );
+        if self.len() > other.len() {
             return false;
         }
         let mut theirs = other.rows();
@@ -649,7 +659,7 @@ impl Relation {
     pub fn to_table(&self, cat: &Catalog) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let header: Vec<&str> = self.attrs.iter().map(|a| cat.name(a)).collect();
+        let header: Vec<&str> = self.attrs().iter().map(|a| cat.name(a)).collect();
         writeln!(out, "| {} |", header.join(" | ")).expect("write to string");
         for t in self.rows() {
             let row: Vec<String> = t.iter().map(|v| v.to_string()).collect();
@@ -661,7 +671,7 @@ impl Relation {
 
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Relation({:?}, {} tuples)", self.attrs, self.len)
+        write!(f, "Relation({:?}, {} tuples)", self.attrs(), self.len())
     }
 }
 
@@ -672,6 +682,11 @@ mod tests {
 
     fn attrs(raw: &[u32]) -> AttrSet {
         AttrSet::from_raw(raw)
+    }
+
+    #[test]
+    fn a_relation_is_one_pointer() {
+        assert_eq!(size_of::<Relation>(), size_of::<usize>());
     }
 
     #[test]
