@@ -689,12 +689,13 @@ pub(crate) mod tests {
         let x = AttrSet::from_raw(&[17, 64]);
         assert_eq!(kept_of(&plan, &d, &x), vec![0, 16, 63]);
         // The answer runs the whole upward pass, then only the downward
-        // steps into the two kept leaves.
+        // steps into the two kept leaves, in reverse trace order: GYO
+        // eliminates the leaves from 63 down to 1.
         let mut kept = Vec::new();
         plan.kept_nodes(&d, &x, &mut kept);
         let targets: Vec<usize> = plan.answer_steps(&kept).map(SemijoinStep::target).collect();
         assert_eq!(targets.len(), 63 + 2);
-        assert_eq!(targets[63..], [63, 16]);
+        assert_eq!(targets[63..], [16, 63]);
         // The hub attribute is in the root: nothing below is needed.
         assert_eq!(kept_of(&plan, &d, &AttrSet::from_raw(&[0])), vec![0]);
     }

@@ -11,11 +11,15 @@
 //! tree, its `2·(n−1)` semijoin steps and, for a cyclic schema, `W`, a join
 //! order over the GYO survivors and the residue for
 //! [`EngineError::Cyclic`]. A tree schema's plan is the `W = ∅` case: the
-//! join tree its reduction spells (Theorem 3.1), rooted at node 0, with no
-//! added node and an empty join order and residue. A cyclic schema's tree
-//! is over `D ∪ (W)`, with `W` as node `d.len()`, built from the same
-//! reduction's trace — `D ∪ (W)` is never reduced. The one data-dependent
-//! step cyclicity adds is `state(W) = π_W(⋈ of the survivors' states)`.
+//! join tree its reduction's trace spells (Theorem 3.1), each eliminated
+//! relation under its witness, rooted at the last survivor (node 0), with
+//! no added node and an empty join order and residue. A cyclic schema's
+//! tree is over `D ∪ (W)`, with `W` as node `d.len()`: the same trace, with
+//! each survivor under `W` and `W` the root — `D ∪ (W)` is never reduced.
+//! Trace order is already child-first, so the tree is rooted in one pass,
+//! with no graph or search, and checked by
+//! [`RootedTree::is_join_tree_of`]. The one data-dependent step cyclicity
+//! adds is `state(W) = π_W(⋈ of the survivors' states)`.
 //!
 //! The tree of `D ∪ (W)` is rooted at `W`. An answer joins up only the
 //! subtree that spans `X` (see [`crate::engine`]), so a target `X ⊆ W`
@@ -71,7 +75,7 @@
 
 use gyo_reduce::gyo_reduce;
 use gyo_relation::{join_up_with, DbState, ExecScratch, Relation, SemijoinStep};
-use gyo_schema::{AttrSet, DbSchema, JoinTree, QualGraph, RootedTree};
+use gyo_schema::{AttrSet, DbSchema, RootedTree};
 
 use crate::engine::EngineError;
 use crate::program::Program;
@@ -91,17 +95,18 @@ pub struct TreeifyPlan {
     /// The full reducer along `rooted`: the upward pass, then the
     /// downward pass.
     steps: Vec<SemijoinStep>,
-    /// GYO-survivor indices in a connectivity-greedy join order (each
-    /// next survivor shares attributes with the already-joined prefix
-    /// whenever the residue permits, so `state(W)` materializes without
-    /// intermediate cross products on connected residues), each paired
-    /// with its core `Rᵢ ∩ W`. Projecting *before* joining is sound because
-    /// an attribute shared by two survivors can never be GYO-deleted
-    /// (deletion requires isolation), so every non-`W` attribute is
-    /// private to one survivor and contributes nothing to `π_W` — it
-    /// would only inflate the join's intermediates. Empty for a tree
-    /// schema.
-    join_order: Vec<(usize, AttrSet)>,
+    /// Positions into `survivors` and `residue`, in a connectivity-greedy
+    /// join order (each next survivor shares attributes with the
+    /// already-joined prefix whenever the residue permits, so `state(W)`
+    /// materializes without intermediate cross products on connected
+    /// residues). Survivor `k`'s core `Rᵢ ∩ W` is its residue relation
+    /// `residue.rel(k)`: an attribute GYO deleted from `Rᵢ` was isolated
+    /// when deleted, so no other survivor holds it and it is not in `W`.
+    /// Projecting onto the cores *before* joining is sound for the same
+    /// reason: every non-`W` attribute is private to one survivor and
+    /// contributes nothing to `π_W`, and would only inflate the join's
+    /// intermediates. Empty for a tree schema.
+    join_order: Vec<usize>,
     /// The join order as a path for [`join_up_with`]: node `k` is the
     /// `k`-th survivor and the child of node `k + 1`, and the last node is
     /// the root. Joining up this path is the left-deep join in that order.
@@ -115,18 +120,19 @@ pub struct TreeifyPlan {
 
 impl TreeifyPlan {
     /// Compiles the plan from one GYO reduction of `d`, with no second
-    /// reduction: the reduction's own trace gives the join tree, and when
-    /// it is stuck, the residue gives `W` and the survivors.
+    /// reduction: the reduction's own trace is the rooted join tree, and
+    /// when it is stuck, the residue gives `W` and the survivors.
     ///
-    /// A total reduction's subset eliminations form a join tree of `D`
-    /// (Theorem 3.1). A stuck one's trace plus one `(survivor, W)` edge per
-    /// survivor form one of `D ∪ (W)`, the proof of Theorem 3.2(ii): every
-    /// step of `D`'s trace stays legal in `D ∪ (W)`, since a deleted
-    /// attribute was isolated when deleted, so it is in no survivor and not
-    /// in `W`, and `W` changes no holder count. After those steps every
-    /// survivor is a subset of `W`, so eliminating each into `W` makes the
-    /// reduction total. Either way the edges still pass
-    /// [`JoinTree::try_new`]'s hard check.
+    /// A total reduction's subset eliminations, each eliminated relation
+    /// under its witness, form a join tree of `D` rooted at the last
+    /// survivor, node 0 (Theorem 3.1). A stuck one's eliminations plus each
+    /// survivor under `W` form one of `D ∪ (W)` rooted at `W`, the proof of
+    /// Theorem 3.2(ii): every step of `D`'s trace stays legal in `D ∪ (W)`,
+    /// since a deleted attribute was isolated when deleted, so it is in no
+    /// survivor and not in `W`, and `W` changes no holder count. After
+    /// those steps every survivor is a subset of `W`, so eliminating each
+    /// into `W` makes the reduction total. Either way the tree still passes
+    /// [`RootedTree::is_join_tree_of`]'s hard check, in release builds too.
     pub(crate) fn compile(d: &DbSchema) -> Self {
         let red = gyo_reduce(d, &AttrSet::empty());
         let cyclic = !red.is_total();
@@ -142,23 +148,33 @@ impl TreeifyPlan {
         } else {
             d
         };
-        // A total reduction may end at one empty survivor: no W edge.
+        // Trace order is child-first: a witness is alive when a relation is
+        // eliminated into it. The survivors come next, under `W` when
+        // cyclic, and `W` last. A total reduction's one survivor is the
+        // root: its parent stays itself.
         let w_node = d.len();
-        let w_children: &[usize] = if cyclic { &red.survivors } else { &[] };
-        let edges = red
-            .elimination_edges()
-            .chain(w_children.iter().map(|&s| (s, w_node)));
-        let tree = JoinTree::try_new(QualGraph::new(schema.len(), edges), schema)
-            .expect("Theorems 3.1 and 3.2(ii): the trace (plus the W edges) is a join tree");
-        let rooted = if schema.is_empty() {
-            RootedTree {
-                root: 0,
-                parent: Vec::new(),
-                post_order: Vec::new(),
+        let mut parent: Vec<usize> = (0..schema.len()).collect();
+        let mut post_order = Vec::with_capacity(schema.len());
+        for (removed, witness) in red.elimination_edges() {
+            parent[removed] = witness;
+            post_order.push(removed);
+        }
+        post_order.extend_from_slice(&red.survivors);
+        if cyclic {
+            for &s in &red.survivors {
+                parent[s] = w_node;
             }
-        } else {
-            tree.rooted_at(if cyclic { w_node } else { 0 })
+            post_order.push(w_node);
+        }
+        let rooted = RootedTree {
+            root: post_order.last().copied().unwrap_or(0),
+            parent,
+            post_order,
         };
+        assert!(
+            rooted.is_join_tree_of(|v| schema.rel(v)),
+            "Theorems 3.1 and 3.2(ii): the trace (plus the W edges) is a join tree"
+        );
         let schemas = schema.rels();
         let mut steps = Vec::with_capacity(2 * schemas.len().saturating_sub(1));
         for &v in &rooted.post_order {
@@ -176,10 +192,7 @@ impl TreeifyPlan {
         } else {
             Default::default()
         };
-        let join_order: Vec<_> = connected_order(d, &survivors)
-            .into_iter()
-            .map(|i| (i, d.rel(i).intersect(&w)))
-            .collect();
+        let join_order = connected_order(&residue);
         let k = join_order.len();
         let w_path = RootedTree {
             root: k.saturating_sub(1),
@@ -210,7 +223,7 @@ impl TreeifyPlan {
     /// Survivor indices in the order their states are joined into
     /// `state(W)`; empty for a tree schema.
     pub fn join_order(&self) -> Vec<usize> {
-        self.join_order.iter().map(|&(i, _)| i).collect()
+        self.join_order.iter().map(|&k| self.survivors[k]).collect()
     }
 
     /// The plan itself. Kept so that callers written against the former
@@ -335,39 +348,40 @@ impl TreeifyPlan {
 
     /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
     /// connectivity order with each survivor pre-projected onto its core
-    /// `Rᵢ ∩ W` (a clone when the survivor lies inside `W`) — the one
-    /// data-dependent step cyclicity forces. The joins run on the
-    /// flat join-up executor along [`Self::w_path`]: intermediates stay
-    /// unsorted in `scratch`'s reused buffers, an empty join ends the build
-    /// early, and only the result is normalized. The cores cover `W`
-    /// exactly, so no join-up projection drops anything.
+    /// `Rᵢ ∩ W`, its residue relation (a clone when the survivor lies
+    /// inside `W`) — the one data-dependent step cyclicity forces. The
+    /// joins run on the flat join-up executor along [`Self::w_path`]:
+    /// intermediates stay unsorted in `scratch`'s reused buffers, an empty
+    /// join ends the build early, and only the result is normalized. The
+    /// cores cover `W` exactly, so no join-up projection drops anything.
     pub(crate) fn materialize_w(&self, state: &DbState, scratch: &mut ExecScratch) -> Relation {
         let cores: Vec<Relation> = self
             .join_order
             .iter()
-            .map(|(i, core)| state.rel(*i).project(core))
+            .map(|&k| state.rel(self.survivors[k]).project(self.residue.rel(k)))
             .collect();
         let kept = vec![true; cores.len()];
         join_up_with(&cores, &self.w_path, &kept, &self.w, scratch)
     }
 }
 
-/// Orders `survivors` greedily by connectivity: start from the first, and
-/// repeatedly append a survivor sharing an attribute with the accumulated
-/// attribute set, falling back to the next unvisited one when the residue
-/// is disconnected (where a cross product is inherent to `W` anyway).
-fn connected_order(d: &DbSchema, survivors: &[usize]) -> Vec<usize> {
-    let mut order = Vec::with_capacity(survivors.len());
-    let mut remaining: Vec<usize> = survivors.to_vec();
+/// Orders the `residue`'s relations greedily by connectivity, as
+/// positions: start from the first, and repeatedly append one sharing an
+/// attribute with the accumulated attribute set, falling back to the next
+/// unvisited one when the residue is disconnected (where a cross product is
+/// inherent to `W` anyway).
+fn connected_order(residue: &DbSchema) -> Vec<usize> {
+    let mut order = Vec::with_capacity(residue.len());
+    let mut remaining: Vec<usize> = (0..residue.len()).collect();
     let mut seen = AttrSet::empty();
     while !remaining.is_empty() {
         let pick = remaining
             .iter()
-            .position(|&i| d.rel(i).intersects(&seen))
+            .position(|&k| residue.rel(k).intersects(&seen))
             .unwrap_or(0);
-        let i = remaining.remove(pick);
-        seen = seen.union(d.rel(i));
-        order.push(i);
+        let k = remaining.remove(pick);
+        seen = seen.union(residue.rel(k));
+        order.push(k);
     }
     order
 }
@@ -379,7 +393,7 @@ mod tests {
 
     use crate::engine::tests::{db, kept_of, poison_plan_cache, random_state};
     use crate::{Engine, NaiveEngine, TreeifyEngine};
-    use gyo_schema::Catalog;
+    use gyo_schema::{Catalog, JoinTree, QualGraph};
     use gyo_workloads::{aring_n, engine_families, grid, random_cyclic_schema, tpch_like_cyclic};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -427,8 +441,28 @@ mod tests {
             assert_eq!(plan.is_cyclic(), !gyo_reduce::is_tree_schema(d), "{d:?}");
             assert_eq!(plan.join_order().is_empty(), !plan.is_cyclic(), "{d:?}");
             let nodes = d.len() + usize::from(plan.is_cyclic());
-            assert_eq!(plan.rooted().parent.len(), nodes, "{d:?}");
+            let rooted = plan.rooted();
+            assert_eq!(rooted.parent.len(), nodes, "{d:?}");
             assert_eq!(plan.steps().len(), 2 * nodes.saturating_sub(1), "{d:?}");
+            // The trace-rooted tree against the union-find check the
+            // compile no longer runs: its edges are a join tree of D or of
+            // D ∪ (W), rooted at node 0 or at W.
+            let schema = if plan.is_cyclic() {
+                d.with_rel(plan.w().clone())
+            } else {
+                d.clone()
+            };
+            let edges = (0..nodes)
+                .filter(|&v| v != rooted.root)
+                .map(|v| (v, rooted.parent[v]));
+            let graph = QualGraph::new(nodes, edges);
+            assert!(JoinTree::try_new(graph, &schema).is_some(), "{d:?}");
+            let root = if plan.is_cyclic() { d.len() } else { 0 };
+            assert_eq!(rooted.root, root, "{d:?}");
+            // Each survivor's core is its residue relation.
+            for (k, &i) in plan.survivors.iter().enumerate() {
+                assert_eq!(&d.rel(i).intersect(plan.w()), plan.residue.rel(k), "{d:?}");
+            }
         }
         assert!(
             trees >= 10 && cyclic >= 10,
@@ -567,10 +601,10 @@ mod tests {
                     .collect();
                 let state = DbState::new(&d, mixed);
                 let want = plan
-                    .join_order
+                    .join_order()
                     .iter()
-                    .fold(Relation::identity(), |acc, (i, core)| {
-                        acc.natural_join(&state.rel(*i).project(core))
+                    .fold(Relation::identity(), |acc, &i| {
+                        acc.natural_join(&state.rel(i).project(&d.rel(i).intersect(plan.w())))
                     });
                 let got = plan.materialize_w(&state, &mut scratch);
                 assert_eq!(got, want, "{s}, seed {seed}");

@@ -11,12 +11,17 @@
 //! * [`QualGraph`] — an arbitrary candidate graph plus the validity check;
 //! * [`JoinTree`] — a validated qual tree with path/subtree queries and the
 //!   *attribute connectivity* property checker;
+//! * [`RootedTree`] — a join tree as parent pointers plus a post-order,
+//!   the form a GYO trace spells directly (each eliminated relation under
+//!   its witness) and the one plans run along, with its own hard check
+//!   [`RootedTree::is_join_tree_of`]; both checks share one count;
 //! * [`maximum_weight_join_tree`] — the classical spanning-tree construction
 //!   (maximize `Σ|Rᵢ ∩ Rⱼ|`); the result is a qual tree iff `D` is a tree
 //!   schema, giving a second, independent decision procedure for
 //!   tree-schema-ness that the test suite cross-checks against GYO.
 
 use crate::attr::AttrId;
+use crate::attrset::AttrSet;
 use crate::fxhash::FxHashMap;
 use crate::schema::DbSchema;
 
@@ -147,24 +152,17 @@ impl QualGraph {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinTree {
     graph: QualGraph,
-    /// Adjacency in one buffer: the neighbors of `v` are
-    /// `adj[offsets[v]..offsets[v + 1]]`, in edge-list order.
-    offsets: Vec<usize>,
-    adj: Vec<usize>,
+    /// `adj[v]` lists `v`'s neighbors, in edge-list order.
+    adj: Vec<Vec<usize>>,
 }
 
 impl JoinTree {
     /// Validates that `graph` is a tree and a qual graph for `d`; `None`
-    /// otherwise. This is a hard check, run in release builds too.
-    ///
-    /// Once the graph is a tree, qual validity is a count. The nodes
-    /// holding an attribute `A` induce a forest, which has at most
-    /// `|holders(A)| − 1` edges, and exactly that many iff it is connected.
-    /// An edge `(u, v)` lies inside `|Rᵤ ∩ Rᵥ|` of those forests, so,
-    /// summing over `U(D)`, the tree is a qual tree iff
-    /// `Σ_(u,v) |Rᵤ ∩ Rᵥ| = Σᵢ |Rᵢ| − |U(D)|` — a single disconnected
-    /// attribute leaves the left side short. That costs one sort of the
-    /// attribute occurrences and one merge per edge, with no hashing.
+    /// otherwise. This is a hard check, run in release builds too: a
+    /// union-find for tree-ness, then the count
+    /// `Σ_(u,v) |Rᵤ ∩ Rᵥ| = Σᵢ |Rᵢ| − |U(D)|` that
+    /// [`RootedTree::is_join_tree_of`] runs too, one sort of the attribute
+    /// occurrences and one merge per edge, with no hashing.
     /// [`QualGraph::is_valid_for`] keeps the per-attribute search for
     /// graphs that are not trees.
     ///
@@ -176,42 +174,11 @@ impl JoinTree {
             return None;
         }
         assert_eq!(d.len(), graph.n, "schema/graph size mismatch");
-        let mut ids: Vec<AttrId> = d.iter().flat_map(|r| r.iter()).collect();
-        let occurrences = ids.len();
-        ids.sort_unstable();
-        ids.dedup();
-        let induced: usize = graph
-            .edges
-            .iter()
-            .map(|&(u, v)| shared_count(d.rel(u).as_slice(), d.rel(v).as_slice()))
-            .sum();
-        if induced != occurrences - ids.len() {
+        if !tree_count_holds(graph.n, |v| d.rel(v), graph.edges.iter().copied()) {
             return None;
         }
-        // Counting sort of the edge ends: `offsets[v + 1]` first counts
-        // `v`'s degree, then serves as its fill cursor, and ends as its
-        // list's end, i.e. the next list's start.
-        let mut offsets = vec![0usize; graph.n + 1];
-        for &(a, b) in &graph.edges {
-            offsets[a + 1] += 1;
-            offsets[b + 1] += 1;
-        }
-        let mut start = 0;
-        for slot in &mut offsets[1..] {
-            (start, *slot) = (start + *slot, start);
-        }
-        let mut adj = vec![0usize; 2 * graph.edges.len()];
-        for &(a, b) in &graph.edges {
-            adj[offsets[a + 1]] = b;
-            offsets[a + 1] += 1;
-            adj[offsets[b + 1]] = a;
-            offsets[b + 1] += 1;
-        }
-        Some(Self {
-            graph,
-            offsets,
-            adj,
-        })
+        let adj = graph.adjacency();
+        Some(Self { graph, adj })
     }
 
     /// The underlying graph.
@@ -235,7 +202,7 @@ impl JoinTree {
     /// Neighbors of node `v`.
     #[inline]
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+        &self.adj[v]
     }
 
     /// The unique path from `r` to `s` (inclusive). Returns `[r]` if
@@ -348,32 +315,29 @@ impl JoinTree {
         out.push('}');
         out
     }
+}
 
-    /// A rooted view: `parent[v]` for every node, with `parent[root] ==
-    /// root`. Children are visited before parents in the returned
-    /// post-order (useful for semijoin programs).
-    pub fn rooted_at(&self, root: usize) -> RootedTree {
-        let n = self.graph.n;
-        let mut parent = vec![usize::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut stack = vec![root];
-        parent[root] = root;
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            for &w in self.neighbors(v) {
-                if parent[w] == usize::MAX {
-                    parent[w] = v;
-                    stack.push(w);
-                }
-            }
-        }
-        order.reverse(); // children before parents
-        RootedTree {
-            root,
-            parent,
-            post_order: order,
-        }
-    }
+/// Whether a tree on nodes `0..n`, with node `v` of schema `schema(v)`,
+/// is a qual tree, given its `n − 1` edges.
+///
+/// The nodes holding an attribute `A` induce a forest, which has at most
+/// `|holders(A)| − 1` edges, and exactly that many iff it is connected. An
+/// edge `(u, v)` lies inside `|Rᵤ ∩ Rᵥ|` of those forests, so, summing over
+/// `U`, the tree is a qual tree iff `Σ_(u,v) |Rᵤ ∩ Rᵥ| = Σᵢ |Rᵢ| − |U|`: a
+/// single disconnected attribute leaves the left side short.
+fn tree_count_holds<'a>(
+    n: usize,
+    schema: impl Fn(usize) -> &'a AttrSet,
+    edges: impl Iterator<Item = (usize, usize)>,
+) -> bool {
+    let mut ids: Vec<AttrId> = (0..n).flat_map(|v| schema(v).iter()).collect();
+    let occurrences = ids.len();
+    ids.sort_unstable();
+    ids.dedup();
+    let induced: usize = edges
+        .map(|(u, v)| shared_count(schema(u).as_slice(), schema(v).as_slice()))
+        .sum();
+    induced == occurrences - ids.len()
 }
 
 /// The number of ids two ascending slices share.
@@ -393,15 +357,49 @@ fn shared_count(a: &[AttrId], b: &[AttrId]) -> usize {
     shared
 }
 
-/// A join tree rooted at a chosen node; see [`JoinTree::rooted_at`].
+/// A join tree given by parent pointers, with a post-order to run its
+/// passes in. A GYO trace spells one directly: each eliminated relation
+/// hangs under its witness (Theorem 3.1). [`is_join_tree_of`] checks one.
+///
+/// [`is_join_tree_of`]: RootedTree::is_join_tree_of
 #[derive(Clone, Debug)]
 pub struct RootedTree {
-    /// The root node index.
+    /// The root node index; a placeholder `0` when the tree is empty.
     pub root: usize,
     /// `parent[v]` is `v`'s parent; `parent[root] == root`.
     pub parent: Vec<usize>,
     /// All nodes, children strictly before their parents (root last).
     pub post_order: Vec<usize>,
+}
+
+impl RootedTree {
+    /// Whether this is a rooted join tree of the schema whose node `v` is
+    /// `schema(v)`, for `v < parent.len()`. This is a hard check, cheap
+    /// enough for release builds: `post_order` lists every node exactly
+    /// once, each non-root node before its parent, and the root last with
+    /// `parent[root] == root`. Following parents then climbs `post_order`
+    /// to the root, so the edges `(v, parent[v])` form a tree; it is a
+    /// qual tree iff `Σ_v |Rᵥ ∩ R_parent(v)| = Σᵢ |Rᵢ| − |U|`, the count
+    /// [`JoinTree::try_new`] runs too. The empty tree passes.
+    pub fn is_join_tree_of<'a>(&self, schema: impl Fn(usize) -> &'a AttrSet) -> bool {
+        let n = self.parent.len();
+        let mut pos = vec![usize::MAX; n];
+        for (i, &v) in self.post_order.iter().enumerate() {
+            if v >= n || pos[v] != usize::MAX {
+                return false;
+            }
+            pos[v] = i;
+        }
+        let (root, parent) = (self.root, &self.parent);
+        let edges = (0..n).filter(|&v| v != root).map(|v| (v, parent[v]));
+        self.post_order.len() == n
+            && self
+                .post_order
+                .last()
+                .is_none_or(|&r| r == root && parent[r] == r)
+            && edges.clone().all(|(v, p)| p < n && pos[v] < pos[p])
+            && tree_count_holds(n, schema, edges)
+    }
 }
 
 /// The classical spanning-tree decision procedure for tree schemas:
@@ -525,26 +523,76 @@ mod tests {
         assert!(!t.induces_connected(&[0, 2]));
     }
 
-    #[test]
-    fn rooted_post_order_children_first() {
-        let (d, _) = db("ab, bc, cd");
-        let t = maximum_weight_join_tree(&d).unwrap();
-        let rt = t.rooted_at(0);
-        assert_eq!(rt.parent[rt.root], rt.root);
-        assert_eq!(*rt.post_order.last().unwrap(), rt.root);
-        // every child appears before its parent
-        let pos: Vec<usize> = {
-            let mut v = vec![0; 3];
-            for (i, &x) in rt.post_order.iter().enumerate() {
-                v[x] = i;
-            }
-            v
-        };
-        for v in 0..3 {
-            if v != rt.root {
-                assert!(pos[v] < pos[rt.parent[v]]);
-            }
+    /// The chain `ab - bc - cd` rooted at `ab`, by parent pointers.
+    fn rooted_chain() -> RootedTree {
+        RootedTree {
+            root: 0,
+            parent: vec![0, 0, 1],
+            post_order: vec![2, 1, 0],
         }
+    }
+
+    #[test]
+    fn rooted_tree_check_rejects_a_parent_cycle() {
+        let (d, _) = db("ab, bc, cd");
+        let mut t = rooted_chain();
+        assert!(t.is_join_tree_of(|v| d.rel(v)));
+        // 1 and 2 point at each other, and the root 0 has no child.
+        t.parent[1] = 2;
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+        t.post_order = vec![1, 2, 0];
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+    }
+
+    #[test]
+    fn rooted_tree_check_rejects_a_node_listed_twice() {
+        let (d, _) = db("ab, bc, cd");
+        let mut t = rooted_chain();
+        t.post_order = vec![2, 2, 1, 0];
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+        // Same length as the node count, with node 1 missing.
+        t.post_order = vec![2, 2, 0];
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+    }
+
+    #[test]
+    fn rooted_tree_check_rejects_a_child_after_its_parent() {
+        let (d, _) = db("ab, bc, cd");
+        let mut t = rooted_chain();
+        t.post_order = vec![1, 2, 0];
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+    }
+
+    #[test]
+    fn rooted_tree_check_rejects_a_root_that_is_not_last() {
+        let (d, _) = db("ab, bc, cd");
+        let mut t = rooted_chain();
+        t.post_order = vec![0, 2, 1];
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+        // The root must also be its own parent.
+        let mut t = rooted_chain();
+        t.parent[0] = 1;
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+    }
+
+    #[test]
+    fn rooted_tree_check_rejects_a_count_off_by_one() {
+        // A well-shaped tree, ab - cd - bd, where b's holders 0 and 2 are
+        // not adjacent: the shared count is 1, one short of Σ|Rᵢ| − |U| = 2.
+        let (d, _) = db("ab, cd, bd");
+        let t = RootedTree {
+            root: 1,
+            parent: vec![1, 1, 1],
+            post_order: vec![0, 2, 1],
+        };
+        assert!(!t.is_join_tree_of(|v| d.rel(v)));
+        // Rehung as ab - bd - cd, it passes.
+        let t = RootedTree {
+            root: 2,
+            parent: vec![2, 2, 2],
+            post_order: vec![0, 1, 2],
+        };
+        assert!(t.is_join_tree_of(|v| d.rel(v)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the set algebra and schema combinators — the laws
 //! every proof in the paper silently uses.
 
-use gyo_schema::{AttrId, AttrSet, DbSchema, JoinTree, QualGraph};
+use gyo_schema::{AttrId, AttrSet, DbSchema, JoinTree, QualGraph, RootedTree};
 use proptest::prelude::*;
 
 fn attr_set() -> impl Strategy<Value = AttrSet> {
@@ -90,12 +90,39 @@ fn paths_carry_shared_attributes(g: &QualGraph, d: &DbSchema) -> bool {
     })
 }
 
+/// A tree graph rooted at node 0 by breadth-first search: the reversed
+/// visit order lists children before parents and the root last.
+fn rooted_by_bfs(g: &QualGraph) -> RootedTree {
+    let adj = g.adjacency();
+    let mut parent = vec![usize::MAX; g.node_count()];
+    parent[0] = 0;
+    let mut order = vec![0];
+    let mut next = 0;
+    while let Some(&v) = order.get(next) {
+        next += 1;
+        for &w in &adj[v] {
+            if parent[w] == usize::MAX {
+                parent[w] = v;
+                order.push(w);
+            }
+        }
+    }
+    order.reverse();
+    RootedTree {
+        root: 0,
+        parent,
+        post_order: order,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `JoinTree::try_new`'s counting check agrees with the per-attribute
     /// search of `QualGraph::is_valid_for` and with attribute connectivity
-    /// along tree paths, on valid and invalid spanning trees alike.
+    /// along tree paths, on valid and invalid spanning trees alike; and
+    /// `RootedTree::is_join_tree_of` agrees with it on each spanning tree
+    /// rooted at node 0.
     #[test]
     fn join_tree_count_check_matches_search_and_paths(case in spanning_tree_case()) {
         let (d, g) = case;
@@ -104,6 +131,14 @@ proptest! {
         prop_assert_eq!(accepted.is_some(), searched, "{:?} over {:?}", g, d);
         if g.is_tree() {
             prop_assert_eq!(searched, paths_carry_shared_attributes(&g, &d), "{:?}", d);
+            let rooted = rooted_by_bfs(&g);
+            prop_assert_eq!(
+                rooted.is_join_tree_of(|v| d.rel(v)),
+                accepted.is_some(),
+                "{:?} over {:?}",
+                rooted,
+                d
+            );
         }
         if let Some(t) = accepted {
             prop_assert!(t.attribute_connectivity_holds(&d));
